@@ -606,11 +606,11 @@ def cell_rep(j: int, scale, field: Field, N: int) -> ParaRep:
                 for col, b_values in enumerate(basis[m]):
                     composite = compose(c.rep, ParaMap(j, m, b_values))
                     row = basis[n].index(composite.values)
-                    mat[row, col] = _scalar_power(field, scale, composite.shift)
+                    mat[row, col] = field.scalar_power(scale, composite.shift)
                 table[c.values] = mat
             gen[(m, n)] = table
     shifts = tuple(
-        _scale_matrix(field, scale, dims[n]) for n in range(N + 1)
+        field.scalar_matrix(scale, dims[n]) for n in range(N + 1)
     )
     return ParaRep(N, field, dims, gen, shifts)
 
@@ -621,9 +621,9 @@ def character_rep(scale, field: Field, N: int) -> CycRep:
     gen = {}
     for m in range(N + 1):
         for n in range(N + 1):
-            value = _scalar_power(field, scale, m - n)
+            value = field.scalar_power(scale, m - n)
             gen[(m, n)] = {
-                c.values: _scale_matrix(field, value, 1)
+                c.values: field.scalar_matrix(value, 1)
                 for c in surjection_reps(m, n)
             }
     shifts = tuple(field.identity(1) for _ in range(N + 1))
@@ -696,10 +696,10 @@ def random_rep(rng, field: Field, N: int, cyclic: bool = False) -> ParaRep:
     isomorphisms so the matrices carry no visible block structure.
     """
     def char():
-        return character_rep(_random_unit(rng, field), field, N)
+        return character_rep(field.random_unit(rng), field, N)
 
     def cell():
-        scale = field.one if cyclic else _random_unit(rng, field)
+        scale = field.one if cyclic else field.random_unit(rng)
         return cell_rep(1, scale, field, N)
 
     def const():
@@ -719,36 +719,4 @@ def random_rep(rng, field: Field, N: int, cyclic: bool = False) -> ParaRep:
     out = conjugate_rep(total, conjugators)
     if cyclic:
         return CycRep(out.N, out.field, out.dims, out.gen, out.shifts)
-    return out
-
-
-def _random_unit(rng, field: Field):
-    from fractions import Fraction
-
-    if hasattr(field, "p"):
-        return rng.randrange(1, field.p)
-    return Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2, 3]))
-
-
-def _scalar_power(field: Field, scale, k: int):
-    from fractions import Fraction
-
-    if hasattr(field, "p"):
-        s = int(scale) % field.p
-        if k < 0:
-            s, k = pow(s, field.p - 2, field.p), -k
-        return pow(s, k, field.p)
-    value = Fraction(scale) ** abs(k)
-    return value if k >= 0 else 1 / value
-
-
-def _scale_matrix(field: Field, scale, n: int) -> np.ndarray:
-    from fractions import Fraction
-
-    out = field.identity(n)
-    for i in range(n):
-        if hasattr(field, "p"):
-            out[i, i] = int(scale) % field.p
-        else:
-            out[i, i] = Fraction(scale)
     return out

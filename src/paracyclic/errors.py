@@ -30,7 +30,8 @@ class NotEssentiallySurjective(PackageError):
 
 
 class ResourceBound(PackageError):
-    """An enumeration would exceed the configured cap."""
+    """An enumeration would exceed the configured cap, or an input exceeds a
+    bound under which the computation is exact."""
 
 
 class BaseMismatch(PackageError):

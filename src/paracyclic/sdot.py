@@ -442,18 +442,11 @@ def random_chain_map(rng, field: Field, src: TwoPeriodicComplex,
                 row[f1_index(k, c)] = row[f1_index(k, c)] - tgt.d1[r, k]
             rows.append(row)
     if rows and unknowns:
-        system = np.stack(rows, axis=0)
-        if hasattr(field, "p"):
-            system = system % field.p
-        basis = field.right_kernel(system)
+        basis = field.right_kernel(field.reduce(np.stack(rows, axis=0)))
     else:
         basis = field.identity(unknowns)
-    flat = field.zeros(1, unknowns)[0]
-    for b in range(basis.shape[0]):
-        scale = rng.randrange(field.p) if hasattr(field, "p") else rng.randrange(-3, 4)
-        flat = flat + basis[b] * scale
-    if hasattr(field, "p"):
-        flat = flat % field.p
+    scales = field.matrix([[field.random_scalar(rng) for _ in range(basis.shape[0])]])
+    flat = field.matmul(scales, basis)[0]
     f0 = flat[:t0 * s0].reshape(t0, s0) if t0 * s0 else field.zeros(t0, s0)
     f1 = flat[t0 * s0:].reshape(t1, s1) if t1 * s1 else field.zeros(t1, s1)
     return ComplexMap(src, tgt, f0, f1)

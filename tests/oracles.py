@@ -91,3 +91,33 @@ def oracle_rank_fraction(rows: list[list[Fraction]]) -> int:
                 mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def oracle_matmul_mod(a: list[list[int]], b: list[list[int]], p: int,
+                      cols: int) -> list[list[int]]:
+    """Product of list matrices over F_p with Python ints, entry by entry;
+    b has ``cols`` columns (needed when b has no rows)."""
+    inner = len(b)
+    return [[sum(row[t] * b[t][j] for t in range(inner)) % p for j in range(cols)]
+            for row in a]
+
+
+def oracle_rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F_p with unit pivots, by list elimination."""
+    mat = [[x % p for x in r] for r in rows]
+    cols = len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    for col in range(cols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], p - 2, p)
+        mat[rank] = [x * inv % p for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [(x - factor * y) % p for x, y in zip(mat[r], mat[rank])]
+        pivots.append(col)
+    return mat, pivots

@@ -1,0 +1,222 @@
+"""PrimeField arithmetic against list-based Python-int oracles.
+
+Every kernel is checked on both sides of the size crossovers in
+``_linalg`` (the float64 BLAS product and the vectorized row reduction),
+on zero-size shapes and on sparse block matrices shaped like mapping
+cones, for a small, a medium and the largest common word-size prime.
+"""
+
+import numpy as np
+import pytest
+
+from paracyclic._linalg import BLAS_MIN_MULTS, VECTOR_MIN_ROWS, PrimeField
+from paracyclic.errors import PackageError, ResourceBound
+
+from oracles import oracle_matmul_mod, oracle_rref_mod
+
+PRIMES = [2, 101, 2**31 - 1]
+
+
+def random_mod(rng, p, rows, cols, density=1.0):
+    out = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+    out[rng.random((rows, cols)) >= density] = 0
+    return out
+
+
+def cone_like(rng, p, size):
+    """[[-a, 0], [f, b]] with sparse blocks of the given size, reduced mod p."""
+    a, f, b = (random_mod(rng, p, size, size, 0.15) for _ in range(3))
+    return np.block([[-a, np.zeros((size, size), dtype=np.int64)], [f, b]]) % p
+
+
+def expected_product(a, b, p):
+    return np.array(oracle_matmul_mod(a.tolist(), b.tolist(), p, b.shape[1]),
+                    dtype=np.int64).reshape(a.shape[0], b.shape[1])
+
+
+def expected_rref(a, p):
+    reduced, pivots = oracle_rref_mod(a.tolist(), p)
+    return np.array(reduced, dtype=np.int64).reshape(a.shape), pivots
+
+
+def rref_inputs(rng, p):
+    """Matrices below, at and above the row crossover, dense and sparse."""
+    small, large = VECTOR_MIN_ROWS - 1, VECTOR_MIN_ROWS
+    return [
+        random_mod(rng, p, small, small + 3),
+        random_mod(rng, p, large, large + 3),
+        random_mod(rng, p, large, large - 5, 0.2),
+        random_mod(rng, p, 2 * large, 2 * large, 0.05),
+        # rank-deficient: the last rows repeat combinations of the first
+        np.vstack([m := random_mod(rng, p, large, large + 2, 0.3),
+                   (m[:4] * 3 + m[4:8]) % p]),
+        cone_like(rng, p, small // 2),
+        cone_like(rng, p, large),
+    ]
+
+
+def matmul_shapes():
+    """(m, k, n) just below and at the BLAS crossover, plus thin products."""
+    k = n = 32
+    at = -(-BLAS_MIN_MULTS // (k * n))
+    assert (at - 1) * k * n < BLAS_MIN_MULTS <= at * k * n
+    return [(at - 1, k, n), (at, k, n), (2 * at, k, n), (3, 3, 3), (1, 200, 1), (200, 1, 200)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("shape", matmul_shapes())
+def test_matmul_matches_oracle(p, shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[2] + p % 997)
+    m, k, n = shape
+    field = PrimeField(p)
+    for density in (1.0, 0.05):
+        a, b = random_mod(rng, p, m, k, density), random_mod(rng, p, k, n, density)
+        assert np.array_equal(field.matmul(a, b), expected_product(a, b, p))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("shape", matmul_shapes()[:3])
+def test_matmul_reduces_operands_of_either_sign(p, shape):
+    """Entries in (-p, p), as a negated block before reduction has; the
+    result is still the canonical residue in [0, p)."""
+    rng = np.random.default_rng(7 + p % 997)
+    m, k, n = shape
+    a = -random_mod(rng, p, m, k)
+    b = random_mod(rng, p, k, n)
+    product = PrimeField(p).matmul(a, b)
+    assert product.min() >= 0
+    assert np.array_equal(product, expected_product(a % p, b, p))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("shape", [(0, 5, 3), (4, 0, 3), (4, 5, 0), (0, 0, 0)])
+def test_matmul_zero_size(p, shape):
+    m, k, n = shape
+    field = PrimeField(p)
+    product = field.matmul(field.zeros(m, k), field.zeros(k, n))
+    assert product.shape == (m, n) and product.dtype == np.int64
+    assert not product.any()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rref_matches_oracle(p):
+    rng = np.random.default_rng(p % 997)
+    field = PrimeField(p)
+    for a in rref_inputs(rng, p):
+        reduced, pivots = field.rref(a)
+        expected, expected_pivots = expected_rref(a, p)
+        assert pivots == expected_pivots, a.shape
+        assert np.array_equal(reduced, expected), a.shape
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (VECTOR_MIN_ROWS, 0)])
+def test_rref_zero_size(p, shape):
+    reduced, pivots = PrimeField(p).rref(np.zeros(shape, dtype=np.int64))
+    assert reduced.shape == shape and pivots == []
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rref_leaves_input_unchanged(p):
+    rng = np.random.default_rng(3)
+    for a in rref_inputs(rng, p):
+        before = a.copy()
+        PrimeField(p).rref(a)
+        assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_right_kernel_is_the_canonical_basis(p):
+    rng = np.random.default_rng(11 + p % 997)
+    field = PrimeField(p)
+    for a in rref_inputs(rng, p):
+        reduced, pivots = expected_rref(a, p)
+        free = [c for c in range(a.shape[1]) if c not in pivots]
+        expected = np.zeros((len(free), a.shape[1]), dtype=np.int64)
+        for idx, fc in enumerate(free):
+            expected[idx, fc] = 1
+            for r, pc in enumerate(pivots):
+                expected[idx, pc] = -reduced[r, fc] % p
+        kernel = field.right_kernel(a)
+        assert np.array_equal(kernel, expected), a.shape
+        assert not expected_product(a, kernel.T, p).any()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", [3, VECTOR_MIN_ROWS - 1, VECTOR_MIN_ROWS, 2 * VECTOR_MIN_ROWS])
+def test_inverse_matches_oracle(p, n):
+    rng = np.random.default_rng(n + p % 997)
+    field = PrimeField(p)
+    while True:
+        a = random_mod(rng, p, n, n, 0.5)
+        if len(expected_rref(a, p)[1]) == n:
+            break
+    expected = expected_rref(np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1), p)[0][:, n:]
+    inverse = field.inverse(a)
+    assert np.array_equal(inverse, expected)
+    assert np.array_equal(expected_product(a, inverse, p), np.eye(n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("count", [2, VECTOR_MIN_ROWS - 2, VECTOR_MIN_ROWS + 4])
+def test_solve_in_span_matches_oracle(p, count):
+    """count + 1 rows in the system: both sides of the row crossover."""
+    rng = np.random.default_rng(count + p % 997)
+    field = PrimeField(p)
+    width = count + 3
+    basis = random_mod(rng, p, count, width, 0.4)
+    inside = expected_product(random_mod(rng, p, 1, count), basis, p)[0]
+    outside = random_mod(rng, p, 1, width)[0]
+    for vector in (inside, outside):
+        system = np.concatenate([basis.T, vector.reshape(-1, 1)], axis=1)
+        reduced, pivots = expected_rref(system, p)
+        coeffs = field.solve_in_span(basis, vector)
+        if count in pivots:
+            assert coeffs is None
+            continue
+        expected = np.zeros(count, dtype=np.int64)
+        for r, pc in enumerate(pivots):
+            expected[pc] = reduced[r, -1]
+        assert np.array_equal(coeffs, expected)
+        assert np.array_equal(expected_product(coeffs.reshape(1, -1), basis, p)[0], vector)
+
+
+def test_large_prime_products_are_exact():
+    """At p = 2^31 - 1 an int64 product of three (p-1)^2 terms overflows."""
+    p = 2**31 - 1
+    field = PrimeField(p)
+    full = np.full((3, 3), p - 1, dtype=np.int64)
+    assert np.array_equal(field.matmul(full, full), np.full((3, 3), 3))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        a, b = random_mod(rng, p, 3, 4), random_mod(rng, p, 4, 2)
+        assert np.array_equal(field.matmul(a, b), expected_product(a, b, p))
+
+
+def test_rref_at_the_largest_common_word_size_prime():
+    p = 2**31 - 1
+    rng = np.random.default_rng(6)
+    field = PrimeField(p)
+    for _ in range(200):
+        a = random_mod(rng, p, 3, 4)
+        reduced, pivots = field.rref(a)
+        expected, expected_pivots = expected_rref(a, p)
+        assert pivots == expected_pivots and np.array_equal(reduced, expected)
+
+
+@pytest.mark.parametrize("p", [3037000507, 4294967311, 2**61 - 1])
+def test_primes_beyond_the_int64_bound_are_rejected(p):
+    """(p - 1)^2 >= 2^63: one row operation would overflow int64."""
+    with pytest.raises(ResourceBound):
+        PrimeField(p)
+    assert issubclass(ResourceBound, PackageError)
+
+
+def test_largest_accepted_prime_is_exact():
+    p = 3037000493            # the largest prime with (p - 1)^2 < 2^63; the next is 3037000507
+    assert (p - 1) ** 2 < 2**63
+    field = PrimeField(p)
+    full = np.full((2, 2), p - 1, dtype=np.int64)
+    assert np.array_equal(field.matmul(full, full), np.full((2, 2), 2))
+    reduced, pivots = field.rref(np.array([[p - 1, p - 2], [p - 2, p - 1]], dtype=np.int64))
+    assert np.array_equal(reduced, np.eye(2, dtype=np.int64)) and pivots == [0, 1]

@@ -314,7 +314,7 @@ class TestDualize:
     @pytest.mark.parametrize("m,n", [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
     def test_double_dual_is_successor_conjugation(self, m, n):
         """The square of the duality conjugates by the successor automorphism."""
-        pred_tgt = dualize_map(Parasimplex(n).successor_map())
+        pred_tgt = ParaMap.from_values(n, n, range(-1, n))
         succ_src = Parasimplex(m).successor_map()
         for f in all_maps(m, n):
             assert dualize_map(dualize_map(f)) == compose(pred_tgt, compose(f, succ_src))

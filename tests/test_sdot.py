@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from oracles import oracle_kernel_dim_by_enumeration
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
+F101 = PrimeField(101)
 
 
 def complexes_equal(x, y):
@@ -283,6 +285,27 @@ class TestRotate:
             report = rotation_periodicity_check(filt)
             assert report["passed"], report
 
+    def test_periodicity_length_six_over_f101(self):
+        """Length 6 with (3, 3) steps: cones of up to about 750 rows after
+        the 7 rotations.  The first step has zero differentials, so the
+        fingerprint carries nonzero homology.  Bound: 30 s (about 3.5 s on
+        a 2-vCPU VM; 42 s before the vectorized prime-field kernels)."""
+        rng = random.Random(36)
+        objects = [TwoPeriodicComplex.from_dims(F101, 3, 3)]
+        while len(objects) < 6:
+            x = random_complex(rng, F101, 3)
+            if x.dims == (3, 3):
+                objects.append(x)
+        maps = tuple(random_chain_map(rng, F101, objects[i], objects[i + 1])
+                     for i in range(5))
+        filt = FilteredObject(F101, tuple(objects), maps)
+        start = time.perf_counter()
+        report = rotation_periodicity_check(filt)
+        elapsed = time.perf_counter() - start
+        assert report["passed"], report
+        assert report["fingerprint_before"][0][0] == (3, 3)
+        assert elapsed < 30, f"length-6 periodicity check took {elapsed:.1f}s"
+
     def test_length_one_certificate(self):
         x = one_zero(F2)
         filt = FilteredObject(F2, (x,), ())
@@ -323,6 +346,16 @@ class TestJson:
         assert fingerprint(again) == fingerprint(filt)
         for a, b in zip(again.objects, filt.objects):
             assert complexes_equal(a, b)
+
+
+class TestLargePrime:
+    def test_rotation_at_the_largest_common_word_size_prime(self):
+        """At p = 2^31 - 1 a product of int64 entries overflows; random
+        filtrations must still be valid complexes and rotate periodically."""
+        field = PrimeField(2**31 - 1)
+        for seed in range(5):
+            filt = random_filtration(random.Random(seed), field, 3, max_dim=4)
+            assert rotation_periodicity_check(filt)["passed"]
 
 
 class TestRationalsBackend:
