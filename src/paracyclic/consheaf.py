@@ -189,14 +189,22 @@ def stalk(sheaf: StratSheaf, rel: ConvexRelation) -> FinVect:
 
 @dataclass(frozen=True)
 class UpSet:
-    """An upward closed set of strata: the open unions of the stratification."""
+    """An upward closed set of strata: the open unions of the stratification.
+
+    The constructor checks that every member is a stratum of ``base`` and
+    that the set is upward closed.  Intersections and unions of up-sets are
+    up-sets, so ``&`` and ``|`` build their results without re-checking.
+    """
 
     base: ParaPreorder
     members: FrozenSet[GapKey]
 
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(gap_key(k) for k in self.members))
+        strata = {gap_key(rel) for rel in enumerate_conv(self.base)}
         for key in self.members:
+            if key not in strata:
+                raise BaseMismatch(f"{key} is not a stratum of the base {self.base.sizes}")
             for b in key:
                 smaller = tuple(x for x in key if x != b)
                 if smaller and smaller not in self.members:
@@ -204,17 +212,30 @@ class UpSet:
                         f"{key} is a member but the larger stratum {smaller} is not"
                     )
 
+    @classmethod
+    def _closed(cls, base: ParaPreorder, members: FrozenSet[GapKey]) -> "UpSet":
+        """An up-set whose members are upward closed by construction."""
+        up = object.__new__(cls)
+        object.__setattr__(up, "base", base)
+        object.__setattr__(up, "members", members)
+        return up
+
     def sorted_members(self) -> List[GapKey]:
         return sorted(self.members, key=key_order)
 
     def __contains__(self, key):
         return gap_key(key) in self.members
 
+    def _same_base(self, other: "UpSet") -> ParaPreorder:
+        if other.base is not self.base and other.base != self.base:
+            raise BaseMismatch("up-sets live over different bases")
+        return self.base
+
     def __and__(self, other: "UpSet") -> "UpSet":
-        return UpSet(self.base, self.members & other.members)
+        return UpSet._closed(self._same_base(other), self.members & other.members)
 
     def __or__(self, other: "UpSet") -> "UpSet":
-        return UpSet(self.base, self.members | other.members)
+        return UpSet._closed(self._same_base(other), self.members | other.members)
 
 
 def up_closure(base: ParaPreorder, seeds: Iterable) -> UpSet:
@@ -230,20 +251,27 @@ def up_closure(base: ParaPreorder, seeds: Iterable) -> UpSet:
 
 
 def whole_space(base: ParaPreorder) -> UpSet:
-    return UpSet(base, frozenset(gap_key(rel) for rel in enumerate_conv(base)))
+    return UpSet._closed(base, frozenset(gap_key(rel) for rel in enumerate_conv(base)))
 
 
 def enumerate_upsets(base: ParaPreorder) -> List[UpSet]:
-    """Every upward closed set of strata (small posets only)."""
+    """Every upward closed set of strata, the empty one included.
+
+    The list is in mask order: bit i of an up-set's mask stands for the
+    i-th stratum of ``enumerate_conv(base)``, and masks ascend.  Up-sets are
+    generated directly, adding the strata by increasing number of gaps and
+    a stratum only when all its one-gap-smaller faces are members, so the
+    cost grows with the number of up-sets (7,580 at Par(4)), not with the
+    2^(number of strata) subsets.
+    """
     keys = [gap_key(rel) for rel in enumerate_conv(base)]
-    out = []
-    for mask in range(1 << len(keys)):
-        chosen = {keys[i] for i in range(len(keys)) if mask >> i & 1}
-        try:
-            out.append(UpSet(base, frozenset(chosen)))
-        except NotUpwardClosed:
-            continue
-    return out
+    bit = {key: 1 << i for i, key in enumerate(keys)}
+    masks = [0]
+    for key in sorted(keys, key=len):
+        faces = sum(bit[tuple(x for x in key if x != b)] for b in key) if len(key) > 1 else 0
+        masks += [m | bit[key] for m in masks if m & faces == faces]
+    return [UpSet._closed(base, frozenset(k for k in keys if m & bit[k]))
+            for m in sorted(masks)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,16 +366,27 @@ def gluing_check(sheaf: StratSheaf, u1: UpSet, u2: UpSet,
 
     The comparison map is a coordinate projection, hence injective; the
     check is exact equality of dimensions plus explicit restriction
-    compatibility of bases.  Pass a dict as ``section_cache`` to reuse
-    section computations across many pairs over the same sheaf.
+    compatibility of bases.  Pass a dict as ``section_cache`` to reuse work
+    across many pairs over the same sheaf: it holds the section space of
+    each up-set, keyed by its members, and the restriction matrix of each
+    (bigger, smaller) pair of up-sets, keyed by both member sets.  One dict
+    serves one sheaf.
     """
+    cache = {} if section_cache is None else section_cache
+
     def cached_sections(open_set: UpSet) -> SectionSpace:
-        if section_cache is None:
-            return sections(sheaf, open_set)
-        key = open_set.members
-        if key not in section_cache:
-            section_cache[key] = sections(sheaf, open_set)
-        return section_cache[key]
+        space = cache.get(open_set.members)
+        if space is None:
+            space = cache[open_set.members] = sections(sheaf, open_set)
+        return space
+
+    def restriction(big: UpSet, small: UpSet) -> np.ndarray:
+        key = (big.members, small.members)
+        matrix = cache.get(key)
+        if matrix is None:
+            matrix = cache[key] = restriction_matrix(
+                sheaf, cache[big.members], cache[small.members])
+        return matrix
 
     union = u1 | u2
     inter = u1 & u2
@@ -357,11 +396,11 @@ def gluing_check(sheaf: StratSheaf, u1: UpSet, u2: UpSet,
     s_inter = cached_sections(inter)
 
     fld = sheaf.field
-    r1 = restriction_matrix(sheaf, s_union, s1)            # (dim union, dim U1)
-    r2 = restriction_matrix(sheaf, s_union, s2)
-    r_inter = restriction_matrix(sheaf, s_union, s_inter)
-    r1_to_inter = restriction_matrix(sheaf, s1, s_inter)   # (dim U1, dim overlap)
-    r2_to_inter = restriction_matrix(sheaf, s2, s_inter)
+    r1 = restriction(union, u1)               # (dim union, dim U1)
+    r2 = restriction(union, u2)
+    r_inter = restriction(union, inter)
+    r1_to_inter = restriction(u1, inter)      # (dim U1, dim overlap)
+    r2_to_inter = restriction(u2, inter)
 
     # fiber product of the two section spaces over the overlap
     pair_constraints = np.concatenate(

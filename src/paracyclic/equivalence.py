@@ -43,6 +43,7 @@ from .preord import (
     identity_map,
     induced_quotient_map,
     least_relation,
+    preorders_up_to,
     pullback_relation,
     quotient_by_relation,
     shift_map,
@@ -410,22 +411,6 @@ class ConvTilde:
     edges: Tuple[ConvTildeEdge, ...]
 
 
-def _preorders_up_to(period: int) -> List[ParaPreorder]:
-    out = []
-    for total in range(1, period + 1):
-        for cuts in itertools.product((0, 1), repeat=total - 1):
-            sizes, run = [], 1
-            for c in cuts:
-                if c:
-                    sizes.append(run)
-                    run = 1
-                else:
-                    run += 1
-            sizes.append(run)
-            out.append(ParaPreorder(tuple(sizes)))
-    return out
-
-
 def respects_relations(r: PreordMap, rel_src: ConvexRelation,
                        rel_tgt: ConvexRelation) -> bool:
     """Whether r descends to a map of quotients I/E -> J/E'."""
@@ -451,7 +436,7 @@ def build_conv_tilde(N: int, variant: str = "para", cap: int = 20000) -> ConvTil
     """All objects with period <= N, with relation-respecting morphisms."""
     if variant not in ("para", "cyc"):
         raise ValueError("variant must be 'para' or 'cyc'")
-    bases = _preorders_up_to(N)
+    bases = preorders_up_to(N)
     objects = []
     rel_table = {}
     for base in bases:
@@ -512,7 +497,7 @@ def check_localization_adjunction(N: int, variant: str = "para") -> dict:
                 failures.append(("triangle-R", obj))
 
     # (b) full faithfulness of J -> (J, least)
-    parasimplices = [b for b in _preorders_up_to(N) if b.is_parasimplex]
+    parasimplices = [b for b in preorders_up_to(N) if b.is_parasimplex]
     for j_obj, j_prime in itertools.product(parasimplices, repeat=2):
         rel_j = least_relation(j_obj)
         rel_jp = least_relation(j_prime)

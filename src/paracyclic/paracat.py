@@ -200,10 +200,6 @@ def is_injective(f: ParaMap) -> bool:
     return classify(f) in ("injective", "both")
 
 
-def is_surjective(f: ParaMap) -> bool:
-    return classify(f) in ("surjective", "both")
-
-
 def hom_count(m: int, n: int, kind: Kind = "all") -> int:
     """Closed-form size of the cyclic hom-set (canonical representatives).
 

@@ -262,11 +262,6 @@ def least_relation(base: ParaPreorder) -> ConvexRelation:
     return ConvexRelation(base, frozenset(range(base.num_classes)))
 
 
-def diagonal_relation(base: ParaPreorder) -> ConvexRelation:
-    """Alias for the least element; on a parasimplex this is equality."""
-    return least_relation(base)
-
-
 @dataclass(frozen=True)
 class ConvPoset:
     """The poset of convex relations on a base, ordered by inclusion."""
@@ -293,6 +288,24 @@ class ConvPoset:
 
     def __iter__(self):
         return iter(self.members)
+
+
+def preorders_up_to(period: int) -> List[ParaPreorder]:
+    """Every preorder with period at most ``period``, as the class sizes of
+    each composition of each period, shorter periods first."""
+    out = []
+    for total in range(1, period + 1):
+        for cuts in itertools.product((0, 1), repeat=total - 1):
+            sizes, run = [], 1
+            for cut in cuts:
+                if cut:
+                    sizes.append(run)
+                    run = 1
+                else:
+                    run += 1
+            sizes.append(run)
+            out.append(ParaPreorder(tuple(sizes)))
+    return out
 
 
 def enumerate_conv(base: ParaPreorder) -> ConvPoset:

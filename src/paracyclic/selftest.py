@@ -27,13 +27,11 @@ import numpy as np
 from ._linalg import PrimeField
 from .consheaf import (
     enumerate_upsets,
-    gap_key,
     gluing_check,
     random_sheaf,
     stalk,
 )
 from .corner import (
-    alpha_eval,
     pullback_point,
     stratum_of,
     validate_point,
@@ -58,11 +56,11 @@ from .paracat import (
     shift_action,
 )
 from .preord import (
-    ConvexRelation,
     ParaPreorder,
     compose_preord,
     enumerate_conv,
     enumerate_preord_maps,
+    preorders_up_to,
     pullback_relation,
     quotient_by_relation,
 )
@@ -303,22 +301,6 @@ def criterion_4(seed: int = 0) -> dict:
     }
 
 
-def _preorders_up_to(period: int) -> List[ParaPreorder]:
-    out = []
-    for total in range(1, period + 1):
-        for cuts in itertools.product((0, 1), repeat=total - 1):
-            sizes, run = [], 1
-            for cut in cuts:
-                if cut:
-                    sizes.append(run)
-                    run = 1
-                else:
-                    run += 1
-            sizes.append(run)
-            out.append(ParaPreorder(tuple(sizes)))
-    return out
-
-
 def _sample_points(rng, base: ParaPreorder, per_stratum: int = 1) -> list:
     """A witness point per stratum plus seeded rational perturbations."""
     points = []
@@ -340,7 +322,7 @@ def _sample_points(rng, base: ParaPreorder, per_stratum: int = 1) -> list:
 def criterion_5(seed: int = 0) -> dict:
     """Corner-space functoriality for fundamental-domain periods <= 3."""
     rng = random.Random(seed)
-    bases = _preorders_up_to(3)
+    bases = preorders_up_to(3)
     maps = {
         (src.sizes, tgt.sizes): enumerate_preord_maps(src, tgt)
         for src in bases for tgt in bases

@@ -121,3 +121,17 @@ def oracle_rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], lis
                 mat[r] = [(x - factor * y) % p for x, y in zip(mat[r], mat[rank])]
         pivots.append(col)
     return mat, pivots
+
+
+def oracle_upsets_by_mask(keys: list[tuple[int, ...]]) -> list[frozenset]:
+    """Every upward closed subset of the strata ``keys`` (sorted gap tuples),
+    by scanning all 2^len(keys) masks in ascending order, bit i standing for
+    keys[i].  A subset is upward closed when, with each member, it holds
+    every non-empty tuple obtained by dropping one gap."""
+    out = []
+    for mask in range(1 << len(keys)):
+        chosen = frozenset(keys[i] for i in range(len(keys)) if mask >> i & 1)
+        if all(tuple(x for x in key if x != b) in chosen
+               for key in chosen if len(key) > 1 for b in key):
+            out.append(chosen)
+    return out

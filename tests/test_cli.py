@@ -106,6 +106,12 @@ class TestSheafCommands:
         )
         assert code == 1 and data["error"]["type"] == "NotUpwardClosed"
 
+    def test_sections_rejects_stratum_of_another_base(self, sheaf_file, capsys):
+        code, data = run_cli_json(
+            ["sections", "--in", sheaf_file, "--upset", "[[5]]"], capsys
+        )
+        assert code == 1 and data["error"]["type"] == "BaseMismatch"
+
     def test_stalk(self, sheaf_file, capsys):
         code, data = run_cli_json(
             ["stalk", "--in", sheaf_file, "--gaps", "0,1"], capsys

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -8,7 +9,6 @@ from paracyclic.consheaf import (
     StratSheaf,
     UpSet,
     constant_sheaf,
-    covering_edges,
     enumerate_upsets,
     gap_key,
     gluing_check,
@@ -34,12 +34,42 @@ from paracyclic.preord import (
     least_relation,
 )
 
-from oracles import oracle_kernel_dim_by_enumeration
+from oracles import (
+    oracle_kernel_dim_by_enumeration,
+    oracle_rref_mod,
+    oracle_upsets_by_mask,
+)
 from test_preord import all_preord_maps, small_preorders
 
 F5 = PrimeField(5)
+F101 = PrimeField(101)
 PAR1 = ParaPreorder((1, 1))
 PAR2 = ParaPreorder((1, 1, 1))
+PAR3 = ParaPreorder.from_parasimplex(3)
+PAR4 = ParaPreorder.from_parasimplex(4)
+
+
+def constraint_rows(sheaf, members, p):
+    """The compatibility constraints of sections over ``members`` as integer
+    rows mod p, one block per covering edge inside the set, laid out in
+    sorted key order; returns the rows and their width."""
+    layout = sorted(members)
+    offsets = {}
+    width = 0
+    for key in layout:
+        offsets[key] = width
+        width += sheaf.dims[key]
+    rows = []
+    for (src, dst), mat in sheaf.maps.items():
+        if src not in members or dst not in members:
+            continue
+        for r in range(sheaf.dims[dst]):
+            row = [0] * width
+            for c in range(sheaf.dims[src]):
+                row[offsets[src] + c] = int(mat[r, c]) % p
+            row[offsets[dst] + r] = (row[offsets[dst] + r] - 1) % p
+            rows.append(row)
+    return rows, width
 
 
 class TestValidateSheaf:
@@ -97,13 +127,44 @@ class TestUpSets:
         assert up.members == {(0, 1), (0,), (1,)}
 
     def test_enumerate_counts(self):
-        # antichain counts of the boolean poset minus its top
+        # antichain counts of the boolean poset minus its top: the Dedekind
+        # numbers M(n + 1) - 1 (OEIS A000372)
         assert len(enumerate_upsets(ParaPreorder((1,)))) == 2
         assert len(enumerate_upsets(PAR1)) == 5
         assert len(enumerate_upsets(PAR2)) == 19
+        assert len(enumerate_upsets(PAR3)) == 167
+        assert len(enumerate_upsets(PAR4)) == 7580
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_enumerate_matches_mask_scan_in_order(self, n):
+        base = ParaPreorder.from_parasimplex(n)
+        keys = [gap_key(rel) for rel in enumerate_conv(base)]
+        found = enumerate_upsets(base)
+        assert all(up.base == base for up in found)
+        assert [up.members for up in found] == oracle_upsets_by_mask(keys)
+
+    def test_meets_and_joins_of_par3_up_sets_pass_validation(self):
+        # & and | skip the constructor's checks; this is the invariant they rely on
+        upsets = enumerate_upsets(PAR3)
+        for i, a in enumerate(upsets):
+            for b in upsets[i:]:
+                for result in (a & b, a | b):
+                    assert UpSet(PAR3, result.members) == result
 
     def test_maximal_pair_is_up_closed(self):
         UpSet(PAR1, frozenset({(0,), (1,)}))
+
+    @pytest.mark.parametrize("key", [(2,), (5,), (0, 2), (0, 0)])
+    def test_rejects_strata_of_another_base(self, key):
+        with pytest.raises(BaseMismatch):
+            UpSet(PAR1, frozenset({key}))
+
+    def test_meet_and_join_reject_different_bases(self):
+        small, large = whole_space(PAR1), up_closure(PAR2, [(2,)])
+        with pytest.raises(BaseMismatch):
+            small | large
+        with pytest.raises(BaseMismatch):
+            small & large
 
 
 class TestSections:
@@ -136,22 +197,9 @@ class TestSections:
             sheaf = random_sheaf(rng, base, F2, max_intervals=2)
             for up in enumerate_upsets(base):
                 space = sections(sheaf, up)
-                layout = space.layout
-                offsets = space.offsets
-                width = offsets[-1]
+                rows, width = constraint_rows(sheaf, up.members, 2)
                 if width == 0 or width > 10:
                     continue
-                rows = []
-                for src, dst in covering_edges(base):
-                    if src not in up.members or dst not in up.members:
-                        continue
-                    for r in range(sheaf.dims[dst]):
-                        row = [0] * width
-                        i, j = layout.index(src), layout.index(dst)
-                        for c in range(sheaf.dims[src]):
-                            row[offsets[i] + c] = int(sheaf.maps[(src, dst)][r, c])
-                        row[offsets[j] + r] = (row[offsets[j] + r] - 1) % 2
-                        rows.append(row)
                 assert space.dim == oracle_kernel_dim_by_enumeration(rows, width, 2)
 
     def test_restriction_monotone(self):
@@ -260,3 +308,44 @@ class TestGluing:
         sheaf = random_sheaf(rng, PAR1, QQ, max_intervals=2)
         for u1, u2 in itertools.combinations(enumerate_upsets(PAR1), 2):
             assert gluing_check(sheaf, u1, u2)["passed"]
+
+    @pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "QQ"])
+    def test_shared_cache_gives_the_same_reports(self, field):
+        # the cache holds section spaces and restriction matrices for every
+        # pair; a cache keyed too coarsely returns matrices of another pair
+        rng = random.Random(53)
+        upsets = enumerate_upsets(PAR2)
+        for _ in range(3):
+            sheaf = random_sheaf(rng, PAR2, field)
+            cache: dict = {}
+            for i, u1 in enumerate(upsets):
+                for u2 in upsets[i:]:
+                    shared = gluing_check(sheaf, u1, u2, section_cache=cache)
+                    assert shared == gluing_check(sheaf, u1, u2)
+                    assert shared["passed"]
+
+
+class TestPar4:
+    def test_par4_all_sections_and_a_gluing_sample(self):
+        """Sheaves over Par(4): section dimensions over all 7,580 up-sets
+        against an independent rank, then gluing on a seeded sample of
+        2,000 of the 28.7M up-set pairs (a sample, not every pair)."""
+        start = time.perf_counter()
+        sheaf = random_sheaf(random.Random(34), PAR4, F101)
+        assert sum(sheaf.dims.values()) >= 20
+        upsets = enumerate_upsets(PAR4)
+        assert len(upsets) == 7580
+        cache: dict = {}
+        for up in upsets:
+            rows, width = constraint_rows(sheaf, up.members, 101)
+            _, pivots = oracle_rref_mod(rows, 101)
+            space = sections(sheaf, up)
+            cache[up.members] = space
+            assert space.dim == width - len(pivots), sorted(up.members)
+        rng = random.Random(4)
+        for _ in range(2000):
+            u1, u2 = rng.choice(upsets), rng.choice(upsets)
+            report = gluing_check(sheaf, u1, u2, section_cache=cache)
+            assert report["passed"], (sorted(u1.members), sorted(u2.members), report)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 60, f"Par(4) sections and gluing sample took {elapsed:.1f}s"
