@@ -18,6 +18,7 @@ subcategory, through the adjunction with fully faithful right adjoint.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -52,8 +53,10 @@ from .preord import (
 GapKey = Tuple[int, ...]
 
 
-def surjection_reps(m: int, n: int) -> List[CycMap]:
-    return enumerate_hom(m, n, "surj")
+@functools.cache
+def surjection_reps(m: int, n: int) -> Tuple[CycMap, ...]:
+    """Canonical surjection representatives Par(m) -> Par(n), memoized."""
+    return tuple(enumerate_hom(m, n, "surj"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,11 +219,13 @@ def comparison_iso(rep: ParaRep, r: PreordMap, rel: ConvexRelation) -> np.ndarra
     """
     if rel.base != r.tgt:
         raise BaseMismatch("relation does not live over the target of r")
-    back = pullback_relation(r, rel)
-    _, proj_tgt = quotient_by_relation(r.tgt, rel)
-    values = tuple(proj_tgt(r(slot)) for slot in _quotient_class_representatives(back))
-    bar = ParaMap.from_values(len(back.gaps) - 1, len(rel.gaps) - 1, values)
-    return rep.evaluate(bar)
+    return rep.evaluate(comparison_map(r, rel))
+
+
+@functools.cache
+def comparison_map(r: PreordMap, rel: ConvexRelation) -> ParaMap:
+    """The iso I'/pullback(rel) -> I/rel of quotient parasimplices, memoized."""
+    return induced_on_quotients(r, pullback_relation(r, rel), rel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,6 +415,11 @@ class ConvTilde:
     objects: Tuple[Tuple[Tuple[int, ...], GapKey], ...]
     edges: Tuple[ConvTildeEdge, ...]
 
+    @property
+    def marked(self) -> frozenset:
+        """The (src, tgt, map) key of every Cartesian edge."""
+        return frozenset((e.src, e.tgt, e.map) for e in self.edges if e.cartesian)
+
 
 def respects_relations(r: PreordMap, rel_src: ConvexRelation,
                        rel_tgt: ConvexRelation) -> bool:
@@ -436,27 +446,27 @@ def build_conv_tilde(N: int, variant: str = "para", cap: int = 20000) -> ConvTil
     """All objects with period <= N, with relation-respecting morphisms."""
     if variant not in ("para", "cyc"):
         raise ValueError("variant must be 'para' or 'cyc'")
+    return ConvTilde(N, variant, *_conv_tilde_parts(N, cap))
+
+
+@functools.cache
+def _conv_tilde_parts(N: int, cap: int) -> tuple:
+    """The objects and edges of ``build_conv_tilde``, which both variants share."""
     bases = preorders_up_to(N)
-    objects = []
-    rel_table = {}
-    for base in bases:
-        for rel in enumerate_conv(base):
-            objects.append((base.sizes, gap_key(rel)))
-            rel_table[(base.sizes, gap_key(rel))] = rel
+    rels = [((base.sizes, gap_key(rel)), rel) for base in bases for rel in enumerate_conv(base)]
+    maps = {(src.sizes, tgt.sizes): enumerate_preord_maps(src, tgt)
+            for src in bases for tgt in bases}
     edges = []
-    for src_obj, tgt_obj in itertools.product(objects, repeat=2):
-        rel_src = rel_table[src_obj]
-        rel_tgt = rel_table[tgt_obj]
-        for r in enumerate_preord_maps(rel_src.base, rel_tgt.base):
-            if not respects_relations(r, rel_src, rel_tgt):
-                continue
-            # the induced quotient map is onto, so it is invertible exactly
-            # when the two quotients have the same size
-            cartesian = len(rel_src.gaps) == len(rel_tgt.gaps)
-            edges.append(ConvTildeEdge(src_obj, tgt_obj, r, cartesian))
-            if len(edges) > cap:
-                raise ResourceBound(f"edge enumeration exceeded cap {cap}")
-    return ConvTilde(N, variant, tuple(objects), tuple(edges))
+    for (src_obj, rel_src), (tgt_obj, rel_tgt) in itertools.product(rels, repeat=2):
+        # the induced quotient map is onto, so it is invertible exactly
+        # when the two quotients have the same size
+        cartesian = len(rel_src.gaps) == len(rel_tgt.gaps)
+        for r in maps[(src_obj[0], tgt_obj[0])]:
+            if respects_relations(r, rel_src, rel_tgt):
+                edges.append(ConvTildeEdge(src_obj, tgt_obj, r, cartesian))
+                if len(edges) > cap:
+                    raise ResourceBound(f"edge enumeration exceeded cap {cap}")
+    return tuple(obj for obj, _ in rels), tuple(edges)
 
 
 def check_localization_adjunction(N: int, variant: str = "para") -> dict:
@@ -469,7 +479,8 @@ def check_localization_adjunction(N: int, variant: str = "para") -> dict:
           between images are exactly the surjections of parasimplices;
       (c) the marked (Cartesian) edges are precisely those inverted by the
           quotient functor, are closed under composition, and include the
-          identities.
+          identities; in the paracyclic variant the quotient functor
+          commutes with the shift action on every edge.
     """
     tilde = build_conv_tilde(N, variant)
     rel_table = {
@@ -496,17 +507,18 @@ def check_localization_adjunction(N: int, variant: str = "para") -> dict:
             if proj != identity_map(rel.base):
                 failures.append(("triangle-R", obj))
 
+    by_src: Dict[tuple, List[ConvTildeEdge]] = {}
+    homs: Dict[tuple, set] = {}
+    for e in tilde.edges:
+        by_src.setdefault(e.src, []).append(e)
+        homs.setdefault((e.src, e.tgt), set()).add(e.map.values)
+
     # (b) full faithfulness of J -> (J, least)
     parasimplices = [b for b in preorders_up_to(N) if b.is_parasimplex]
     for j_obj, j_prime in itertools.product(parasimplices, repeat=2):
-        rel_j = least_relation(j_obj)
-        rel_jp = least_relation(j_prime)
-        conv_homs = {
-            e.map.values
-            for e in tilde.edges
-            if e.src == (j_obj.sizes, gap_key(rel_j))
-            and e.tgt == (j_prime.sizes, gap_key(rel_jp))
-        }
+        least_j = (j_obj.sizes, gap_key(least_relation(j_obj)))
+        least_jp = (j_prime.sizes, gap_key(least_relation(j_prime)))
+        conv_homs = homs.get((least_j, least_jp), set())
         surj_homs = {c.values for c in surjection_reps(j_obj.k, j_prime.k)}
         if conv_homs != surj_homs:
             failures.append(("not-fully-faithful", j_obj.sizes, j_prime.sizes))
@@ -521,28 +533,18 @@ def check_localization_adjunction(N: int, variant: str = "para") -> dict:
         )
         if is_iso != e.cartesian:
             failures.append(("marking-mismatch", e.src, e.tgt, e.map.values))
-    if variant == "para":
-        # the quotient functor commutes with the shift action on hom-sets
-        for e in tilde.edges[::7]:
+        if variant == "para":
+            # the quotient functor commutes with the shift action on hom-sets
             shifted = PreordMap(e.map.src, e.map.tgt, e.map.values, e.map.shift + 1)
-            bar = induced_on_quotients(e.map, rel_table[e.src], rel_table[e.tgt])
             bar_shifted = induced_on_quotients(
                 shifted, rel_table[e.src], rel_table[e.tgt]
             )
             if bar_shifted != ParaMap(bar.m, bar.n, bar.values, bar.shift + 1):
                 failures.append(("shift-equivariance", e.src, e.tgt, e.map.values))
+    marked = tilde.marked
     for obj in tilde.objects:
-        rel = rel_table[obj]
-        ident = identity_map(rel.base)
-        marked_identity = any(
-            e.src == obj and e.tgt == obj and e.map == ident and e.cartesian
-            for e in tilde.edges
-        )
-        if not marked_identity:
+        if (obj, obj, identity_map(rel_table[obj].base)) not in marked:
             failures.append(("identity-not-marked", obj))
-    by_src: Dict[tuple, List[ConvTildeEdge]] = {}
-    for e in tilde.edges:
-        by_src.setdefault(e.src, []).append(e)
     for e in tilde.edges:
         if not e.cartesian:
             continue
@@ -550,12 +552,7 @@ def check_localization_adjunction(N: int, variant: str = "para") -> dict:
             if not e2.cartesian:
                 continue
             composite = compose_preord(e2.map, e.map).canonical()
-            found = any(
-                f.src == e.src and f.tgt == e2.tgt and f.map == composite
-                and f.cartesian
-                for f in tilde.edges
-            )
-            if not found:
+            if (e.src, e2.tgt, composite) not in marked:
                 failures.append(("marked-composite-missing", e.src, e2.tgt))
 
     return {

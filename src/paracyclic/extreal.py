@@ -41,10 +41,6 @@ class ExtReal:
     # -- predicates ----------------------------------------------------------
 
     @property
-    def is_finite(self) -> bool:
-        return self._kind == _FIN
-
-    @property
     def is_pos_inf(self) -> bool:
         return self._kind == _POS
 

@@ -18,8 +18,8 @@ non-empty subsets of {0, ..., k} under reverse inclusion.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     BaseMismatch,
@@ -34,26 +34,29 @@ GapSet = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class ParaPreorder:
-    """A linear preorder with free shift action and finite fundamental domain."""
+    """A linear preorder with free shift action and finite fundamental domain.
+
+    ``period`` and the slot -> class table are computed once, at
+    construction, so class lookups on absolute codes cost one ``divmod``.
+    """
 
     sizes: Tuple[int, ...]
+    period: int = field(init=False, repr=False, compare=False)
+    num_classes: int = field(init=False, repr=False, compare=False)
+    _class_of: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.sizes or any(s <= 0 for s in self.sizes):
             raise ValueError("sizes must be a non-empty tuple of positive integers")
         object.__setattr__(self, "sizes", tuple(self.sizes))
+        object.__setattr__(self, "period", sum(self.sizes))
+        object.__setattr__(self, "num_classes", len(self.sizes))
+        object.__setattr__(self, "_class_of", tuple(
+            c for c, s in enumerate(self.sizes) for _ in range(s)))
 
     @classmethod
     def from_parasimplex(cls, n: int) -> "ParaPreorder":
         return cls((1,) * (n + 1))
-
-    @property
-    def period(self) -> int:
-        return sum(self.sizes)
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.sizes)
 
     @property
     def k(self) -> int:
@@ -64,27 +67,20 @@ class ParaPreorder:
         return all(s == 1 for s in self.sizes)
 
     def class_of_slot(self, slot: int) -> int:
-        bound = 0
-        for c, s in enumerate(self.sizes):
-            bound += s
-            if slot < bound:
-                return c
-        raise ValueError(f"slot {slot} out of range")
+        if not 0 <= slot < self.period:
+            raise ValueError(f"slot {slot} out of range")
+        return self._class_of[slot]
 
     def class_position(self, abs_index: int) -> int:
         """Absolute class index period * (k+1) + class of the element."""
         period, slot = divmod(abs_index, self.period)
-        return period * self.num_classes + self.class_of_slot(slot)
+        return period * self.num_classes + self._class_of[slot]
 
     def leq(self, i: int, j: int) -> bool:
         return self.class_position(i) <= self.class_position(j)
 
     def equivalent(self, i: int, j: int) -> bool:
         return self.class_position(i) == self.class_position(j)
-
-    def class_members(self, c: int) -> range:
-        start = sum(self.sizes[:c])
-        return range(start, start + self.sizes[c])
 
     def boundary_slot(self, b: int) -> int:
         """Slot of the last element of class b; the gap after it crosses boundary b."""
@@ -127,12 +123,6 @@ class PreordMap:
     def canonical(self) -> "PreordMap":
         return PreordMap(self.src, self.tgt, self.values, 0)
 
-    def class_image(self, class_position: int) -> int:
-        """The induced map on absolute class positions."""
-        period, c = divmod(class_position, self.src.num_classes)
-        slot = next(iter(self.src.class_members(c)))
-        return self.tgt.class_position(self(slot)) + period * self.tgt.num_classes
-
     def to_json(self) -> dict:
         return {
             "src": self.src.to_json(),
@@ -154,15 +144,17 @@ def validate_map_data(src: ParaPreorder, tgt: ParaPreorder, values: Sequence[int
         raise NotMonotone(f"expected {src.period} values, got {len(values)}")
     if not 0 <= values[0] < tgt.period:
         raise NotMonotone("canonical form requires values[0] in the zeroth period")
+    pos = [tgt.class_position(v) for v in values]
     for a in range(len(values) - 1):
-        if not tgt.leq(values[a], values[a + 1]):
+        if pos[a] > pos[a + 1]:
             raise NotMonotone(f"values not weakly monotone at position {a}")
         # equivalent elements must stay equivalent (monotone both ways)
-        if src.equivalent(a, a + 1) and not tgt.equivalent(values[a], values[a + 1]):
+        if src._class_of[a] == src._class_of[a + 1] and pos[a] != pos[a + 1]:
             raise NotMonotone(f"class of positions {a}, {a + 1} is torn apart")
-    if not tgt.leq(values[-1], values[0] + tgt.period):
+    # values[0] + period sits exactly one period of classes above values[0]
+    if pos[-1] > pos[0] + tgt.num_classes:
         raise NotMonotone("period wrap constraint violated")
-    hit = {tgt.class_position(v) % tgt.num_classes for v in values}
+    hit = {p % tgt.num_classes for p in pos}
     if hit != set(range(tgt.num_classes)):
         raise NotEssentiallySurjective(
             f"classes {sorted(set(range(tgt.num_classes)) - hit)} of the target are not hit"
@@ -275,13 +267,6 @@ class ConvPoset:
     @property
     def least(self) -> ConvexRelation:
         return least_relation(self.base)
-
-    def covers(self) -> Iterator[Tuple[ConvexRelation, ConvexRelation]]:
-        """Covering pairs a < b: one boundary dropped."""
-        for a in self.members:
-            for dropped in sorted(a.gaps):
-                if len(a.gaps) > 1:
-                    yield a, ConvexRelation(self.base, a.gaps - {dropped})
 
     def __len__(self):
         return len(self.members)

@@ -135,3 +135,37 @@ def oracle_upsets_by_mask(keys: list[tuple[int, ...]]) -> list[frozenset]:
                for key in chosen if len(key) > 1 for b in key):
             out.append(chosen)
     return out
+
+
+def oracle_class_position(sizes: tuple[int, ...], x: int) -> int:
+    """Absolute class index of element x of the preorder with class sizes
+    ``sizes``, class 0 holding element 0: the number of class boundaries
+    between 0 and x, counted one element at a time (negative below 0)."""
+    period = sum(sizes)
+    last_slots, total = set(), 0
+    for size in sizes:
+        total += size
+        last_slots.add(total - 1)
+    if x >= 0:
+        return sum(1 for e in range(x) if e % period in last_slots)
+    return -sum(1 for e in range(x, 0) if e % period in last_slots)
+
+
+def class_oracle_mismatches(bases) -> list:
+    """Where ``class_of_slot``, ``class_position``, ``leq`` and ``equivalent``
+    of each preorder disagree with ``oracle_class_position``, on absolute
+    indices spanning three periods from minus one period."""
+    out = []
+    for base in bases:
+        window = range(-base.period, 2 * base.period)
+        oracle = {x: oracle_class_position(base.sizes, x) for x in window}
+        out += [(base.sizes, "class_of_slot", s) for s in range(base.period)
+                if base.class_of_slot(s) != oracle[s]]
+        out += [(base.sizes, "class_position", x) for x in window
+                if base.class_position(x) != oracle[x]]
+        for x, y in itertools.product(window, repeat=2):
+            if base.leq(x, y) != (oracle[x] <= oracle[y]):
+                out.append((base.sizes, "leq", x, y))
+            if base.equivalent(x, y) != (oracle[x] == oracle[y]):
+                out.append((base.sizes, "equivalent", x, y))
+    return out

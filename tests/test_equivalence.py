@@ -272,6 +272,18 @@ class TestConvTilde:
             assert count == oracle, (src_obj, tgt_obj)
 
 
+    @pytest.mark.parametrize("N, objects, edges", [(1, 1, 1), (2, 5, 38), (3, 19, 1499)])
+    def test_pinned_sizes(self, N, objects, edges):
+        tilde = build_conv_tilde(N)
+        assert (len(tilde.objects), len(tilde.edges)) == (objects, edges)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_variants_share_their_edges(self, N):
+        para, cyc = build_conv_tilde(N, "para"), build_conv_tilde(N, "cyc")
+        assert (para.variant, cyc.variant) == ("para", "cyc")
+        assert para.objects == cyc.objects and para.edges == cyc.edges
+
+
 class TestAdjunction:
     @pytest.mark.parametrize("variant", ["para", "cyc"])
     @pytest.mark.parametrize("N", [1, 2])

@@ -22,11 +22,14 @@ from paracyclic.preord import (
     is_valid_morphism,
     join_amalgam,
     least_relation,
+    preorders_up_to,
     pullback_relation,
     quotient_by_relation,
     quotient_by_sim,
     shift_map,
 )
+
+from oracles import class_oracle_mismatches
 
 PAR2 = ParaPreorder((1, 1, 1))
 PAR1 = ParaPreorder((1, 1))
@@ -90,6 +93,16 @@ class TestParaPreorder:
     def test_json_round_trip(self):
         base = ParaPreorder((2, 1))
         assert ParaPreorder.from_json(base.to_json()) == base
+
+    def test_class_lookups_match_linear_scan_oracle(self):
+        bases = preorders_up_to(6)
+        assert len(bases) == 63
+        assert class_oracle_mismatches(bases) == []
+
+    @pytest.mark.parametrize("slot", [-1, 3, 7])
+    def test_class_of_slot_rejects_out_of_range(self, slot):
+        with pytest.raises(ValueError):
+            ParaPreorder((2, 1)).class_of_slot(slot)
 
 
 class TestQuotientBySim:
