@@ -47,7 +47,6 @@ from .corner import (
     witness_point,
 )
 from .equivalence import (
-    CycRep,
     ParaRep,
     SheafSystem,
     build_conv_tilde,

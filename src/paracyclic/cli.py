@@ -139,8 +139,7 @@ def cmd_roundtrip(args) -> int:
     for kind in ("para", "cyc"):
         for trial in range(args.count):
             rep = random_rep(rng, field, args.N, cyclic=(kind == "cyc"))
-            recovered = recover_rep(realize_system(rep), args.N,
-                                    cyclic=(kind == "cyc"))
+            recovered = recover_rep(realize_system(rep), args.N)
             same = rep.dims == recovered.dims and all(
                 field.equal(mat, recovered.gen[key][values])
                 for key, table in rep.gen.items()

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -133,10 +133,6 @@ class ParaRep:
         return cls(N, fld, dims, gen, shifts)
 
 
-class CycRep(ParaRep):
-    """A representation whose shift matrices are all the identity."""
-
-
 def validate_rep(rep: ParaRep) -> dict:
     """Exhaustively check functoriality over the truncation; returns a report."""
     violations = []
@@ -150,10 +146,6 @@ def validate_rep(rep: ParaRep) -> dict:
             violations.append(("missing-identity", n))
         elif not fld.equal(table[ident.values], fld.identity(rep.dims[n])):
             violations.append(("identity-not-identity", n))
-    if isinstance(rep, CycRep):
-        for n in range(rep.N + 1):
-            if not fld.equal(rep.shifts[n], fld.identity(rep.dims[n])):
-                violations.append(("cyclic-shift-not-identity", n))
     for (m, n), table in rep.gen.items():
         for values, mat in table.items():
             if mat.shape != (rep.dims[n], rep.dims[m]):
@@ -260,24 +252,19 @@ class SheafSystem:
         return self.comparisons[key][gap_key(rel)]
 
 
-def realize_system(rep: ParaRep,
-                   objects: Optional[Sequence[ParaPreorder]] = None,
-                   morphisms: Optional[Sequence[PreordMap]] = None) -> SheafSystem:
-    """The sheaf system realized by a representation.
-
-    Defaults to the parasimplex preorders Par(0..N) with all canonical
-    surjection representatives and the shift automorphisms between them.
+def realize_system(rep: ParaRep) -> SheafSystem:
+    """The sheaf system realized by a representation over the parasimplex
+    preorders Par(0..N), with all canonical surjection representatives, their
+    shifts by one, and the shift automorphisms between them.
     """
-    if objects is None:
-        objects = [ParaPreorder.from_parasimplex(n) for n in range(rep.N + 1)]
-    if morphisms is None:
-        morphisms = []
-        for tgt_obj in objects:
-            morphisms.append(shift_map(tgt_obj))
-            for src_obj in objects:
-                for c in _canonical_maps_between(src_obj, tgt_obj):
-                    morphisms.append(c)
-                    morphisms.append(PreordMap(c.src, c.tgt, c.values, 1))
+    objects = [ParaPreorder.from_parasimplex(n) for n in range(rep.N + 1)]
+    morphisms = []
+    for tgt_obj in objects:
+        morphisms.append(shift_map(tgt_obj))
+        for src_obj in objects:
+            for c in surjection_reps(src_obj.k, tgt_obj.k):
+                morphisms.append(PreordMap(src_obj, tgt_obj, c.values))
+                morphisms.append(PreordMap(src_obj, tgt_obj, c.values, 1))
     sheaves = {base.sizes: realize_sheaf(rep, base) for base in objects}
     comparisons = {}
     for r in morphisms:
@@ -286,15 +273,6 @@ def realize_system(rep: ParaRep,
             table[gap_key(rel)] = comparison_iso(rep, r, rel)
         comparisons[SheafSystem.morphism_key(r)] = table
     return SheafSystem(rep.field, tuple(objects), sheaves, tuple(morphisms), comparisons)
-
-
-def _canonical_maps_between(src: ParaPreorder, tgt: ParaPreorder) -> List[PreordMap]:
-    if src.is_parasimplex and tgt.is_parasimplex:
-        return [
-            PreordMap(src, tgt, c.values)
-            for c in surjection_reps(src.k, tgt.k)
-        ]
-    return enumerate_preord_maps(src, tgt)
 
 
 def validate_system(system: SheafSystem) -> dict:
@@ -343,8 +321,7 @@ def validate_system(system: SheafSystem) -> dict:
     return {"passed": not violations, "violations": violations}
 
 
-def recover_rep(system: SheafSystem, N: int,
-                cyclic: bool = False) -> ParaRep:
+def recover_rep(system: SheafSystem, N: int) -> ParaRep:
     """Extract the representation from a sheaf system, exactly.
 
     The space at n is the stalk at the least stratum over Par(n); the
@@ -383,8 +360,7 @@ def recover_rep(system: SheafSystem, N: int,
         system.comparison(shift_map(bases[n]), least_relation(bases[n]))
         for n in range(N + 1)
     )
-    cls = CycRep if cyclic else ParaRep
-    return cls(N, fld, dims, gen, shifts)
+    return ParaRep(N, fld, dims, gen, shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +573,7 @@ def cell_rep(j: int, scale, field: Field, N: int) -> ParaRep:
     return ParaRep(N, field, dims, gen, shifts)
 
 
-def character_rep(scale, field: Field, N: int) -> CycRep:
+def character_rep(scale, field: Field, N: int) -> ParaRep:
     """The one-dimensional representation f |-> scale^(m - n)."""
     dims = (1,) * (N + 1)
     gen = {}
@@ -609,17 +585,17 @@ def character_rep(scale, field: Field, N: int) -> CycRep:
                 for c in surjection_reps(m, n)
             }
     shifts = tuple(field.identity(1) for _ in range(N + 1))
-    return CycRep(N, field, dims, gen, shifts)
+    return ParaRep(N, field, dims, gen, shifts)
 
 
-def constant_rep(dim: int, field: Field, N: int) -> CycRep:
+def constant_rep(dim: int, field: Field, N: int) -> ParaRep:
     dims = (dim,) * (N + 1)
     gen = {
         (m, n): {c.values: field.identity(dim) for c in surjection_reps(m, n)}
         for m in range(N + 1) for n in range(N + 1)
     }
     shifts = tuple(field.identity(dim) for _ in range(N + 1))
-    return CycRep(N, field, dims, gen, shifts)
+    return ParaRep(N, field, dims, gen, shifts)
 
 
 def direct_sum(reps: Sequence[ParaRep]) -> ParaRep:
@@ -648,8 +624,7 @@ def direct_sum(reps: Sequence[ParaRep]) -> ParaRep:
             t[ro:ro + r.dims[n], ro:ro + r.dims[n]] = r.shifts[n]
             ro += r.dims[n]
         shifts.append(t)
-    cls = CycRep if all(isinstance(r, CycRep) for r in reps) else ParaRep
-    return cls(N, field, dims, gen, tuple(shifts))
+    return ParaRep(N, field, dims, gen, tuple(shifts))
 
 
 def conjugate_rep(rep: ParaRep, conjugators: Sequence[np.ndarray]) -> ParaRep:
@@ -666,8 +641,7 @@ def conjugate_rep(rep: ParaRep, conjugators: Sequence[np.ndarray]) -> ParaRep:
         field.matmul(conjugators[n], field.matmul(rep.shifts[n], inverses[n]))
         for n in range(rep.N + 1)
     )
-    cls = CycRep if isinstance(rep, CycRep) else ParaRep
-    return cls(rep.N, field, rep.dims, gen, shifts)
+    return ParaRep(rep.N, field, rep.dims, gen, shifts)
 
 
 def random_rep(rng, field: Field, N: int, cyclic: bool = False) -> ParaRep:
@@ -698,7 +672,4 @@ def random_rep(rng, field: Field, N: int, cyclic: bool = False) -> ParaRep:
     pieces = rng.choice(menu)()
     total = direct_sum(pieces)
     conjugators = [field.random_invertible(rng, total.dims[n]) for n in range(N + 1)]
-    out = conjugate_rep(total, conjugators)
-    if cyclic:
-        return CycRep(out.N, out.field, out.dims, out.gen, out.shifts)
-    return out
+    return conjugate_rep(total, conjugators)

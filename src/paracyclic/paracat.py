@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, List, Literal, Sequence, Tuple
+from typing import List, Literal, Sequence, Tuple
 
 from .errors import NotMonotone, ResourceBound, TypeMismatch
 
@@ -216,16 +216,26 @@ def hom_count(m: int, n: int, kind: Kind = "all") -> int:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def iter_hom(m: int, n: int, kind: Kind = "all") -> Iterator[CycMap]:
-    """Generate canonical representatives of Hom(Par(m), Par(n)) / shift."""
+def enumerate_hom(m: int, n: int, kind: Kind = "all", cap: int = DEFAULT_HOM_CAP) -> List[CycMap]:
+    """Duplicate-free list of canonical representatives of
+    Hom(Par(m), Par(n)) / shift, capped by the size of the whole hom-set.
+
+    The full paracyclic hom-set is this list times the shift action.
+    """
+    if m < 0 or n < 0:
+        raise ValueError("objects need m, n >= 0")
+    bound = hom_count(m, n)
+    if bound > cap:
+        raise ResourceBound(f"hom-set has {bound} representatives, cap is {cap}")
     tgt_period = n + 1
+    out = []
     for lead in range(tgt_period):
         # remaining values live in the closed interval [lead, lead + period]
         window = range(lead, lead + tgt_period + 1)
         if kind == "inj":
             tail_pool = range(lead + 1, lead + tgt_period)
-            for tail in itertools.combinations(tail_pool, m):
-                yield CycMap(m, n, (lead,) + tail)
+            out.extend(CycMap(m, n, (lead,) + tail)
+                       for tail in itertools.combinations(tail_pool, m))
             continue
         for tail in itertools.combinations_with_replacement(window, m):
             if tail and tail[0] < lead:
@@ -233,20 +243,7 @@ def iter_hom(m: int, n: int, kind: Kind = "all") -> Iterator[CycMap]:
             values = (lead,) + tail
             if kind == "surj" and {v % tgt_period for v in values} != set(range(tgt_period)):
                 continue
-            yield CycMap(m, n, values)
-
-
-def enumerate_hom(m: int, n: int, kind: Kind = "all", cap: int = DEFAULT_HOM_CAP) -> List[CycMap]:
-    """Duplicate-free list of canonical representatives, capped.
-
-    The full paracyclic hom-set is this list times the shift action.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("objects need m, n >= 0")
-    bound = (m + 1) * comb(m + n + 1, m + 1)
-    if bound > cap:
-        raise ResourceBound(f"hom-set has {bound} representatives, cap is {cap}")
-    out = list(iter_hom(m, n, kind))
+            out.append(CycMap(m, n, values))
     return out
 
 

@@ -29,8 +29,6 @@ from .errors import (
 )
 from .paracat import ParaMap, Parasimplex
 
-GapSet = Tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class ParaPreorder:
@@ -164,9 +162,7 @@ def validate_map_data(src: ParaPreorder, tgt: ParaPreorder, values: Sequence[int
 def is_valid_morphism(src: ParaPreorder, tgt: ParaPreorder, raw_values: Sequence[int],
                       shift: int = 0) -> PreordMap:
     """Validate raw map data; raises NotMonotone or NotEssentiallySurjective."""
-    lead = raw_values[0] // tgt.period
-    canonical = tuple(v - lead * tgt.period for v in raw_values)
-    return PreordMap(src, tgt, canonical, shift + lead)
+    return PreordMap.from_values(src, tgt, raw_values, shift)
 
 
 def compose_preord(g: PreordMap, f: PreordMap) -> PreordMap:
@@ -232,9 +228,6 @@ class ConvexRelation:
     def num_quotient_classes(self) -> int:
         return len(self.gaps)
 
-    def gap_key(self) -> GapSet:
-        return tuple(sorted(self.gaps))
-
     def leq(self, other: "ConvexRelation") -> bool:
         """Inclusion of relations: fewer surviving boundaries means larger."""
         if self.base != other.base:
@@ -260,9 +253,6 @@ class ConvPoset:
 
     base: ParaPreorder
     members: Tuple[ConvexRelation, ...]
-
-    def leq(self, a: ConvexRelation, b: ConvexRelation) -> bool:
-        return a.leq(b)
 
     @property
     def least(self) -> ConvexRelation:

@@ -6,9 +6,11 @@ differentials, so the double shift is the identity on the nose.  A
 filtration is a chain of complexes; faces delete a step (quotienting by
 the first step via mapping cones), degeneracies repeat one, and the
 rotation replaces the chain by its quotients by the first step followed by
-the shifted first step.  Iterating the rotation n + 1 times returns the
-original filtration up to quasi-isomorphism, which the homology
-fingerprint certifies degree by degree.
+the shifted first step.  Face 0 and the rotation share one construction,
+the quotients by the first step with the maps between them; the rotation
+appends the shifted first step.  Iterating the rotation n + 1 times
+returns the original filtration up to quasi-isomorphism, which the
+homology fingerprint certifies degree by degree.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def shift_map(f: ComplexMap) -> ComplexMap:
     return ComplexMap(shift(f.src), shift(f.tgt), f.f1, f.f0)
 
 
-def _block(fld: Field, rows: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+def _block(rows: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
     parts = [np.concatenate(list(row), axis=1) for row in rows]
     return np.concatenate(parts, axis=0)
 
@@ -152,30 +154,15 @@ def cone(f: ComplexMap) -> TwoPeriodicComplex:
     fld = f.src.field
     s0, s1 = f.src.dims
     t0, t1 = f.tgt.dims
-    d0 = _block(fld, [
+    d0 = _block([
         [fld.neg(f.src.d1), fld.zeros(s0, t0)],
         [f.f1, f.tgt.d0],
     ])
-    d1 = _block(fld, [
+    d1 = _block([
         [fld.neg(f.src.d0), fld.zeros(s1, t1)],
         [f.f0, f.tgt.d1],
     ])
     return TwoPeriodicComplex(fld, d0, d1)
-
-
-def cone_functor_map(f: ComplexMap, g: ComplexMap, through: ComplexMap) -> ComplexMap:
-    """cone(f) -> cone(g) for g = through o f, acting by id on the source part."""
-    fld = f.src.field
-    s0, s1 = f.src.dims
-    h0 = _block(fld, [
-        [fld.identity(s1), fld.zeros(s1, f.tgt.dims[0])],
-        [fld.zeros(through.tgt.dims[0], s1), through.f0],
-    ])
-    h1 = _block(fld, [
-        [fld.identity(s0), fld.zeros(s0, f.tgt.dims[1])],
-        [fld.zeros(through.tgt.dims[1], s0), through.f1],
-    ])
-    return ComplexMap(cone(f), cone(g), h0, h1)
 
 
 def cone_boundary_map(f: ComplexMap) -> ComplexMap:
@@ -183,8 +170,8 @@ def cone_boundary_map(f: ComplexMap) -> ComplexMap:
     fld = f.src.field
     s0, s1 = f.src.dims
     t0, t1 = f.tgt.dims
-    h0 = _block(fld, [[fld.identity(s1), fld.zeros(s1, t0)]])
-    h1 = _block(fld, [[fld.identity(s0), fld.zeros(s0, t1)]])
+    h0 = _block([[fld.identity(s1), fld.zeros(s1, t0)]])
+    h1 = _block([[fld.identity(s0), fld.zeros(s0, t1)]])
     return ComplexMap(cone(f), shift(f.src), h0, h1)
 
 
@@ -232,13 +219,6 @@ class FilteredObject:
     def length(self) -> int:
         return len(self.objects)
 
-    def composite(self, i: int, j: int) -> ComplexMap:
-        """The composite X_i -> X_j for 1 <= i <= j <= n (1-based)."""
-        out = identity_chain_map(self.objects[i - 1])
-        for k in range(i - 1, j - 1):
-            out = compose_chain_maps(self.maps[k], out)
-        return out
-
     def to_json(self) -> dict:
         return {
             "field": self.field.name,
@@ -261,6 +241,33 @@ class FilteredObject:
         return cls(fld, objects, tuple(maps))
 
 
+def _quotients_by_first(
+    filtration: FilteredObject,
+) -> Tuple[List[ComplexMap], List[TwoPeriodicComplex], List[ComplexMap]]:
+    """The composites X_1 -> X_j for j = 2..n, their cones X_j / X_1, and the
+    maps X_j / X_1 -> X_{j+1} / X_1 between consecutive cones, which act by
+    the identity on the X_1 part and by X_j -> X_{j+1} on the rest."""
+    fld = filtration.field
+    composites: List[ComplexMap] = []
+    for step in filtration.maps:
+        composites.append(compose_chain_maps(step, composites[-1]) if composites else step)
+    cones = [cone(f) for f in composites]
+    maps = []
+    for k, through in enumerate(filtration.maps[1:]):
+        f = composites[k]
+        s0, s1 = f.src.dims
+        h0 = _block([
+            [fld.identity(s1), fld.zeros(s1, f.tgt.dims[0])],
+            [fld.zeros(through.tgt.dims[0], s1), through.f0],
+        ])
+        h1 = _block([
+            [fld.identity(s0), fld.zeros(s0, f.tgt.dims[1])],
+            [fld.zeros(through.tgt.dims[1], s0), through.f1],
+        ])
+        maps.append(ComplexMap(cones[k], cones[k + 1], h0, h1))
+    return composites, cones, maps
+
+
 def face(filtration: FilteredObject, i: int) -> FilteredObject:
     """Delete the i-th step (0-based faces on a length-n filtration).
 
@@ -274,15 +281,7 @@ def face(filtration: FilteredObject, i: int) -> FilteredObject:
         raise IndexOutOfRange(f"face index {i} outside 0..{n}")
     fld = filtration.field
     if i == 0:
-        cones = [cone(filtration.composite(1, j)) for j in range(2, n + 1)]
-        maps = [
-            cone_functor_map(
-                filtration.composite(1, j),
-                filtration.composite(1, j + 1),
-                filtration.maps[j - 1],
-            )
-            for j in range(2, n)
-        ]
+        _, cones, maps = _quotients_by_first(filtration)
         return FilteredObject(fld, tuple(cones), tuple(maps))
     if i == n:
         return FilteredObject(fld, filtration.objects[:-1], filtration.maps[:-1])
@@ -331,39 +330,31 @@ def rotate(filtration: FilteredObject) -> FilteredObject:
     n = filtration.length
     if n < 1:
         raise IndexOutOfRange("cannot rotate the empty filtration")
-    fld = filtration.field
-    first = filtration.objects[0]
-    if n == 1:
-        return FilteredObject(fld, (shift(first),), ())
-    quotients = [cone(filtration.composite(1, j)) for j in range(2, n + 1)]
-    maps: List[ComplexMap] = [
-        cone_functor_map(
-            filtration.composite(1, j),
-            filtration.composite(1, j + 1),
-            filtration.maps[j - 1],
-        )
-        for j in range(2, n)
-    ]
-    maps.append(cone_boundary_map(filtration.composite(1, n)))
-    return FilteredObject(fld, tuple(quotients) + (shift(first),), tuple(maps))
+    composites, quotients, maps = _quotients_by_first(filtration)
+    if composites:
+        maps.append(cone_boundary_map(composites[-1]))
+    objects = tuple(quotients) + (shift(filtration.objects[0]),)
+    return FilteredObject(filtration.field, objects, tuple(maps))
 
 
 def fingerprint(filtration: FilteredObject) -> tuple:
     """Homology dimensions of every step and of every composite's cone."""
     steps = tuple(homology_dims(x) for x in filtration.objects)
-    cones = tuple(
-        homology_dims(cone(filtration.composite(i, j)))
-        for i in range(1, filtration.length + 1)
-        for j in range(i + 1, filtration.length + 1)
-    )
-    return (steps, cones)
+    cones = []
+    for i in range(filtration.length - 1):
+        composite = filtration.maps[i]
+        cones.append(homology_dims(cone(composite)))
+        for step in filtration.maps[i + 1:]:
+            composite = compose_chain_maps(step, composite)
+            cones.append(homology_dims(cone(composite)))
+    return (steps, tuple(cones))
 
 
 def rotation_periodicity_check(filtration: FilteredObject) -> dict:
     """Compare the fingerprint after n + 1 rotations with the original.
 
-    For length 1 the double rotation is the double shift, the identity on
-    the nose; the report carries the explicit equivalence certified by
+    For length 1 the n + 1 = 2 rotations are the double shift, the identity
+    on the nose; the report carries the explicit equivalence certified by
     is_quasi_iso.
     """
     n = filtration.length
@@ -379,10 +370,9 @@ def rotation_periodicity_check(filtration: FilteredObject) -> dict:
         "passed": before == after,
     }
     if n == 1:
-        double = rotate(rotate(filtration))
         on_the_nose = (
-            filtration.field.equal(double.objects[0].d0, filtration.objects[0].d0)
-            and filtration.field.equal(double.objects[0].d1, filtration.objects[0].d1)
+            filtration.field.equal(rotated.objects[0].d0, filtration.objects[0].d0)
+            and filtration.field.equal(rotated.objects[0].d1, filtration.objects[0].d1)
         )
         certificate = identity_chain_map(filtration.objects[0])
         report["double_rotation_is_identity"] = bool(on_the_nose)

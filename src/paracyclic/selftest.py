@@ -391,7 +391,7 @@ def criterion_7(seed: int = 0) -> dict:
         for trial in range(20):
             rep = random_rep(rng, field, 3, cyclic=(kind == "cyc"))
             system = realize_system(rep)
-            recovered = recover_rep(system, 3, cyclic=(kind == "cyc"))
+            recovered = recover_rep(system, 3)
             if rep.dims != recovered.dims:
                 failures.append((kind, trial, "dims"))
                 continue

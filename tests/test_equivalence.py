@@ -6,7 +6,6 @@ import pytest
 from paracyclic._linalg import PrimeField, QQ
 from paracyclic.consheaf import gap_key, stalk, pullback_sheaf, validate_sheaf
 from paracyclic.equivalence import (
-    CycRep,
     ParaRep,
     SheafSystem,
     build_conv_tilde,
@@ -68,7 +67,7 @@ class TestValidateRep:
         gen = {key: dict(table) for key, table in rep.gen.items()}
         victim = surjection_reps(2, 1)[0]
         gen[(2, 1)][victim.values] = F101.random_matrix(rng, 2, 2)
-        broken = CycRep(2, F101, rep.dims, gen, rep.shifts)
+        broken = ParaRep(2, F101, rep.dims, gen, rep.shifts)
         report = validate_rep(broken)
         assert not report["passed"]
         assert any(v[0] == "composition" for v in report["violations"])
@@ -78,12 +77,6 @@ class TestValidateRep:
         for _ in range(6):
             assert validate_rep(random_rep(rng, F101, 2))["passed"]
             assert validate_rep(random_rep(rng, F101, 2, cyclic=True))["passed"]
-
-    def test_cyclic_flag_enforced(self):
-        rep = cell_rep(1, 7, F101, 2)  # shift acts by 7, not the identity
-        bad = CycRep(rep.N, rep.field, rep.dims, rep.gen, rep.shifts)
-        report = validate_rep(bad)
-        assert any(v[0] == "cyclic-shift-not-identity" for v in report["violations"])
 
     def test_json_round_trip(self):
         rng = random.Random(2)
@@ -146,8 +139,8 @@ class TestSystemAndRoundTrip:
     def test_round_trip_cyclic(self):
         rng = random.Random(8)
         rep = random_rep(rng, F101, 2, cyclic=True)
-        recovered = recover_rep(realize_system(rep), 2, cyclic=True)
-        assert isinstance(recovered, CycRep)
+        recovered = recover_rep(realize_system(rep), 2)
+        assert recovered.is_cyclic
         assert reps_equal(rep, recovered)
         assert all(F101.equal(t, F101.identity(t.shape[0])) for t in recovered.shifts)
 

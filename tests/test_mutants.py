@@ -5,8 +5,14 @@ A check that stays green under its mutant has lost the power to fail.
 Each mutant runs against the smallest entry point that should catch it.
 """
 
-from paracyclic import equivalence, paracat, selftest
-from paracyclic._linalg import PrimeField
+import random
+
+import numpy as np
+import pytest
+
+from paracyclic import consheaf, equivalence, paracat, sdot, selftest
+from paracyclic._linalg import BLAS_MIN_MULTS, PrimeField
+from paracyclic.consheaf import UpSet, gap_key, gluing_check, random_sheaf
 from paracyclic.equivalence import (
     ConvTilde,
     cell_rep,
@@ -15,9 +21,10 @@ from paracyclic.equivalence import (
     recover_rep,
 )
 from paracyclic.paracat import ParaMap
-from paracyclic.preord import ParaPreorder, preorders_up_to
+from paracyclic.preord import ParaPreorder, enumerate_conv, preorders_up_to
+from paracyclic.sdot import face, random_filtration
 
-from oracles import class_oracle_mismatches
+from oracles import class_oracle_mismatches, oracle_matmul_mod, oracle_upsets_by_mask
 
 
 def failure_kinds(report):
@@ -100,3 +107,105 @@ def test_shifted_quotient_without_its_shift_is_caught(monkeypatch):
     report = check_localization_adjunction(2, "para")
     assert "shift-equivariance" in failure_kinds(report)
 
+
+
+class SmallerSetKeyedCache(dict):
+    """A section cache that keys each restriction matrix on the smaller
+    up-set alone, so that pairs sharing it share one matrix."""
+
+    @staticmethod
+    def _key(key):
+        return (None, key[1]) if isinstance(key, tuple) else key
+
+    def get(self, key, default=None):
+        return super().get(self._key(key), default)
+
+    def __getitem__(self, key):
+        return super().__getitem__(self._key(key))
+
+    def __setitem__(self, key, value):
+        super().__setitem__(self._key(key), value)
+
+
+def test_restriction_cache_keyed_on_the_smaller_set_is_caught():
+    base = ParaPreorder.from_parasimplex(2)
+    upsets = consheaf.enumerate_upsets(base)
+    sheaf = random_sheaf(random.Random(53), base, PrimeField(5))
+    cache = SmallerSetKeyedCache()
+    # on this sheaf the restriction of another pair has the wrong shape;
+    # a zero sheaf would let the mutant through
+    with pytest.raises(ValueError, match="mismatch in its core dimension"):
+        for i, u1 in enumerate(upsets):
+            for u2 in upsets[i:]:
+                gluing_check(sheaf, u1, u2, section_cache=cache)
+
+
+def enumerate_upsets_any_face(base):
+    """enumerate_upsets adding a stratum when any one of its faces is a
+    member, not all of them."""
+    keys = [gap_key(rel) for rel in enumerate_conv(base)]
+    bit = {key: 1 << i for i, key in enumerate(keys)}
+    masks = [0]
+    for key in sorted(keys, key=len):
+        faces = sum(bit[tuple(x for x in key if x != b)] for b in key) if len(key) > 1 else 0
+        masks += [m | bit[key] for m in masks if m & faces or not faces]
+    return [UpSet._closed(base, frozenset(k for k in keys if m & bit[k]))
+            for m in sorted(masks)]
+
+
+def test_up_sets_from_any_one_face_are_caught(monkeypatch):
+    monkeypatch.setattr(consheaf, "enumerate_upsets", enumerate_upsets_any_face)
+    base = ParaPreorder.from_parasimplex(1)
+    keys = [gap_key(rel) for rel in enumerate_conv(base)]
+    found = [up.members for up in consheaf.enumerate_upsets(base)]
+    assert found != oracle_upsets_by_mask(keys)
+
+
+def float_path_matmul(reduce):
+    """PrimeField.matmul whose float64 BLAS path ends in ``reduce`` in place
+    of the int64 ``% p``; the int64 and Python-int paths are unchanged."""
+    matmul = PrimeField.matmul
+
+    def mutant(self, a, b):
+        m, k = a.shape
+        if m * k * b.shape[1] >= BLAS_MIN_MULTS:
+            if k * int(np.abs(a).max()) * int(np.abs(b).max()) < 2 ** 53:
+                product = a.astype(np.float64) @ b.astype(np.float64)
+                return reduce(product.astype(np.int64), self.p)
+        return matmul(self, a, b)
+
+    return mutant
+
+
+def float_product_is_wrong(p):
+    """Whether a product at the BLAS crossover, with a negated left operand
+    as a cone block has before reduction, disagrees with the oracle."""
+    rng = np.random.default_rng(p)
+    side = round(BLAS_MIN_MULTS ** (1 / 3))
+    a = -rng.integers(0, p, size=(side, side), dtype=np.int64)
+    b = rng.integers(0, p, size=(side, side), dtype=np.int64)
+    expected = np.array(oracle_matmul_mod(a.tolist(), b.tolist(), p, side), dtype=np.int64)
+    return not np.array_equal(PrimeField(p).matmul(a, b), expected)
+
+
+def test_float_path_reduced_by_fmod_is_caught(monkeypatch):
+    monkeypatch.setattr(PrimeField, "matmul", float_path_matmul(np.fmod))
+    assert float_product_is_wrong(101)
+
+
+def test_float_path_without_its_final_reduction_is_caught(monkeypatch):
+    monkeypatch.setattr(PrimeField, "matmul", float_path_matmul(lambda product, p: product))
+    assert float_product_is_wrong(101)
+
+
+def test_cones_of_single_steps_are_caught(monkeypatch):
+    quotients = sdot._quotients_by_first
+
+    def mutant(filtration):
+        composites, _, maps = quotients(filtration)
+        return composites, [sdot.cone(step) for step in filtration.maps], maps
+
+    monkeypatch.setattr(sdot, "_quotients_by_first", mutant)
+    filt = random_filtration(random.Random(38), PrimeField(101), 3)
+    with pytest.raises(ValueError, match="does not connect"):
+        face(filt, 0)

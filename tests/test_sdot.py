@@ -239,6 +239,10 @@ class TestFacesAndDegeneracies:
                     for a, b in zip(one.maps, two.maps):
                         assert F2.equal(a.f0, b.f0) and F2.equal(a.f1, b.f1)
 
+    def test_face_zero_of_length_one_is_empty(self):
+        filt = FilteredObject(F5, (one_zero(F5),), ())
+        assert face(filt, 0) == FilteredObject(F5, (), ())
+
     def test_face_commutation_with_zero_at_fingerprint_level(self):
         rng = random.Random(29)
         for _ in range(6):
@@ -336,6 +340,27 @@ class TestRotate:
         for _ in range(filt.length + 1):
             bad = broken_rotate(bad)
         assert fingerprint(bad) != fingerprint(filt)
+
+
+class TestCyclicRelations:
+    """The relations of the cyclic category that hold on the nose:
+    d_n tau = d_0 and s_n tau = tau^2 s_0 on a length-n filtration."""
+
+    @staticmethod
+    def filtrations(field):
+        rng = random.Random(37)
+        return [random_filtration(rng, field, 1 + k % 4, max_dim=3) for k in range(20)]
+
+    @pytest.mark.parametrize("field", [F2, F101, QQ], ids=["F2", "F101", "Q"])
+    def test_last_face_of_rotation_is_face_zero(self, field):
+        for filt in self.filtrations(field):
+            assert face(rotate(filt), filt.length) == face(filt, 0)
+
+    @pytest.mark.parametrize("field", [F2, F101, QQ], ids=["F2", "F101", "Q"])
+    def test_last_degeneracy_of_rotation_is_double_rotation_of_first(self, field):
+        for filt in self.filtrations(field):
+            assert (degeneracy(rotate(filt), filt.length)
+                    == rotate(rotate(degeneracy(filt, 0))))
 
 
 class TestJson:
