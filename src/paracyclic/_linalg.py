@@ -5,7 +5,14 @@ object-dtype Fraction entries for the rationals.  Maps act on column
 vectors, so a map V -> W has shape (dim W, dim V).  Echelon forms are fully
 reduced with unit pivots, which makes every returned basis deterministic.
 
-Prime-field products are exact in three regimes, chosen per product from
+A backend supplies only its scalars and storage; every matrix routine is
+written once in ``Field``, over the backend's ``reduce`` (``% p``, or
+nothing over Q).  ``Field.rref`` picks the elimination loop by row count:
+row by row below ``VECTOR_MIN_ROWS`` rows, otherwise one broadcast update
+per pivot, restricted to the rows with a nonzero entry in the pivot column
+and the columns with a nonzero entry in the pivot row.
+
+``PrimeField.matmul`` picks one of three exact regimes per product, from
 the inner dimension k and a bound B on the operands' absolute entries:
 
 - float64 through numpy's BLAS ``@`` when the product has at least
@@ -17,11 +24,7 @@ the inner dimension k and a bound B on the operands' absolute entries:
 
 Each result is reduced by int64 ``%``.  PrimeField accepts only primes with
 (p - 1)**2 < 2**63, so that one product of two reduced entries, which every
-row operation forms, fits in int64.  ``rref`` over a prime field uses the
-shared scalar loop on matrices with fewer than ``VECTOR_MIN_ROWS`` rows; on
-larger ones it does one broadcast update per pivot, restricted to the rows
-with a nonzero entry in the pivot column and the columns with a nonzero
-entry in the pivot row.
+row operation forms, fits in int64.
 """
 
 from __future__ import annotations
@@ -43,14 +46,16 @@ from .errors import ResourceBound
 # 419 ms at 512**3 (2-vCPU Xeon VM, OpenBLAS 0.3.31).
 BLAS_MIN_MULTS = 32768
 
-# Prime-field matrices with at least this many rows are reduced by one
-# broadcast update per pivot.  On the rref inputs of a selftest run (F_2)
-# and of the rotation workload (F_101), the update took 1.5x the loop's
-# time on the 18 x 18 kernel systems of `random_chain_map`, about the same
-# at 17-32 rows, 0.45-0.7x at 33-64 rows and 0.3-0.5x from 65 rows; on 20
-# cone matrices of 500-750 rows it took 0.54 s against 3.5 s.
-# `selftest --seed 0` makes 28,443 prime-field rref calls, 159 of them with
-# 32 or more rows.
+# Matrices with at least this many rows are reduced by one broadcast update
+# per pivot.  On the rref inputs of a selftest run (F_2) and of the rotation
+# workload (F_101), the update took 1.5x the loop's time on the 18 x 18
+# kernel systems of `random_chain_map`, about the same at 17-32 rows,
+# 0.45-0.7x at 33-64 rows and 0.3-0.5x from 65 rows; on 20 cone matrices of
+# 500-750 rows it took 0.54 s against 3.5 s.  Over Q, on 20 seeded sparse
+# matrices of 32-48 rows, it took 1.2-1.6 s against 3.6-4.2 s.
+# `selftest --seed 0` makes 11,447 rref calls, all over prime fields, 159 of
+# them with 32 or more rows; on the other 11,288 the update took 0.27-0.35 s
+# against the loop's 0.19-0.22 s.
 VECTOR_MIN_ROWS = 32
 
 _FLOAT64_EXACT = 2 ** 53
@@ -58,24 +63,11 @@ _INT64_EXACT = 2 ** 63
 
 
 class Field:
-    """Common interface; see PrimeField and Rationals."""
+    """The matrix routines, written once.  A backend supplies ``name``,
+    ``one``, ``zeros``, ``identity``, ``matmul``, ``mat_to_json``,
+    ``random_matrix`` and the methods below that raise NotImplementedError."""
 
     name: str
-
-    def matrix(self, rows: Sequence[Sequence]) -> np.ndarray:
-        raise NotImplementedError
-
-    def zeros(self, r: int, c: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def identity(self, n: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def neg(self, a: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
         """Canonical representatives of the entries of a."""
@@ -89,6 +81,32 @@ class Field:
         """x ** k for any integer k; x must be a unit when k < 0."""
         raise NotImplementedError
 
+    def _inv_scalar(self, x):
+        raise NotImplementedError
+
+    def random_scalar(self, rng):
+        """A random coefficient, possibly zero."""
+        raise NotImplementedError
+
+    def random_unit(self, rng):
+        """A random nonzero scalar."""
+        raise NotImplementedError
+
+    def matrix(self, rows: Sequence[Sequence]) -> np.ndarray:
+        out = self.zeros(len(rows), len(rows[0]) if rows else 0)
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                out[i, j] = self.scalar(x)
+        return out
+
+    def mat_from_json(self, data: Sequence[Sequence], shape: Tuple[int, int]) -> np.ndarray:
+        if not data or not data[0]:
+            return self.zeros(*shape)
+        return self.matrix(data)
+
+    def neg(self, a: np.ndarray) -> np.ndarray:
+        return self.reduce(-a)
+
     def scalar_matrix(self, x, n: int) -> np.ndarray:
         """x times the n x n identity."""
         out = self.identity(n)
@@ -97,16 +115,15 @@ class Field:
             out[i, i] = value
         return out
 
-    def _inv_scalar(self, x):
-        raise NotImplementedError
-
-    # -- shared elimination ---------------------------------------------------
+    # -- elimination ----------------------------------------------------------
 
     def rref(self, a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
         """Reduced row echelon form and the list of pivot columns."""
-        return self._rref(a.copy())
+        if a.shape[0] < VECTOR_MIN_ROWS:
+            return self._rref_by_rows(a.copy())
+        return self._rref_by_broadcast(a.copy())
 
-    def _rref(self, mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    def _rref_by_rows(self, mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
         """Row-by-row elimination of mat in place."""
         rows, cols = mat.shape
         pivots: List[int] = []
@@ -117,21 +134,44 @@ class Field:
                 continue
             if pivot != rank:
                 mat[[rank, pivot]] = mat[[pivot, rank]]
-            mat[rank] = self._scale_row(mat[rank], self._inv_scalar(mat[rank, col]))
+            mat[rank] = self.reduce(mat[rank] * self._inv_scalar(mat[rank, col]))
             for r in range(rows):
                 if r != rank and mat[r, col] != 0:
-                    mat[r] = self._sub_scaled(mat[r], mat[rank], mat[r, col])
+                    mat[r] = self.reduce(mat[r] - mat[r, col] * mat[rank])
             pivots.append(col)
             rank += 1
             if rank == rows:
                 break
         return mat, pivots
 
-    def _scale_row(self, row, factor):
-        raise NotImplementedError
-
-    def _sub_scaled(self, row, pivot_row, factor):
-        raise NotImplementedError
+    def _rref_by_broadcast(self, mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+        """Elimination of mat in place, one broadcast update per pivot."""
+        rows, cols = mat.shape
+        pivots: List[int] = []
+        rank = 0
+        for col in range(cols):
+            nonzero = np.flatnonzero(mat[:, col])
+            i = int(np.searchsorted(nonzero, rank))
+            if i == nonzero.size:
+                continue
+            pivot = int(nonzero[i])
+            if pivot != rank:
+                mat[[rank, pivot]] = mat[[pivot, rank]]
+            # after the swap the other nonzero rows of the column are unchanged
+            targets = np.concatenate((nonzero[:i], nonzero[i + 1:]))
+            support = col + np.flatnonzero(mat[rank, col:])
+            row = mat[rank, support]
+            if row[0] != 1:
+                row = self.reduce(row * self._inv_scalar(row[0]))
+                mat[rank, support] = row
+            if targets.size:
+                block = targets[:, None], support
+                mat[block] = self.reduce(mat[block] - mat[targets, col, None] * row)
+            pivots.append(col)
+            rank += 1
+            if rank == rows:
+                break
+        return mat, pivots
 
     def rank(self, a: np.ndarray) -> int:
         if 0 in a.shape:
@@ -151,22 +191,21 @@ class Field:
         for idx, fc in enumerate(free):
             basis[idx, fc] = self.one
             for r, pc in enumerate(pivots):
-                basis[idx, pc] = self._neg_scalar(reduced[r, fc])
+                basis[idx, pc] = self.scalar(-reduced[r, fc])
         return basis
-
-    def _neg_scalar(self, x):
-        raise NotImplementedError
 
     def is_invertible(self, a: np.ndarray) -> bool:
         return a.shape[0] == a.shape[1] and self.rank(a) == a.shape[0]
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
+        """The inverse, read off one elimination of [a | I]: a is invertible
+        exactly when the pivots are the columns of a."""
         n = a.shape[0]
-        if not self.is_invertible(a):
-            raise ValueError("matrix is not invertible")
-        augmented = np.concatenate([a, self.identity(n)], axis=1)
-        reduced, _ = self.rref(augmented)
-        return reduced[:, n:]
+        if a.shape[1] == n:
+            reduced, pivots = self.rref(np.concatenate([a, self.identity(n)], axis=1))
+            if pivots == list(range(n)):
+                return reduced[:, n:]
+        raise ValueError("matrix is not invertible")
 
     def solve_in_span(self, basis_rows: np.ndarray, vector: np.ndarray):
         """Coefficients expressing vector in the span of basis rows, or None."""
@@ -184,26 +223,7 @@ class Field:
     def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
         return a.shape == b.shape and bool(np.array_equal(a, b))
 
-    # -- json -----------------------------------------------------------------
-
-    def mat_to_json(self, a: np.ndarray) -> list:
-        raise NotImplementedError
-
-    def mat_from_json(self, data: Sequence[Sequence], shape: Tuple[int, int]) -> np.ndarray:
-        raise NotImplementedError
-
     # -- randomness (seeded, for tests and self checks) ------------------------
-
-    def random_matrix(self, rng, r: int, c: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def random_scalar(self, rng):
-        """A random coefficient, possibly zero."""
-        raise NotImplementedError
-
-    def random_unit(self, rng):
-        """A random nonzero scalar."""
-        raise NotImplementedError
 
     def random_invertible(self, rng, n: int) -> np.ndarray:
         if n == 0:
@@ -233,14 +253,6 @@ class PrimeField(Field):
     def one(self):
         return 1
 
-    def matrix(self, rows):
-        shape = (len(rows), len(rows[0]) if rows else 0)
-        out = np.zeros(shape, dtype=np.int64)
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                out[i, j] = int(x) % self.p
-        return out
-
     def zeros(self, r, c):
         return np.zeros((r, c), dtype=np.int64)
 
@@ -260,9 +272,6 @@ class PrimeField(Field):
             return (a @ b) % self.p
         return (a.astype(object) @ b.astype(object) % self.p).astype(np.int64)
 
-    def neg(self, a):
-        return (-a) % self.p
-
     def reduce(self, a):
         return a % self.p
 
@@ -278,53 +287,8 @@ class PrimeField(Field):
     def _inv_scalar(self, x):
         return pow(int(x), self.p - 2, self.p)
 
-    def _rref(self, mat):
-        rows, cols = mat.shape
-        if rows < VECTOR_MIN_ROWS:
-            return super()._rref(mat)
-        p = self.p
-        pivots: List[int] = []
-        rank = 0
-        for col in range(cols):
-            nonzero = np.flatnonzero(mat[:, col])
-            i = int(np.searchsorted(nonzero, rank))
-            if i == nonzero.size:
-                continue
-            pivot = int(nonzero[i])
-            if pivot != rank:
-                mat[[rank, pivot]] = mat[[pivot, rank]]
-            # after the swap the other nonzero rows of the column are unchanged
-            targets = np.concatenate((nonzero[:i], nonzero[i + 1:]))
-            support = col + np.flatnonzero(mat[rank, col:])
-            row = mat[rank, support]
-            if row[0] != 1:
-                row = row * self._inv_scalar(row[0]) % p
-                mat[rank, support] = row
-            if targets.size:
-                block = targets[:, None], support
-                mat[block] = (mat[block] - mat[targets, col, None] * row) % p
-            pivots.append(col)
-            rank += 1
-            if rank == rows:
-                break
-        return mat, pivots
-
-    def _neg_scalar(self, x):
-        return (-int(x)) % self.p
-
-    def _scale_row(self, row, factor):
-        return (row * factor) % self.p
-
-    def _sub_scaled(self, row, pivot_row, factor):
-        return (row - factor * pivot_row) % self.p
-
     def mat_to_json(self, a):
         return [[int(x) for x in row] for row in a]
-
-    def mat_from_json(self, data, shape):
-        if not data or not data[0]:
-            return self.zeros(*shape)
-        return self.matrix(data)
 
     def random_matrix(self, rng, r, c):
         out = np.zeros((r, c), dtype=np.int64)
@@ -347,13 +311,6 @@ class Rationals(Field):
     def one(self):
         return Fraction(1)
 
-    def matrix(self, rows):
-        out = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                out[i, j] = Fraction(x)
-        return out
-
     def zeros(self, r, c):
         out = np.empty((r, c), dtype=object)
         out[:] = Fraction(0)
@@ -370,9 +327,6 @@ class Rationals(Field):
             return self.zeros(a.shape[0], b.shape[1])
         return a @ b
 
-    def neg(self, a):
-        return -a
-
     def reduce(self, a):
         return a
 
@@ -386,23 +340,8 @@ class Rationals(Field):
     def _inv_scalar(self, x):
         return 1 / Fraction(x)
 
-    def _neg_scalar(self, x):
-        return -Fraction(x)
-
-    def _scale_row(self, row, factor):
-        return row * factor
-
-    def _sub_scaled(self, row, pivot_row, factor):
-        return row - factor * pivot_row
-
     def mat_to_json(self, a):
         return [[f"{x.numerator}/{x.denominator}" for x in row] for row in a]
-
-    def mat_from_json(self, data, shape):
-        if not data or not data[0]:
-            return self.zeros(*shape)
-        return self.matrix([[Fraction(*map(int, str(x).split("/"))) if "/" in str(x)
-                             else Fraction(int(x)) for x in row] for row in data])
 
     def random_matrix(self, rng, r, c):
         out = self.zeros(r, c)

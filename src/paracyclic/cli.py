@@ -21,6 +21,7 @@ from .equivalence import (
     random_rep,
     realize_system,
     recover_rep,
+    rep_mismatches,
     validate_rep,
 )
 from .errors import PackageError
@@ -140,14 +141,7 @@ def cmd_roundtrip(args) -> int:
         for trial in range(args.count):
             rep = random_rep(rng, field, args.N, cyclic=(kind == "cyc"))
             recovered = recover_rep(realize_system(rep), args.N)
-            same = rep.dims == recovered.dims and all(
-                field.equal(mat, recovered.gen[key][values])
-                for key, table in rep.gen.items()
-                for values, mat in table.items()
-            ) and all(
-                field.equal(s, t) for s, t in zip(rep.shifts, recovered.shifts)
-            )
-            if not (same and validate_rep(recovered)["passed"]):
+            if rep_mismatches(rep, recovered) or not validate_rep(recovered)["passed"]:
                 failures.append((kind, trial))
     report = {
         "N": args.N,

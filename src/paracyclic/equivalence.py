@@ -33,7 +33,7 @@ from .errors import (
     ResourceBound,
     TruncationExceeded,
 )
-from .paracat import CycMap, ParaMap, Parasimplex, compose, enumerate_hom
+from .paracat import CycMap, ParaMap, Parasimplex, classify, compose, enumerate_hom
 from .preord import (
     ConvexRelation,
     ParaPreorder,
@@ -42,7 +42,6 @@ from .preord import (
     enumerate_conv,
     enumerate_preord_maps,
     identity_map,
-    induced_quotient_map,
     least_relation,
     preorders_up_to,
     pullback_relation,
@@ -51,6 +50,9 @@ from .preord import (
 )
 
 GapKey = Tuple[int, ...]
+
+# Beyond this many edges build_conv_tilde raises ResourceBound.
+CONV_TILDE_EDGE_CAP = 20000
 
 
 @functools.cache
@@ -184,9 +186,10 @@ def realize_sheaf(rep: ParaRep, base: ParaPreorder) -> StratSheaf:
         )
     rel_of = {gap_key(rel): rel for rel in enumerate_conv(base)}
     dims = {key: rep.dims[len(key) - 1] for key in rel_of}
+    ident = identity_map(base)
     maps = {}
     for src, dst in covering_edges(base):
-        q = induced_quotient_map(rel_of[src], rel_of[dst])
+        q = induced_on_quotients(ident, rel_of[src], rel_of[dst])
         maps[(src, dst)] = rep.evaluate(q)
     return validate_sheaf(base, rep.field, dims, maps)
 
@@ -363,6 +366,19 @@ def recover_rep(system: SheafSystem, N: int) -> ParaRep:
     return ParaRep(N, fld, dims, gen, shifts)
 
 
+def rep_mismatches(rep: ParaRep, recovered: ParaRep) -> list:
+    """Where ``recovered`` differs from ``rep``: ("dims",) alone, or one
+    ("generator", (m, n), values) or ("shift", n) per differing matrix."""
+    if rep.dims != recovered.dims:
+        return [("dims",)]
+    fld = rep.field
+    out: list = [("generator", key, values)
+                 for key, table in rep.gen.items() for values, mat in table.items()
+                 if not fld.equal(mat, recovered.gen[key][values])]
+    return out + [("shift", n) for n in range(rep.N + 1)
+                  if not fld.equal(rep.shifts[n], recovered.shifts[n])]
+
+
 # ---------------------------------------------------------------------------
 # the marked category of stratum pairs and its localization
 # ---------------------------------------------------------------------------
@@ -382,12 +398,11 @@ class ConvTilde:
     Morphisms are listed by canonical representative; in the paracyclic
     variant the full hom-sets are representatives times the shift action,
     in the cyclic variant the representatives are the orbits themselves.
-    An edge is marked Cartesian exactly when the induced map of quotient
-    parasimplices is an isomorphism.
+    Both variants share the edges.  An edge is marked Cartesian exactly when
+    the induced map of quotient parasimplices is an isomorphism.
     """
 
     N: int
-    variant: str
     objects: Tuple[Tuple[Tuple[int, ...], GapKey], ...]
     edges: Tuple[ConvTildeEdge, ...]
 
@@ -409,25 +424,17 @@ def respects_relations(r: PreordMap, rel_src: ConvexRelation,
 def induced_on_quotients(r: PreordMap, rel_src: ConvexRelation,
                          rel_tgt: ConvexRelation) -> ParaMap:
     """The induced map of quotient parasimplices for a relation-respecting r."""
-    _, proj = quotient_by_relation(r.tgt, rel_tgt)
     values = tuple(
-        proj(r(slot)) for slot in _quotient_class_representatives(rel_src)
+        rel_tgt.quotient_class(r(slot)) for slot in _quotient_class_representatives(rel_src)
     )
     return ParaMap.from_values(
         len(rel_src.gaps) - 1, len(rel_tgt.gaps) - 1, values
     )
 
 
-def build_conv_tilde(N: int, variant: str = "para", cap: int = 20000) -> ConvTilde:
-    """All objects with period <= N, with relation-respecting morphisms."""
-    if variant not in ("para", "cyc"):
-        raise ValueError("variant must be 'para' or 'cyc'")
-    return ConvTilde(N, variant, *_conv_tilde_parts(N, cap))
-
-
 @functools.cache
-def _conv_tilde_parts(N: int, cap: int) -> tuple:
-    """The objects and edges of ``build_conv_tilde``, which both variants share."""
+def build_conv_tilde(N: int) -> ConvTilde:
+    """All objects with period <= N, with relation-respecting morphisms; memoized."""
     bases = preorders_up_to(N)
     rels = [((base.sizes, gap_key(rel)), rel) for base in bases for rel in enumerate_conv(base)]
     maps = {(src.sizes, tgt.sizes): enumerate_preord_maps(src, tgt)
@@ -440,9 +447,9 @@ def _conv_tilde_parts(N: int, cap: int) -> tuple:
         for r in maps[(src_obj[0], tgt_obj[0])]:
             if respects_relations(r, rel_src, rel_tgt):
                 edges.append(ConvTildeEdge(src_obj, tgt_obj, r, cartesian))
-                if len(edges) > cap:
-                    raise ResourceBound(f"edge enumeration exceeded cap {cap}")
-    return tuple(obj for obj, _ in rels), tuple(edges)
+                if len(edges) > CONV_TILDE_EDGE_CAP:
+                    raise ResourceBound(f"edge enumeration exceeded cap {CONV_TILDE_EDGE_CAP}")
+    return ConvTilde(N, tuple(obj for obj, _ in rels), tuple(edges))
 
 
 def check_localization_adjunction(N: int, variant: str = "para") -> dict:
@@ -458,7 +465,7 @@ def check_localization_adjunction(N: int, variant: str = "para") -> dict:
           identities; in the paracyclic variant the quotient functor
           commutes with the shift action on every edge.
     """
-    tilde = build_conv_tilde(N, variant)
+    tilde = build_conv_tilde(N)
     rel_table = {
         (sizes, key): ConvexRelation(ParaPreorder(sizes), frozenset(key))
         for sizes, key in tilde.objects
@@ -502,12 +509,7 @@ def check_localization_adjunction(N: int, variant: str = "para") -> dict:
     # (c) Cartesian edges: marked iff inverted by L; closed under composition
     for e in tilde.edges:
         bar = induced_on_quotients(e.map, rel_table[e.src], rel_table[e.tgt])
-        is_iso = (
-            bar.m == bar.n
-            and sorted(v % (bar.n + 1) for v in bar.values) == list(range(bar.n + 1))
-            and all(bar.values[a] < bar.values[a + 1] for a in range(bar.m))
-        )
-        if is_iso != e.cartesian:
+        if (classify(bar) == "both") != e.cartesian:
             failures.append(("marking-mismatch", e.src, e.tgt, e.map.values))
         if variant == "para":
             # the quotient functor commutes with the shift action on hom-sets

@@ -27,7 +27,10 @@ from .errors import (
     NotMonotone,
     ResourceBound,
 )
-from .paracat import ParaMap, Parasimplex
+from .paracat import Parasimplex
+
+# Beyond this many canonical morphisms enumerate_preord_maps raises ResourceBound.
+PREORD_MAP_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -325,27 +328,7 @@ def pullback_relation(r: PreordMap, rel: ConvexRelation) -> ConvexRelation:
     return ConvexRelation(src, frozenset(gaps))
 
 
-def induced_quotient_map(rel: ConvexRelation, coarser: ConvexRelation) -> ParaMap:
-    """The surjection base/rel -> base/coarser for rel <= coarser.
-
-    Returned in canonical form (it always is, because the least surviving
-    boundary of the coarser relation is at least the least of the finer).
-    """
-    if rel.base != coarser.base:
-        raise BaseMismatch("relations over different bases")
-    if not rel.leq(coarser):
-        raise ValueError("second relation must contain the first")
-    src_gaps = sorted(rel.gaps)
-    tgt_gaps = sorted(coarser.gaps)
-    values = []
-    for b in src_gaps:
-        higher = [r for r, g in enumerate(tgt_gaps) if g >= b]
-        values.append(higher[0] if higher else len(tgt_gaps))
-    return ParaMap(len(src_gaps) - 1, len(tgt_gaps) - 1, tuple(values), 0)
-
-
-def enumerate_preord_maps(src: ParaPreorder, tgt: ParaPreorder,
-                          cap: int = 10**5) -> List[PreordMap]:
+def enumerate_preord_maps(src: ParaPreorder, tgt: ParaPreorder) -> List[PreordMap]:
     """Canonical representatives of all morphisms src -> tgt.
 
     The full hom-set is this list times the shift action (postcomposition
@@ -354,8 +337,8 @@ def enumerate_preord_maps(src: ParaPreorder, tgt: ParaPreorder,
     found: List[PreordMap] = []
 
     def extend(prefix: Tuple[int, ...]):
-        if len(found) > cap:
-            raise ResourceBound(f"morphism enumeration exceeded cap {cap}")
+        if len(found) > PREORD_MAP_CAP:
+            raise ResourceBound(f"morphism enumeration exceeded cap {PREORD_MAP_CAP}")
         if len(prefix) == src.period:
             try:
                 found.append(PreordMap(src, tgt, prefix))
@@ -424,15 +407,15 @@ class Amalgam:
     def equivalent(self, u, v) -> bool:
         return self._key(*u) == self._key(*v)
 
-    def relation_table(self, radius: int = 1):
-        """The order restricted to pairs (period-0 element, element within radius periods)."""
+    def relation_table(self):
+        """The order restricted to pairs (period-0 element, element within one period)."""
         pairs = set()
         lefties = [(0, s) for s in range(self.left.period)]
         righties = [(1, s) for s in range(self.right.period)]
         window = [
             (side, s + t * (self.left.period if side == 0 else self.right.period))
             for side, s in lefties + righties
-            for t in range(-radius, radius + 1)
+            for t in (-1, 0, 1)
         ]
         for u in lefties + righties:
             for v in window:

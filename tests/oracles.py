@@ -73,12 +73,14 @@ def oracle_kernel_dim_by_enumeration(rows: list[list[int]], width: int, p: int) 
     return dim
 
 
-def oracle_rank_fraction(rows: list[list[Fraction]]) -> int:
-    """Rank over the rationals by naive elimination with Fractions."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    rank = 0
+def oracle_rref_fraction(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q with unit pivots, by list elimination
+    with Fractions."""
+    mat = [[Fraction(x) for x in r] for r in rows]
     cols = len(mat[0]) if mat else 0
+    pivots: list[int] = []
     for col in range(cols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
         if pivot is None:
             continue
@@ -89,8 +91,8 @@ def oracle_rank_fraction(rows: list[list[Fraction]]) -> int:
             if r != rank and mat[r][col] != 0:
                 factor = mat[r][col]
                 mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return mat, pivots
 
 
 def oracle_matmul_mod(a: list[list[int]], b: list[list[int]], p: int,
@@ -121,6 +123,34 @@ def oracle_rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], lis
                 mat[r] = [(x - factor * y) % p for x, y in zip(mat[r], mat[rank])]
         pivots.append(col)
     return mat, pivots
+
+
+def oracle_chain_map_rows(src, tgt) -> tuple[list[list], int]:
+    """The equations f1 d0 = d0' f0 and f0 d1 = d1' f1 on chain maps between
+    2-periodic complexes (``dims``, ``d0``, ``d1``; d' is tgt's), by index
+    loops, as rows over the unknowns f0 then f1, each flattened row-major;
+    returns the rows and their width."""
+    (s0, s1), (t0, t1) = src.dims, tgt.dims
+    src_d0, src_d1, tgt_d0, tgt_d1 = src.d0, src.d1, tgt.d0, tgt.d1
+    width = t0 * s0 + t1 * s1
+    rows = []
+    for r in range(t1):
+        for c in range(s0):
+            row = [0] * width
+            for k in range(s1):
+                row[t0 * s0 + r * s1 + k] += src_d0[k][c]
+            for k in range(t0):
+                row[k * s0 + c] -= tgt_d0[r][k]
+            rows.append(row)
+    for r in range(t0):
+        for c in range(s1):
+            row = [0] * width
+            for k in range(s0):
+                row[r * s0 + k] += src_d1[k][c]
+            for k in range(t1):
+                row[t0 * s0 + k * s1 + c] -= tgt_d1[r][k]
+            rows.append(row)
+    return rows, width
 
 
 def oracle_upsets_by_mask(keys: list[tuple[int, ...]]) -> list[frozenset]:

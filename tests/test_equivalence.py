@@ -270,12 +270,6 @@ class TestConvTilde:
         tilde = build_conv_tilde(N)
         assert (len(tilde.objects), len(tilde.edges)) == (objects, edges)
 
-    @pytest.mark.parametrize("N", [1, 2, 3])
-    def test_variants_share_their_edges(self, N):
-        para, cyc = build_conv_tilde(N, "para"), build_conv_tilde(N, "cyc")
-        assert (para.variant, cyc.variant) == ("para", "cyc")
-        assert para.objects == cyc.objects and para.edges == cyc.edges
-
 
 class TestAdjunction:
     @pytest.mark.parametrize("variant", ["para", "cyc"])

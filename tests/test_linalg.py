@@ -1,18 +1,22 @@
-"""PrimeField arithmetic against list-based Python-int oracles.
+"""Field arithmetic against list-based oracles: Python ints mod p, and
+Fractions over Q.
 
 Every kernel is checked on both sides of the size crossovers in
-``_linalg`` (the float64 BLAS product and the vectorized row reduction),
+``_linalg`` (the float64 BLAS product and the broadcast row reduction),
 on zero-size shapes and on sparse block matrices shaped like mapping
-cones, for a small, a medium and the largest common word-size prime.
+cones, for a small, a medium and the largest common word-size prime.  The
+elimination routines are checked over Q on both sides of the row crossover.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from paracyclic._linalg import BLAS_MIN_MULTS, VECTOR_MIN_ROWS, PrimeField
+from paracyclic._linalg import BLAS_MIN_MULTS, QQ, VECTOR_MIN_ROWS, PrimeField
 from paracyclic.errors import PackageError, ResourceBound
 
-from oracles import oracle_matmul_mod, oracle_rref_mod
+from oracles import oracle_matmul_mod, oracle_rref_fraction, oracle_rref_mod
 
 PRIMES = [2, 101, 2**31 - 1]
 
@@ -220,3 +224,96 @@ def test_largest_accepted_prime_is_exact():
     assert np.array_equal(field.matmul(full, full), np.full((2, 2), 2))
     reduced, pivots = field.rref(np.array([[p - 1, p - 2], [p - 2, p - 1]], dtype=np.int64))
     assert np.array_equal(reduced, np.eye(2, dtype=np.int64)) and pivots == [0, 1]
+
+
+# -- the rationals -------------------------------------------------------------
+
+def random_q(rng, rows, cols, density):
+    """Sparse Fractions with numerators in -9..9 and denominators in 1..4."""
+    out = QQ.zeros(rows, cols)
+    for i, j in zip(*np.nonzero(rng.random((rows, cols)) < density)):
+        out[i, j] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+    return out
+
+
+def q_rref_inputs(rng):
+    """Sparse Q matrices below, at and above the row crossover."""
+    small, large = VECTOR_MIN_ROWS - 1, VECTOR_MIN_ROWS
+    return [
+        random_q(rng, small, small + 3, 0.1),
+        random_q(rng, large, large + 3, 0.08),
+        random_q(rng, large + 8, large - 5, 0.06),
+        # rank-deficient: the last rows repeat combinations of the first
+        np.vstack([m := random_q(rng, large, large + 2, 0.06), m[:4] * 3 + m[4:8]]),
+    ]
+
+
+def expected_rref_q(a):
+    reduced, pivots = oracle_rref_fraction(a.tolist())
+    out = QQ.zeros(*a.shape)
+    for i, row in enumerate(reduced):
+        out[i] = row
+    return out, pivots
+
+
+def test_rationals_rref_matches_oracle():
+    rng = np.random.default_rng(19)
+    for a in q_rref_inputs(rng):
+        before = a.copy()
+        reduced, pivots = QQ.rref(a)
+        expected, expected_pivots = expected_rref_q(a)
+        assert pivots == expected_pivots, a.shape
+        assert QQ.equal(reduced, expected), a.shape
+        assert QQ.equal(a, before)
+
+
+def test_rationals_right_kernel_is_the_canonical_basis():
+    rng = np.random.default_rng(23)
+    for a in q_rref_inputs(rng):
+        reduced, pivots = expected_rref_q(a)
+        free = [c for c in range(a.shape[1]) if c not in pivots]
+        expected = QQ.zeros(len(free), a.shape[1])
+        for idx, fc in enumerate(free):
+            expected[idx, fc] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                expected[idx, pc] = -reduced[r, fc]
+        kernel = QQ.right_kernel(a)
+        assert QQ.equal(kernel, expected), a.shape
+        assert not QQ.matmul(a, kernel.T).any()
+
+
+@pytest.mark.parametrize("n", [3, VECTOR_MIN_ROWS - 1, VECTOR_MIN_ROWS])
+def test_rationals_inverse_matches_oracle(n):
+    rng = np.random.default_rng(29 + n)
+    while True:
+        a = random_q(rng, n, n, 0.05) + QQ.scalar_matrix(2, n)
+        if len(expected_rref_q(a)[1]) == n:
+            break
+    expected = expected_rref_q(np.concatenate([a, QQ.identity(n)], axis=1))[0][:, n:]
+    inverse = QQ.inverse(a)
+    assert QQ.equal(inverse, expected)
+    assert QQ.equal(QQ.matmul(a, inverse), QQ.identity(n))
+    with pytest.raises(ValueError):
+        QQ.inverse(np.vstack([a[:-1], a[:1] + a[1:2]]))
+
+
+@pytest.mark.parametrize("count", [2, VECTOR_MIN_ROWS - 2, VECTOR_MIN_ROWS + 4])
+def test_rationals_solve_in_span_matches_oracle(count):
+    """count + 1 rows in the system: both sides of the row crossover."""
+    rng = np.random.default_rng(31 + count)
+    width = count + 3
+    basis = random_q(rng, count, width, 0.25)
+    inside = QQ.matmul(random_q(rng, 1, count, 0.5), basis)[0]
+    outside = random_q(rng, 1, width, 0.5)[0]
+    for vector in (inside, outside):
+        system = np.concatenate([basis.T, vector.reshape(-1, 1)], axis=1)
+        reduced, pivots = expected_rref_q(system)
+        coeffs = QQ.solve_in_span(basis, vector)
+        if count in pivots:
+            assert coeffs is None
+            continue
+        expected = QQ.zeros(1, count)[0]
+        for r, pc in enumerate(pivots):
+            expected[pc] = reduced[r, -1]
+        assert QQ.equal(coeffs, expected)
+        assert QQ.equal(QQ.matmul(coeffs.reshape(1, -1), basis)[0], vector)

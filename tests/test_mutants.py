@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from paracyclic import consheaf, equivalence, paracat, sdot, selftest
-from paracyclic._linalg import BLAS_MIN_MULTS, PrimeField
-from paracyclic.consheaf import UpSet, gap_key, gluing_check, random_sheaf
+from paracyclic._linalg import BLAS_MIN_MULTS, VECTOR_MIN_ROWS, PrimeField
+from paracyclic.consheaf import UpSet, gap_key, gluing_check
 from paracyclic.equivalence import (
     ConvTilde,
     cell_rep,
@@ -20,11 +20,18 @@ from paracyclic.equivalence import (
     realize_system,
     recover_rep,
 )
+from paracyclic.errors import NotMonotone
 from paracyclic.paracat import ParaMap
 from paracyclic.preord import ParaPreorder, enumerate_conv, preorders_up_to
 from paracyclic.sdot import face, random_filtration
 
-from oracles import class_oracle_mismatches, oracle_matmul_mod, oracle_upsets_by_mask
+from oracles import (
+    class_oracle_mismatches,
+    oracle_matmul_mod,
+    oracle_rref_mod,
+    oracle_upsets_by_mask,
+)
+from test_consheaf import nonzero_sheaf
 
 
 def failure_kinds(report):
@@ -108,6 +115,19 @@ def test_shifted_quotient_without_its_shift_is_caught(monkeypatch):
     assert "shift-equivariance" in failure_kinds(report)
 
 
+def test_quotient_classes_read_on_the_source_are_caught(monkeypatch):
+    """induced_on_quotients reading each class through the source relation
+    in place of the target's: at N = 2 the values form no monotone map."""
+
+    def mutant(r, rel_src, rel_tgt):
+        values = tuple(rel_src.quotient_class(r(slot))
+                       for slot in equivalence._quotient_class_representatives(rel_src))
+        return ParaMap.from_values(len(rel_src.gaps) - 1, len(rel_tgt.gaps) - 1, values)
+
+    monkeypatch.setattr(equivalence, "induced_on_quotients", mutant)
+    with pytest.raises(NotMonotone):
+        check_localization_adjunction(2, "para")
+
 
 class SmallerSetKeyedCache(dict):
     """A section cache that keys each restriction matrix on the smaller
@@ -130,7 +150,7 @@ class SmallerSetKeyedCache(dict):
 def test_restriction_cache_keyed_on_the_smaller_set_is_caught():
     base = ParaPreorder.from_parasimplex(2)
     upsets = consheaf.enumerate_upsets(base)
-    sheaf = random_sheaf(random.Random(53), base, PrimeField(5))
+    sheaf = nonzero_sheaf(random.Random(53), base, PrimeField(5))
     cache = SmallerSetKeyedCache()
     # on this sheaf the restriction of another pair has the wrong shape;
     # a zero sheaf would let the mutant through
@@ -196,6 +216,15 @@ def test_float_path_reduced_by_fmod_is_caught(monkeypatch):
 def test_float_path_without_its_final_reduction_is_caught(monkeypatch):
     monkeypatch.setattr(PrimeField, "matmul", float_path_matmul(lambda product, p: product))
     assert float_product_is_wrong(101)
+
+
+def test_row_loop_without_reduce_is_caught(monkeypatch):
+    """The row-by-row elimination with every ``reduce`` a no-op, at p = 101."""
+    monkeypatch.setattr(PrimeField, "reduce", lambda self, a: a)
+    rng = np.random.default_rng(101)
+    a = rng.integers(0, 101, size=(VECTOR_MIN_ROWS - 1, VECTOR_MIN_ROWS + 2), dtype=np.int64)
+    reduced, pivots = PrimeField(101).rref(a)
+    assert (reduced.tolist(), pivots) != oracle_rref_mod(a.tolist(), 101)
 
 
 def test_cones_of_single_steps_are_caught(monkeypatch):

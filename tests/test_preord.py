@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from paracyclic.equivalence import induced_on_quotients
 from paracyclic.errors import (
     BaseMismatch,
     NotEssentiallySurjective,
@@ -18,7 +19,6 @@ from paracyclic.preord import (
     enumerate_amalgams,
     enumerate_conv,
     identity_map,
-    induced_quotient_map,
     is_valid_morphism,
     join_amalgam,
     least_relation,
@@ -218,10 +218,12 @@ class TestPullbackRelation:
 
 
 class TestInducedQuotientMap:
+    """The surjection base/fine -> base/coarse, induced by the identity."""
+
     def test_canonical_surjection(self):
         fine = least_relation(PAR2)
         coarse = ConvexRelation(PAR2, frozenset({0, 2}))
-        q = induced_quotient_map(fine, coarse)
+        q = induced_on_quotients(identity_map(PAR2), fine, coarse)
         assert q.m == 2 and q.n == 1 and q.shift == 0
         assert q.values == (0, 1, 1)
 
@@ -231,7 +233,7 @@ class TestInducedQuotientMap:
             for fine, coarse in itertools.product(rels, rels):
                 if not fine.leq(coarse):
                     continue
-                q = induced_quotient_map(fine, coarse)
+                q = induced_on_quotients(identity_map(base), fine, coarse)
                 _, p_fine = quotient_by_relation(base, fine)
                 _, p_coarse = quotient_by_relation(base, coarse)
                 for el in range(2 * base.period):

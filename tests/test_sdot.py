@@ -30,7 +30,7 @@ from paracyclic.sdot import (
     zero_complex,
 )
 
-from oracles import oracle_kernel_dim_by_enumeration
+from oracles import oracle_chain_map_rows, oracle_kernel_dim_by_enumeration
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -155,6 +155,27 @@ class TestCone:
             assert euler_characteristic(cone(f)) == (
                 euler_characteristic(y) - euler_characteristic(x)
             )
+
+
+class TestRandomChainMap:
+    @pytest.mark.parametrize("field", [F2, F101, QQ], ids=["F2", "F101", "Q"])
+    def test_samples_the_kernel_of_the_index_loop_system(self, field):
+        """The map is the kernel basis of the loop-built equations, scaled by
+        one random_scalar draw per basis row, and the rng ends in step."""
+        for seed in range(40):
+            rng = random.Random(seed)
+            x = random_complex(rng, field, 4 if seed % 4 else 0)
+            y = random_complex(rng, field)
+            before = rng.getstate()
+            f = random_chain_map(rng, field, x, y)
+            after = rng.getstate()
+            rows, width = oracle_chain_map_rows(x, y)
+            basis = field.right_kernel(field.matrix(rows) if rows else field.zeros(0, width))
+            rng.setstate(before)
+            scales = field.matrix([[field.random_scalar(rng) for _ in range(len(basis))]])
+            flat = np.concatenate([f.f0.reshape(-1), f.f1.reshape(-1)])
+            assert field.equal(flat, field.matmul(scales, basis)[0]), seed
+            assert rng.getstate() == after, seed
 
 
 class TestQuasiIso:
