@@ -1,8 +1,9 @@
 """Command-line front end: enumerations, checks, and the selftest suite.
 
-Every subcommand writes JSON to stdout (or ``--out``); domain errors are
-reported as structured JSON.  Exit codes: 0 on success/pass, 1 when a
-check fails or a domain error occurs, 2 on usage errors.
+Every subcommand writes JSON to stdout (or ``--out``); domain errors,
+malformed JSON and gap text among them, are reported as structured JSON.
+Exit codes: 0 on success/pass, 1 when a check fails or a domain error
+occurs, 2 on usage errors, a flag value that names no valid object included.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .equivalence import (
     rep_mismatches,
     validate_rep,
 )
-from .errors import PackageError
+from .errors import MalformedInput, PackageError
 from .paracat import ParaMap, dualize_map, enumerate_hom
 from .preord import ConvexRelation, ParaPreorder, enumerate_conv
 from .sdot import FilteredObject, random_filtration, rotate, rotation_periodicity_check
@@ -40,16 +41,41 @@ def _emit(data: dict, out: Optional[str]) -> None:
         print(text)
 
 
+def _flag(parse):
+    """An argparse type: ``parse`` of the flag's text, where a ValueError or
+    domain error becomes a usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, PackageError) as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+    return convert
+
+
 def _parse_sizes(text: str) -> ParaPreorder:
     return ParaPreorder(tuple(int(s) for s in text.split(",")))
 
 
+def _natural(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{value} is negative")
+    return value
+
+
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as error:
+        raise MalformedInput(f"input is not JSON: {error}") from None
+
+
 def _load_json_argument(inline: Optional[str], path: Optional[str]) -> dict:
     if inline:
-        return json.loads(inline)
+        return _parse_json(inline)
     if path:
         with open(path) as handle:
-            return json.load(handle)
+            return _parse_json(handle.read())
     raise PackageError("provide input inline or with --in FILE")
 
 
@@ -71,7 +97,7 @@ def cmd_dualize(args) -> int:
 
 
 def cmd_conv(args) -> int:
-    base = _parse_sizes(args.sizes)
+    base = args.sizes
     poset = enumerate_conv(base)
     _emit({
         "sizes": list(base.sizes),
@@ -82,7 +108,7 @@ def cmd_conv(args) -> int:
 
 
 def cmd_point(args) -> int:
-    base = _parse_sizes(args.sizes)
+    base = args.sizes
     point = validate_point(base, args.gaps.split(","))
     n, fixed = fiber_invariants(point)
     _emit({
@@ -94,7 +120,7 @@ def cmd_point(args) -> int:
 
 
 def cmd_strata(args) -> int:
-    base = _parse_sizes(args.sizes)
+    base = args.sizes
     strata = []
     for rel in enumerate_conv(base):
         witness = witness_point(rel)
@@ -109,7 +135,7 @@ def cmd_strata(args) -> int:
 
 def cmd_sections(args) -> int:
     sheaf = StratSheaf.from_json(_load_json_argument(None, args.infile))
-    members = frozenset(tuple(sorted(k)) for k in json.loads(args.upset))
+    members = frozenset(tuple(sorted(k)) for k in _parse_json(args.upset))
     space = sections(sheaf, UpSet(sheaf.base, members))
     _emit({
         "dim": space.dim,
@@ -135,18 +161,17 @@ def cmd_check_adjunction(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     rng = random.Random(args.seed)
-    field = field_from_token(args.field)
     failures = []
     for kind in ("para", "cyc"):
         for trial in range(args.count):
-            rep = random_rep(rng, field, args.N, cyclic=(kind == "cyc"))
+            rep = random_rep(rng, args.field, args.N, cyclic=(kind == "cyc"))
             recovered = recover_rep(realize_system(rep), args.N)
             if rep_mismatches(rep, recovered) or not validate_rep(recovered)["passed"]:
                 failures.append((kind, trial))
     report = {
         "N": args.N,
         "seed": args.seed,
-        "field": str(args.field),
+        "field": args.field.name,
         "trials_per_kind": args.count,
         "passed": not failures,
         "failures": failures,
@@ -160,8 +185,7 @@ def cmd_sdot_rotate(args) -> int:
         filtration = FilteredObject.from_json(_load_json_argument(None, args.infile))
     else:
         rng = random.Random(args.seed)
-        filtration = random_filtration(rng, PrimeField(args.field or 2),
-                                       args.length, max_dim=6)
+        filtration = random_filtration(rng, args.field, args.length, max_dim=6)
     report = rotation_periodicity_check(filtration)
     report["rotated"] = rotate(filtration).to_json()
     _emit(report, args.out)
@@ -191,12 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    sizes = _flag(_parse_sizes)
+
     def common(p):
         p.add_argument("--out", help="write JSON here instead of stdout")
 
     p = sub.add_parser("hom-count", help="count cyclic hom-set representatives")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=_flag(_natural), required=True)
+    p.add_argument("--n", type=_flag(_natural), required=True)
     p.add_argument("--kind", choices=["all", "inj", "surj"], default="all")
     p.add_argument("--cap", type=int, default=10**6)
     common(p)
@@ -209,12 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dualize)
 
     p = sub.add_parser("conv", help="enumerate convex relations of a preorder")
-    p.add_argument("--sizes", required=True, help="class sizes, e.g. 1,1,1")
+    p.add_argument("--sizes", type=sizes, required=True, help="class sizes, e.g. 1,1,1")
     common(p)
     p.set_defaults(func=cmd_conv)
 
     p = sub.add_parser("point", help="validate a gap vector and report its stratum")
-    p.add_argument("--sizes", required=True)
+    p.add_argument("--sizes", type=sizes, required=True)
     p.add_argument("--gaps", required=True,
                    help="comma list, e.g. 3/1,inf; use --gaps=-1/2,inf "
                         "when the first gap is negative")
@@ -222,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_point)
 
     p = sub.add_parser("strata", help="list strata with witness points")
-    p.add_argument("--sizes", required=True)
+    p.add_argument("--sizes", type=sizes, required=True)
     common(p)
     p.set_defaults(func=cmd_strata)
 
@@ -240,15 +266,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stalk)
 
     p = sub.add_parser("check-adjunction", help="verify the localization adjunction")
-    p.add_argument("--N", type=int, default=2)
+    p.add_argument("--N", type=_flag(_natural), default=2)
     p.add_argument("--variant", choices=["para", "cyc"], default="para")
     common(p)
     p.set_defaults(func=cmd_check_adjunction)
 
     p = sub.add_parser("roundtrip", help="representation/sheaf-system round trips")
-    p.add_argument("--N", type=int, default=3)
+    p.add_argument("--N", type=_flag(_natural), default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--field", default="101")
+    p.add_argument("--field", type=_flag(field_from_token), default="101",
+                   help="a prime, or Q for the rationals")
     p.add_argument("--count", type=int, default=5)
     common(p)
     p.set_defaults(func=cmd_roundtrip)
@@ -256,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sdot-rotate", help="rotate a filtration and check periodicity")
     p.add_argument("--in", dest="infile", help="filtration JSON file")
     p.add_argument("--length", type=int, default=2)
-    p.add_argument("--field", type=int, default=2)
+    p.add_argument("--field", type=_flag(lambda text: PrimeField(int(text))), default="2",
+                   help="a prime")
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_sdot_rotate)

@@ -23,6 +23,7 @@ from typing import Optional, Sequence, Tuple
 from .errors import (
     BaseMismatch,
     InfiniteGapInsideClass,
+    MalformedInput,
     NoInfinityGap,
     NotAnArrow,
     UndefinedAtFixedDiagonal,
@@ -62,7 +63,7 @@ def validate_point(base: ParaPreorder, gaps: Sequence) -> CornerPoint:
     """
     gaps = tuple(as_ext(g) for g in gaps)
     if len(gaps) != base.period:
-        raise ValueError(f"expected {base.period} gaps, got {len(gaps)}")
+        raise MalformedInput(f"expected {base.period} gaps, got {len(gaps)}")
     for g in gaps:
         require_upper(g)
     if not any(g.is_pos_inf for g in gaps):

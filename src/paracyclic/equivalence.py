@@ -33,7 +33,7 @@ from .errors import (
     ResourceBound,
     TruncationExceeded,
 )
-from .paracat import CycMap, ParaMap, Parasimplex, classify, compose, enumerate_hom
+from .paracat import ParaMap, Parasimplex, classify, compose, enumerate_hom
 from .preord import (
     ConvexRelation,
     ParaPreorder,
@@ -53,12 +53,6 @@ GapKey = Tuple[int, ...]
 
 # Beyond this many edges build_conv_tilde raises ResourceBound.
 CONV_TILDE_EDGE_CAP = 20000
-
-
-@functools.cache
-def surjection_reps(m: int, n: int) -> Tuple[CycMap, ...]:
-    """Canonical surjection representatives Par(m) -> Par(n), memoized."""
-    return tuple(enumerate_hom(m, n, "surj"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,8 +152,8 @@ def validate_rep(rep: ParaRep) -> dict:
             if not fld.equal(left, right):
                 violations.append(("shift-not-natural", (m, n), values))
     for m, n, p in itertools.product(range(rep.N + 1), repeat=3):
-        for g in surjection_reps(n, p):
-            for f in surjection_reps(m, n):
+        for g in enumerate_hom(n, p, "surj"):
+            for f in enumerate_hom(m, n, "surj"):
                 h = compose(g.rep, f.rep)
                 lhs = fld.matmul(rep.evaluate(g.rep), rep.evaluate(f.rep))
                 rhs = rep.evaluate(h)
@@ -227,32 +221,26 @@ def comparison_map(r: PreordMap, rel: ConvexRelation) -> ParaMap:
 class SheafSystem:
     """Sheaves over a family of preorders plus comparison isomorphisms.
 
-    ``comparisons[key(r)][gap key of E]`` is the iso from the sheaf value
-    over the source at pullback(E) to the sheaf value over the target at E,
-    for each morphism r in the family.
+    ``sheaves[base]`` is the sheaf over each preorder of the family.  The
+    morphisms of the family are the keys of ``comparisons``:
+    ``comparisons[r][gap key of E]`` is the iso from the sheaf value over
+    the source at pullback(E) to the sheaf value over the target at E.
     """
 
     field: Field
-    objects: Tuple[ParaPreorder, ...]
-    sheaves: Mapping[Tuple[int, ...], StratSheaf]
-    morphisms: Tuple[PreordMap, ...]
-    comparisons: Mapping[tuple, Mapping[GapKey, np.ndarray]]
-
-    @staticmethod
-    def morphism_key(r: PreordMap) -> tuple:
-        return (r.src.sizes, r.tgt.sizes, r.values, r.shift)
+    sheaves: Mapping[ParaPreorder, StratSheaf]
+    comparisons: Mapping[PreordMap, Mapping[GapKey, np.ndarray]]
 
     def sheaf_over(self, base: ParaPreorder) -> StratSheaf:
         try:
-            return self.sheaves[base.sizes]
+            return self.sheaves[base]
         except KeyError:
             raise IncompleteSystem(f"no sheaf over {base.sizes}") from None
 
     def comparison(self, r: PreordMap, rel: ConvexRelation) -> np.ndarray:
-        key = self.morphism_key(r)
-        if key not in self.comparisons:
-            raise IncompleteSystem(f"no comparison data for morphism {key}")
-        return self.comparisons[key][gap_key(rel)]
+        if r not in self.comparisons:
+            raise IncompleteSystem(f"no comparison data for morphism {r}")
+        return self.comparisons[r][gap_key(rel)]
 
 
 def realize_system(rep: ParaRep) -> SheafSystem:
@@ -262,34 +250,30 @@ def realize_system(rep: ParaRep) -> SheafSystem:
     """
     objects = [ParaPreorder.from_parasimplex(n) for n in range(rep.N + 1)]
     morphisms = []
-    for tgt_obj in objects:
-        morphisms.append(shift_map(tgt_obj))
-        for src_obj in objects:
-            for c in surjection_reps(src_obj.k, tgt_obj.k):
-                morphisms.append(PreordMap(src_obj, tgt_obj, c.values))
-                morphisms.append(PreordMap(src_obj, tgt_obj, c.values, 1))
-    sheaves = {base.sizes: realize_sheaf(rep, base) for base in objects}
-    comparisons = {}
-    for r in morphisms:
-        table = {}
-        for rel in enumerate_conv(r.tgt):
-            table[gap_key(rel)] = comparison_iso(rep, r, rel)
-        comparisons[SheafSystem.morphism_key(r)] = table
-    return SheafSystem(rep.field, tuple(objects), sheaves, tuple(morphisms), comparisons)
+    for tgt in objects:
+        morphisms.append(shift_map(tgt))
+        for src in objects:
+            for c in enumerate_hom(src.k, tgt.k, "surj"):
+                morphisms.append(PreordMap(src, tgt, c.values))
+                morphisms.append(PreordMap(src, tgt, c.values, 1))
+    sheaves = {base: realize_sheaf(rep, base) for base in objects}
+    comparisons = {
+        r: {gap_key(rel): comparison_iso(rep, r, rel) for rel in enumerate_conv(r.tgt)}
+        for r in morphisms
+    }
+    return SheafSystem(rep.field, sheaves, comparisons)
 
 
 def validate_system(system: SheafSystem) -> dict:
     """Check comparison squares and the cocycle law on composable pairs."""
     violations = []
     fld = system.field
-    by_key = {SheafSystem.morphism_key(r): r for r in system.morphisms}
-    for r in system.morphisms:
+    for r in system.comparisons:
         sheaf_src = system.sheaf_over(r.src)
         sheaf_tgt = system.sheaf_over(r.tgt)
         for rel in enumerate_conv(r.tgt):
-            phi = system.comparison(r, rel)
-            if not fld.is_invertible(phi):
-                violations.append(("comparison-not-iso", SheafSystem.morphism_key(r)))
+            if not fld.is_invertible(system.comparison(r, rel)):
+                violations.append(("comparison-not-iso", r))
         for src_key, dst_key in covering_edges(r.tgt):
             rel_src = ConvexRelation(r.tgt, frozenset(src_key))
             rel_dst = ConvexRelation(r.tgt, frozenset(dst_key))
@@ -300,27 +284,20 @@ def validate_system(system: SheafSystem) -> dict:
             two = fld.matmul(sheaf_tgt.maps[(src_key, dst_key)],
                              system.comparison(r, rel_src))
             if not fld.equal(one, two):
-                violations.append(
-                    ("comparison-square", SheafSystem.morphism_key(r), src_key)
-                )
-    for r2 in system.morphisms:
-        for r in system.morphisms:
+                violations.append(("comparison-square", r, src_key))
+    for r2 in system.comparisons:
+        for r in system.comparisons:
             if r2.tgt != r.src:
                 continue
             composite = compose_preord(r, r2)
-            key = SheafSystem.morphism_key(composite)
-            if key not in system.comparisons:
+            if composite not in system.comparisons:
                 continue
             for rel in enumerate_conv(r.tgt):
-                back = pullback_relation(r, rel)
-                lhs = system.comparisons[key][gap_key(rel)]
+                lhs = system.comparison(composite, rel)
                 rhs = fld.matmul(system.comparison(r, rel),
-                                 system.comparison(r2, back))
+                                 system.comparison(r2, pullback_relation(r, rel)))
                 if not fld.equal(lhs, rhs):
-                    violations.append(
-                        ("cocycle", SheafSystem.morphism_key(r2),
-                         SheafSystem.morphism_key(r), gap_key(rel))
-                    )
+                    violations.append(("cocycle", r2, r, gap_key(rel)))
     return {"passed": not violations, "violations": violations}
 
 
@@ -333,36 +310,23 @@ def recover_rep(system: SheafSystem, N: int) -> ParaRep:
     the comparison; the shift matrix is the comparison of the shift
     automorphism at the least stratum.
     """
-    bases = []
-    for n in range(N + 1):
-        base = ParaPreorder.from_parasimplex(n)
-        if base.sizes not in system.sheaves:
-            raise IncompleteSystem(f"system lacks a sheaf over Par({n})")
-        bases.append(base)
+    bases = [ParaPreorder.from_parasimplex(n) for n in range(N + 1)]
+    sheaves = [system.sheaf_over(base) for base in bases]
+    least = [least_relation(base) for base in bases]
     fld = system.field
-    dims = tuple(
-        system.sheaf_over(bases[n]).dims[gap_key(least_relation(bases[n]))]
-        for n in range(N + 1)
-    )
+    dims = tuple(sheaf.dims[gap_key(rel)] for sheaf, rel in zip(sheaves, least))
     gen: Dict[Tuple[int, int], Dict[Tuple[int, ...], np.ndarray]] = {}
-    for m in range(N + 1):
-        for n in range(N + 1):
-            table = {}
-            for c in surjection_reps(m, n):
-                r = PreordMap(bases[m], bases[n], c.values)
-                kernel = pullback_relation(r, least_relation(bases[n]))
-                sheaf_m = system.sheaf_over(bases[m])
-                structure = sheaf_m.edge_map(
-                    gap_key(least_relation(bases[m])), gap_key(kernel)
-                )
-                phi = system.comparison(r, least_relation(bases[n]))
-                table[c.values] = fld.matmul(phi, structure)
-            if table:
-                gen[(m, n)] = table
-    shifts = tuple(
-        system.comparison(shift_map(bases[n]), least_relation(bases[n]))
-        for n in range(N + 1)
-    )
+    for m, n in itertools.product(range(N + 1), repeat=2):
+        table = {}
+        for c in enumerate_hom(m, n, "surj"):
+            r = PreordMap(bases[m], bases[n], c.values)
+            kernel = pullback_relation(r, least[n])
+            structure = sheaves[m].edge_map(gap_key(least[m]), gap_key(kernel))
+            table[c.values] = fld.matmul(system.comparison(r, least[n]), structure)
+        if table:
+            gen[(m, n)] = table
+    shifts = tuple(system.comparison(shift_map(base), rel)
+                   for base, rel in zip(bases, least))
     return ParaRep(N, fld, dims, gen, shifts)
 
 
@@ -435,16 +399,14 @@ def induced_on_quotients(r: PreordMap, rel_src: ConvexRelation,
 @functools.cache
 def build_conv_tilde(N: int) -> ConvTilde:
     """All objects with period <= N, with relation-respecting morphisms; memoized."""
-    bases = preorders_up_to(N)
-    rels = [((base.sizes, gap_key(rel)), rel) for base in bases for rel in enumerate_conv(base)]
-    maps = {(src.sizes, tgt.sizes): enumerate_preord_maps(src, tgt)
-            for src in bases for tgt in bases}
+    rels = [((base.sizes, gap_key(rel)), rel)
+            for base in preorders_up_to(N) for rel in enumerate_conv(base)]
     edges = []
     for (src_obj, rel_src), (tgt_obj, rel_tgt) in itertools.product(rels, repeat=2):
         # the induced quotient map is onto, so it is invertible exactly
         # when the two quotients have the same size
         cartesian = len(rel_src.gaps) == len(rel_tgt.gaps)
-        for r in maps[(src_obj[0], tgt_obj[0])]:
+        for r in enumerate_preord_maps(rel_src.base, rel_tgt.base):
             if respects_relations(r, rel_src, rel_tgt):
                 edges.append(ConvTildeEdge(src_obj, tgt_obj, r, cartesian))
                 if len(edges) > CONV_TILDE_EDGE_CAP:
@@ -502,7 +464,7 @@ def check_localization_adjunction(N: int, variant: str = "para") -> dict:
         least_j = (j_obj.sizes, gap_key(least_relation(j_obj)))
         least_jp = (j_prime.sizes, gap_key(least_relation(j_prime)))
         conv_homs = homs.get((least_j, least_jp), set())
-        surj_homs = {c.values for c in surjection_reps(j_obj.k, j_prime.k)}
+        surj_homs = {c.values for c in enumerate_hom(j_obj.k, j_prime.k, "surj")}
         if conv_homs != surj_homs:
             failures.append(("not-fully-faithful", j_obj.sizes, j_prime.sizes))
 
@@ -555,13 +517,13 @@ def cell_rep(j: int, scale, field: Field, N: int) -> ParaRep:
     to the power of the shift offset, so the shift matrix is scale times
     the identity.
     """
-    basis = {n: [c.values for c in surjection_reps(j, n)] for n in range(N + 1)}
+    basis = {n: [c.values for c in enumerate_hom(j, n, "surj")] for n in range(N + 1)}
     dims = tuple(len(basis[n]) for n in range(N + 1))
     gen = {}
     for m in range(N + 1):
         for n in range(N + 1):
             table = {}
-            for c in surjection_reps(m, n):
+            for c in enumerate_hom(m, n, "surj"):
                 mat = field.zeros(dims[n], dims[m])
                 for col, b_values in enumerate(basis[m]):
                     composite = compose(c.rep, ParaMap(j, m, b_values))
@@ -584,7 +546,7 @@ def character_rep(scale, field: Field, N: int) -> ParaRep:
             value = field.scalar_power(scale, m - n)
             gen[(m, n)] = {
                 c.values: field.scalar_matrix(value, 1)
-                for c in surjection_reps(m, n)
+                for c in enumerate_hom(m, n, "surj")
             }
     shifts = tuple(field.identity(1) for _ in range(N + 1))
     return ParaRep(N, field, dims, gen, shifts)
@@ -593,40 +555,34 @@ def character_rep(scale, field: Field, N: int) -> ParaRep:
 def constant_rep(dim: int, field: Field, N: int) -> ParaRep:
     dims = (dim,) * (N + 1)
     gen = {
-        (m, n): {c.values: field.identity(dim) for c in surjection_reps(m, n)}
+        (m, n): {c.values: field.identity(dim) for c in enumerate_hom(m, n, "surj")}
         for m in range(N + 1) for n in range(N + 1)
     }
     shifts = tuple(field.identity(dim) for _ in range(N + 1))
     return ParaRep(N, field, dims, gen, shifts)
 
 
+def _block_diagonal(field: Field, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    out = field.zeros(sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks))
+    row = col = 0
+    for b in blocks:
+        out[row:row + b.shape[0], col:col + b.shape[1]] = b
+        row += b.shape[0]
+        col += b.shape[1]
+    return out
+
+
 def direct_sum(reps: Sequence[ParaRep]) -> ParaRep:
     first = reps[0]
     field, N = first.field, first.N
     dims = tuple(sum(r.dims[n] for r in reps) for n in range(N + 1))
-    gen = {}
-    for m in range(N + 1):
-        for n in range(N + 1):
-            table = {}
-            for c in surjection_reps(m, n):
-                mat = field.zeros(dims[n], dims[m])
-                ro = co = 0
-                for r in reps:
-                    block = r.gen[(m, n)][c.values]
-                    mat[ro:ro + r.dims[n], co:co + r.dims[m]] = block
-                    ro += r.dims[n]
-                    co += r.dims[m]
-                table[c.values] = mat
-            gen[(m, n)] = table
-    shifts = []
-    for n in range(N + 1):
-        t = field.zeros(dims[n], dims[n])
-        ro = 0
-        for r in reps:
-            t[ro:ro + r.dims[n], ro:ro + r.dims[n]] = r.shifts[n]
-            ro += r.dims[n]
-        shifts.append(t)
-    return ParaRep(N, field, dims, gen, tuple(shifts))
+    gen = {
+        (m, n): {c.values: _block_diagonal(field, [r.gen[(m, n)][c.values] for r in reps])
+                 for c in enumerate_hom(m, n, "surj")}
+        for m in range(N + 1) for n in range(N + 1)
+    }
+    shifts = tuple(_block_diagonal(field, [r.shifts[n] for r in reps]) for n in range(N + 1))
+    return ParaRep(N, field, dims, gen, shifts)
 
 
 def conjugate_rep(rep: ParaRep, conjugators: Sequence[np.ndarray]) -> ParaRep:

@@ -29,6 +29,10 @@ class NotEssentiallySurjective(PackageError):
     """A preorder map whose induced map on equivalence classes is not onto."""
 
 
+class MalformedInput(PackageError, ValueError):
+    """Text or JSON input that does not describe an object of the package."""
+
+
 class ResourceBound(PackageError):
     """An enumeration would exceed the configured cap, or an input exceeds a
     bound under which the computation is exact."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import UndefinedExtOp
+from .errors import MalformedInput, UndefinedExtOp
 
 _FIN, _POS, _NEG = 0, 1, -1
 
@@ -110,10 +110,14 @@ class ExtReal:
             return POS_INF
         if text == "-inf":
             return NEG_INF
-        if "/" in text:
-            num, den = text.split("/")
-            return cls(Fraction(int(num), int(den)))
-        return cls(Fraction(int(text)))
+        try:
+            if "/" in text:
+                num, den = text.split("/")
+                return cls(Fraction(int(num), int(den)))
+            return cls(Fraction(int(text)))
+        except (ValueError, ZeroDivisionError):
+            raise MalformedInput(
+                f"{text!r} is not inf, -inf, an integer or p/q with q != 0") from None
 
     def __repr__(self):
         return f"ExtReal({self.token()!r})"

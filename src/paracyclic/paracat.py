@@ -20,12 +20,13 @@ its 2(n + 1)-th power is the identity on the endomorphisms of Par(n).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import List, Literal, Sequence, Tuple
+from typing import Literal, Sequence, Tuple
 
-from .errors import NotMonotone, ResourceBound, TypeMismatch
+from .errors import MalformedInput, NotMonotone, ResourceBound, TypeMismatch
 
 DEFAULT_HOM_CAP = 10**6
 
@@ -49,7 +50,7 @@ class Parasimplex:
     def abs_of(self, element: Sequence[int]) -> int:
         period, slot = element
         if not 0 <= slot <= self.n:
-            raise ValueError(f"slot {slot} out of range for Par({self.n})")
+            raise MalformedInput(f"slot {slot} out of range for Par({self.n})")
         return period * self.period + slot
 
     def element_of(self, abs_index: int) -> Tuple[int, int]:
@@ -216,11 +217,13 @@ def hom_count(m: int, n: int, kind: Kind = "all") -> int:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def enumerate_hom(m: int, n: int, kind: Kind = "all", cap: int = DEFAULT_HOM_CAP) -> List[CycMap]:
-    """Duplicate-free list of canonical representatives of
-    Hom(Par(m), Par(n)) / shift, capped by the size of the whole hom-set.
+@functools.cache
+def enumerate_hom(m: int, n: int, kind: Kind = "all",
+                  cap: int = DEFAULT_HOM_CAP) -> Tuple[CycMap, ...]:
+    """Duplicate-free canonical representatives of Hom(Par(m), Par(n)) /
+    shift, capped by the size of the whole hom-set; memoized.
 
-    The full paracyclic hom-set is this list times the shift action.
+    The full paracyclic hom-set is this tuple times the shift action.
     """
     if m < 0 or n < 0:
         raise ValueError("objects need m, n >= 0")
@@ -244,7 +247,7 @@ def enumerate_hom(m: int, n: int, kind: Kind = "all", cap: int = DEFAULT_HOM_CAP
             if kind == "surj" and {v % tgt_period for v in values} != set(range(tgt_period)):
                 continue
             out.append(CycMap(m, n, values))
-    return out
+    return tuple(out)
 
 
 def dualize_map(f: ParaMap) -> ParaMap:

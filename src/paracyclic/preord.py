@@ -17,6 +17,7 @@ non-empty subsets of {0, ..., k} under reverse inclusion.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -250,24 +251,6 @@ def least_relation(base: ParaPreorder) -> ConvexRelation:
     return ConvexRelation(base, frozenset(range(base.num_classes)))
 
 
-@dataclass(frozen=True)
-class ConvPoset:
-    """The poset of convex relations on a base, ordered by inclusion."""
-
-    base: ParaPreorder
-    members: Tuple[ConvexRelation, ...]
-
-    @property
-    def least(self) -> ConvexRelation:
-        return least_relation(self.base)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
 def preorders_up_to(period: int) -> List[ParaPreorder]:
     """Every preorder with period at most ``period``, as the class sizes of
     each composition of each period, shorter periods first."""
@@ -286,14 +269,16 @@ def preorders_up_to(period: int) -> List[ParaPreorder]:
     return out
 
 
-def enumerate_conv(base: ParaPreorder) -> ConvPoset:
-    """All convex relations: non-empty subsets of the k + 1 class boundaries."""
+@functools.cache
+def enumerate_conv(base: ParaPreorder) -> Tuple[ConvexRelation, ...]:
+    """All convex relations, the non-empty subsets of the k + 1 class
+    boundaries, largest gap sets first (the least relation leads); memoized."""
     boundaries = range(base.num_classes)
     members = []
     for size in range(base.num_classes, 0, -1):
         for gaps in itertools.combinations(boundaries, size):
             members.append(ConvexRelation(base, frozenset(gaps)))
-    return ConvPoset(base, tuple(members))
+    return tuple(members)
 
 
 def quotient_by_sim(base: ParaPreorder) -> Tuple[Parasimplex, PreordMap]:
@@ -328,10 +313,11 @@ def pullback_relation(r: PreordMap, rel: ConvexRelation) -> ConvexRelation:
     return ConvexRelation(src, frozenset(gaps))
 
 
-def enumerate_preord_maps(src: ParaPreorder, tgt: ParaPreorder) -> List[PreordMap]:
-    """Canonical representatives of all morphisms src -> tgt.
+@functools.cache
+def enumerate_preord_maps(src: ParaPreorder, tgt: ParaPreorder) -> Tuple[PreordMap, ...]:
+    """Canonical representatives of all morphisms src -> tgt; memoized.
 
-    The full hom-set is this list times the shift action (postcomposition
+    The full hom-set is this tuple times the shift action (postcomposition
     with powers of the shift).
     """
     found: List[PreordMap] = []
@@ -357,7 +343,7 @@ def enumerate_preord_maps(src: ParaPreorder, tgt: ParaPreorder) -> List[PreordMa
                 extend(prefix + (v,))
 
     extend(())
-    return found
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------

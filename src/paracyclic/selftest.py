@@ -318,15 +318,11 @@ def criterion_5(seed: int = 0) -> dict:
     """Corner-space functoriality for fundamental-domain periods <= 3."""
     rng = random.Random(seed)
     bases = preorders_up_to(3)
-    maps = {
-        (src.sizes, tgt.sizes): enumerate_preord_maps(src, tgt)
-        for src in bases for tgt in bases
-    }
     points = {base.sizes: _sample_points(rng, base) for base in bases}
     failures = []
     for src in bases:
         for tgt in bases:
-            for r in maps[(src.sizes, tgt.sizes)]:
+            for r in enumerate_preord_maps(src, tgt):
                 for point in points[tgt.sizes]:
                     pulled = pullback_point(r, point)
                     if stratum_of(pulled) != pullback_relation(r, stratum_of(point)):
@@ -334,8 +330,8 @@ def criterion_5(seed: int = 0) -> dict:
     for a in bases:
         for b in bases:
             for c in bases:
-                for f in maps[(a.sizes, b.sizes)][:3]:
-                    for g in maps[(b.sizes, c.sizes)][:3]:
+                for f in enumerate_preord_maps(a, b)[:3]:
+                    for g in enumerate_preord_maps(b, c)[:3]:
                         gf = compose_preord(g, f)
                         for point in points[c.sizes][:4]:
                             if pullback_point(f, pullback_point(g, point)) != (

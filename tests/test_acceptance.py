@@ -15,6 +15,7 @@ one of them.
 ``test_criterion_3_duality_involution`` checks the exact law instead.
 """
 
+import json
 import subprocess
 import sys
 import time
@@ -107,12 +108,15 @@ def test_criterion_9_rotation_periodicity():
 _SELFTEST_CACHE = {}
 
 
-def _run_selftest_cli(seed, fresh=False):
+def _run_selftest_cli(seed, fresh=False, out=None):
     if not fresh and seed in _SELFTEST_CACHE:
         return _SELFTEST_CACHE[seed]
+    command = [sys.executable, "-m", "paracyclic.cli", "selftest", "--seed", str(seed)]
+    if out is not None:
+        command += ["--out", str(out)]
     start = time.perf_counter()
     result = subprocess.run(
-        [sys.executable, "-m", "paracyclic.cli", "selftest", "--seed", str(seed)],
+        command,
         capture_output=True,
         text=True,
         timeout=600,
@@ -121,13 +125,17 @@ def _run_selftest_cli(seed, fresh=False):
     return _SELFTEST_CACHE[seed]
 
 
-def test_criterion_10_selftest_runs_end_to_end_deterministically():
-    first, elapsed = _run_selftest_cli(7)
-    second, _ = _run_selftest_cli(7, fresh=True)
+def test_criterion_10_selftest_runs_end_to_end_deterministically(tmp_path):
+    reports = [tmp_path / "first.json", tmp_path / "second.json"]
+    first, elapsed = _run_selftest_cli(7, fresh=True, out=reports[0])
+    second, _ = _run_selftest_cli(7, fresh=True, out=reports[1])
     print(f"criterion 10 (run + determinism): PASS ({elapsed:.0f}s)")
     for number in range(1, 10):
         assert f"criterion {number}:" in first.stdout
     assert first.stdout == second.stdout, "selftest output is not deterministic"
+    report = reports[0].read_bytes()
+    assert [r["id"] for r in json.loads(report)["reports"]] == list(range(1, 10))
+    assert report == reports[1].read_bytes(), "selftest --out report is not deterministic"
     assert elapsed < 300, "selftest exceeded the five-minute budget"
 
 

@@ -215,3 +215,28 @@ class TestUsageErrors:
             capture_output=True,
         )
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("args", [
+        ["roundtrip", "--field", "4"],
+        ["sdot-rotate", "--field", "4"],
+        ["sdot-rotate", "--field", "0"],
+        ["strata", "--sizes", "1,-1"],
+        ["hom-count", "--m", "-1", "--n", "1"],
+    ])
+    def test_bad_flag_value_exits_2(self, args, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 2
+        assert f"argument {args[1]}" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("args", [
+        ["point", "--sizes", "1,1", "--gaps", "1/0,inf"],
+        ["point", "--sizes", "1,1", "--gaps", "abc,inf"],
+        ["dualize", "--map", '{"m":0,"n":1,"values":[[0,5]],"shift":0}'],
+        ["dualize", "--map", '{"m":0,'],
+    ])
+    def test_domain_error_as_json(self, args, capsys):
+        code, data = run_cli_json(args, capsys)
+        assert code == 1 and data["error"]["type"] == "MalformedInput"

@@ -121,7 +121,7 @@ class TestStratum:
 
     def test_stratum_lands_in_conv(self):
         for base in small_preorders():
-            members = set(enumerate_conv(base).members)
+            members = set(enumerate_conv(base))
             for rel in enumerate_conv(base):
                 assert stratum_of(witness_point(rel)) in members
 

@@ -20,11 +20,11 @@ from paracyclic.equivalence import (
     realize_sheaf,
     realize_system,
     recover_rep,
-    surjection_reps,
     validate_rep,
     validate_system,
 )
 from paracyclic.errors import TruncationExceeded
+from paracyclic.paracat import enumerate_hom
 from paracyclic.preord import (
     ConvexRelation,
     ParaPreorder,
@@ -65,7 +65,7 @@ class TestValidateRep:
         rng = random.Random(0)
         rep = constant_rep(2, F101, 2)
         gen = {key: dict(table) for key, table in rep.gen.items()}
-        victim = surjection_reps(2, 1)[0]
+        victim = enumerate_hom(2, 1, "surj")[0]
         gen[(2, 1)][victim.values] = F101.random_matrix(rng, 2, 2)
         broken = ParaRep(2, F101, rep.dims, gen, rep.shifts)
         report = validate_rep(broken)
@@ -160,22 +160,20 @@ class TestSystemAndRoundTrip:
         rep = random_rep(rng, F101, 2)
         system = realize_system(rep)
         victim = next(
-            r for r in system.morphisms
+            r for r in system.comparisons
             if r.src.k == 2 and r.tgt.k == 1 and r.shift == 0
         )
-        key = SheafSystem.morphism_key(victim)
-        comparisons = {k: dict(v) for k, v in system.comparisons.items()}
+        comparisons = {r: dict(table) for r, table in system.comparisons.items()}
         target = gap_key(least_relation(victim.tgt))
-        comparisons[key][target] = (2 * comparisons[key][target]) % 101
-        broken = SheafSystem(
-            system.field, system.objects, system.sheaves,
-            system.morphisms, comparisons,
-        )
+        comparisons[victim][target] = (2 * comparisons[victim][target]) % 101
+        broken = SheafSystem(system.field, system.sheaves, comparisons)
         recovered = recover_rep(broken, 2)
         report = validate_rep(recovered)
         assert not report["passed"]
         named = [v for v in report["violations"] if v[0] == "composition"]
         assert named, report["violations"]
+        kinds = {v[0] for v in validate_system(broken)["violations"]}
+        assert {"comparison-square", "cocycle"} <= kinds, kinds
 
     def test_pullback_of_realized_agrees_via_comparisons(self):
         rng = random.Random(11)

@@ -20,7 +20,7 @@ from paracyclic.equivalence import (
     realize_system,
     recover_rep,
 )
-from paracyclic.errors import NotMonotone
+from paracyclic.errors import NotAComplex, NotMonotone
 from paracyclic.paracat import ParaMap
 from paracyclic.preord import ParaPreorder, enumerate_conv, preorders_up_to
 from paracyclic.sdot import face, random_filtration
@@ -238,3 +238,13 @@ def test_cones_of_single_steps_are_caught(monkeypatch):
     filt = random_filtration(random.Random(38), PrimeField(101), 3)
     with pytest.raises(ValueError, match="does not connect"):
         face(filt, 0)
+
+
+def test_shift_without_negation_is_caught(monkeypatch):
+    """``sdot.shift`` that swaps the degrees but keeps the signs.  Over F_2
+    the two agree, so only an odd characteristic can catch it: the
+    connecting map of a cone then stops commuting with the differentials."""
+    monkeypatch.setattr(sdot, "shift", lambda x: sdot.TwoPeriodicComplex(x.field, x.d1, x.d0))
+    filt = random_filtration(random.Random(0), PrimeField(101), 3)
+    with pytest.raises(NotAComplex):
+        sdot.rotate(filt)

@@ -132,7 +132,8 @@ class TestEnumerateConv:
     def test_point(self):
         poset = enumerate_conv(PAR0)
         assert len(poset) == 1
-        assert poset.least.gaps == frozenset({0})
+        assert poset[0] == least_relation(PAR0)
+        assert poset[0].gaps == frozenset({0})
 
     @pytest.mark.parametrize("sizes", [(1,), (2, 1), (1, 1, 1), (2, 2, 1, 1)])
     def test_size_formula(self, sizes):
@@ -141,8 +142,9 @@ class TestEnumerateConv:
 
     def test_least_element_below_everything(self):
         poset = enumerate_conv(PAR2)
+        assert poset[0] == least_relation(PAR2)
         for rel in poset:
-            assert poset.least.leq(rel)
+            assert least_relation(PAR2).leq(rel)
 
     def test_gap_count_matches_quotient(self):
         for rel in enumerate_conv(PAR2):

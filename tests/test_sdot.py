@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from paracyclic import sdot
 from paracyclic._linalg import PrimeField, QQ
 from paracyclic.errors import IndexOutOfRange, NotAComplex
 from paracyclic.sdot import (
@@ -337,6 +338,22 @@ class TestRotate:
         report = rotation_periodicity_check(filt)
         assert report["double_rotation_is_identity"]
         assert report["certificate_is_quasi_iso"]
+
+    def test_length_one_certificate_fails_on_a_wrong_double_rotation(self, monkeypatch):
+        # a rotation that also doubles d0 keeps the homology, so the
+        # fingerprints agree, but the double rotation carries 4 d0 and the
+        # identity is then no chain map back to the input
+        def scaling_rotate(filt):
+            x = filt.objects[0]
+            scaled = TwoPeriodicComplex(x.field, x.field.reduce(2 * x.d0), x.d1)
+            return FilteredObject(filt.field, (shift(scaled),), ())
+
+        monkeypatch.setattr(sdot, "rotate", scaling_rotate)
+        x = TwoPeriodicComplex(F101, F101.matrix([[1]]), F101.zeros(1, 1))
+        report = rotation_periodicity_check(FilteredObject(F101, (x,), ()))
+        assert report["fingerprint_before"] == report["fingerprint_after"]
+        assert not report["double_rotation_is_identity"]
+        assert not report["certificate_is_quasi_iso"]
 
     def test_fault_injected_rotation_detected(self):
         # a broken rotation that forgets to shift the carried-over first
