@@ -1,7 +1,8 @@
 """Command-line front end: enumerations, checks, and the selftest suite.
 
 Every subcommand writes JSON to stdout (or ``--out``); domain errors,
-malformed JSON and gap text among them, are reported as structured JSON.
+malformed or misshapen JSON and gap text among them, are reported as
+structured JSON.
 Exit codes: 0 on success/pass, 1 when a check fails or a domain error
 occurs, 2 on usage errors, a flag value that names no valid object included.
 """
@@ -15,7 +16,7 @@ import sys
 from typing import Optional
 
 from ._linalg import PrimeField, field_from_token
-from .consheaf import StratSheaf, UpSet, gap_key, sections, stalk
+from .consheaf import StratSheaf, UpSet, sections, stalk
 from .corner import fiber_invariants, stratum_of, validate_point, witness_point
 from .equivalence import (
     check_localization_adjunction,
@@ -29,7 +30,7 @@ from .errors import MalformedInput, PackageError
 from .paracat import ParaMap, dualize_map, enumerate_hom
 from .preord import ConvexRelation, ParaPreorder, enumerate_conv
 from .sdot import FilteredObject, random_filtration, rotate, rotation_periodicity_check
-from .selftest import run_all
+from .selftest import CRITERIA, run_all
 
 
 def _emit(data: dict, out: Optional[str]) -> None:
@@ -56,26 +57,42 @@ def _parse_sizes(text: str) -> ParaPreorder:
     return ParaPreorder(tuple(int(s) for s in text.split(",")))
 
 
-def _natural(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"{value} is negative")
-    return value
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"{value} is below {low}")
+        return value
+    return parse
 
 
-def _parse_json(text: str):
+def _criteria(text: str) -> list:
+    chosen = [int(x) for x in text.split(",")]
+    if not set(chosen) <= set(CRITERIA):
+        raise ValueError(f"criteria are numbered {min(CRITERIA)}-{max(CRITERIA)}")
+    return chosen
+
+
+def _parse_json(text: str, decode):
+    """``decode`` of the JSON ``text``.  Text that is not JSON, or JSON of
+    the wrong structure, on which ``decode`` raises a KeyError, TypeError or
+    ValueError, is MalformedInput; domain errors pass through."""
     try:
-        return json.loads(text)
+        return decode(json.loads(text))
+    except PackageError:
+        raise
     except json.JSONDecodeError as error:
         raise MalformedInput(f"input is not JSON: {error}") from None
+    except (KeyError, TypeError, ValueError) as error:
+        raise MalformedInput(f"input has the wrong structure: {error!r}") from None
 
 
-def _load_json_argument(inline: Optional[str], path: Optional[str]) -> dict:
+def _load_json_argument(inline: Optional[str], path: Optional[str], decode):
     if inline:
-        return _parse_json(inline)
+        return _parse_json(inline, decode)
     if path:
         with open(path) as handle:
-            return _parse_json(handle.read())
+            return _parse_json(handle.read(), decode)
     raise PackageError("provide input inline or with --in FILE")
 
 
@@ -90,8 +107,7 @@ def cmd_hom_count(args) -> int:
 
 
 def cmd_dualize(args) -> int:
-    data = _load_json_argument(args.map, getattr(args, "infile", None))
-    f = ParaMap.from_json(data)
+    f = _load_json_argument(args.map, getattr(args, "infile", None), ParaMap.from_json)
     _emit({"input": f.to_json(), "dual": dualize_map(f).to_json()}, args.out)
     return 0
 
@@ -134,8 +150,8 @@ def cmd_strata(args) -> int:
 
 
 def cmd_sections(args) -> int:
-    sheaf = StratSheaf.from_json(_load_json_argument(None, args.infile))
-    members = frozenset(tuple(sorted(k)) for k in _parse_json(args.upset))
+    sheaf = _load_json_argument(None, args.infile, StratSheaf.from_json)
+    members = _parse_json(args.upset, lambda keys: frozenset(tuple(sorted(k)) for k in keys))
     space = sections(sheaf, UpSet(sheaf.base, members))
     _emit({
         "dim": space.dim,
@@ -146,7 +162,7 @@ def cmd_sections(args) -> int:
 
 
 def cmd_stalk(args) -> int:
-    sheaf = StratSheaf.from_json(_load_json_argument(None, args.infile))
+    sheaf = _load_json_argument(None, args.infile, StratSheaf.from_json)
     gaps = frozenset(int(b) for b in args.gaps.split(","))
     value = stalk(sheaf, ConvexRelation(sheaf.base, gaps))
     _emit({"gaps": sorted(gaps), "dim": value.dim}, args.out)
@@ -182,7 +198,7 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_sdot_rotate(args) -> int:
     if args.infile:
-        filtration = FilteredObject.from_json(_load_json_argument(None, args.infile))
+        filtration = _load_json_argument(None, args.infile, FilteredObject.from_json)
     else:
         rng = random.Random(args.seed)
         filtration = random_filtration(rng, args.field, args.length, max_dim=6)
@@ -193,8 +209,7 @@ def cmd_sdot_rotate(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    only = [int(x) for x in args.only.split(",")] if args.only else None
-    result = run_all(seed=args.seed, only=only)
+    result = run_all(seed=args.seed, only=args.only)
     for report in result["reports"]:
         verdict = "PASS" if report["passed"] else "FAIL"
         print(f"criterion {report['id']}: {verdict} - {report['title']}")
@@ -221,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write JSON here instead of stdout")
 
     p = sub.add_parser("hom-count", help="count cyclic hom-set representatives")
-    p.add_argument("--m", type=_flag(_natural), required=True)
-    p.add_argument("--n", type=_flag(_natural), required=True)
+    p.add_argument("--m", type=_flag(_at_least(0)), required=True)
+    p.add_argument("--n", type=_flag(_at_least(0)), required=True)
     p.add_argument("--kind", choices=["all", "inj", "surj"], default="all")
     p.add_argument("--cap", type=int, default=10**6)
     common(p)
@@ -266,17 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stalk)
 
     p = sub.add_parser("check-adjunction", help="verify the localization adjunction")
-    p.add_argument("--N", type=_flag(_natural), default=2)
+    p.add_argument("--N", type=_flag(_at_least(0)), default=2)
     p.add_argument("--variant", choices=["para", "cyc"], default="para")
     common(p)
     p.set_defaults(func=cmd_check_adjunction)
 
     p = sub.add_parser("roundtrip", help="representation/sheaf-system round trips")
-    p.add_argument("--N", type=_flag(_natural), default=3)
+    p.add_argument("--N", type=_flag(_at_least(0)), default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", type=_flag(field_from_token), default="101",
                    help="a prime, or Q for the rationals")
-    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--count", type=_flag(_at_least(1)), default=5)
     common(p)
     p.set_defaults(func=cmd_roundtrip)
 
@@ -291,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the full verification suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--only", help="comma list of criterion numbers")
+    p.add_argument("--only", type=_flag(_criteria), help="comma list of criterion numbers")
     common(p)
     p.set_defaults(func=cmd_selftest)
 

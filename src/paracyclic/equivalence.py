@@ -190,13 +190,8 @@ def realize_sheaf(rep: ParaRep, base: ParaPreorder) -> StratSheaf:
 
 def _quotient_class_representatives(rel: ConvexRelation) -> List[int]:
     """One period-zero element per quotient class, in quotient order."""
-    base = rel.base
-    reps = {}
-    for slot in range(base.period):
-        cls = rel.quotient_class(slot)
-        if 0 <= cls < rel.num_quotient_classes and cls not in reps:
-            reps[cls] = slot
-    return [reps[c] for c in range(rel.num_quotient_classes)]
+    classes = [rel.quotient_class(slot) for slot in range(rel.base.period)]
+    return [classes.index(c) for c in range(rel.num_quotient_classes)]
 
 
 def comparison_iso(rep: ParaRep, r: PreordMap, rel: ConvexRelation) -> np.ndarray:
@@ -349,15 +344,16 @@ def rep_mismatches(rep: ParaRep, recovered: ParaRep) -> list:
 
 @dataclass(frozen=True)
 class ConvTildeEdge:
-    src: Tuple[Tuple[int, ...], GapKey]
-    tgt: Tuple[Tuple[int, ...], GapKey]
+    src: ConvexRelation
+    tgt: ConvexRelation
     map: PreordMap
     cartesian: bool
 
 
 @dataclass(frozen=True)
 class ConvTilde:
-    """Objects (preorder, relation) and morphisms compatible with relations.
+    """Objects (preorder, relation), held as relations over their preorders,
+    and morphisms compatible with relations.
 
     Morphisms are listed by canonical representative; in the paracyclic
     variant the full hom-sets are representatives times the shift action,
@@ -367,22 +363,20 @@ class ConvTilde:
     """
 
     N: int
-    objects: Tuple[Tuple[Tuple[int, ...], GapKey], ...]
+    objects: Tuple[ConvexRelation, ...]
     edges: Tuple[ConvTildeEdge, ...]
 
     @property
     def marked(self) -> frozenset:
-        """The (src, tgt, map) key of every Cartesian edge."""
-        return frozenset((e.src, e.tgt, e.map) for e in self.edges if e.cartesian)
+        """The (src, tgt, map values) key of every Cartesian edge."""
+        return frozenset((e.src, e.tgt, e.map.values) for e in self.edges if e.cartesian)
 
 
 def respects_relations(r: PreordMap, rel_src: ConvexRelation,
                        rel_tgt: ConvexRelation) -> bool:
-    """Whether r descends to a map of quotients I/E -> J/E'."""
-    for slot in range(r.src.period):
-        if rel_src.related(slot, slot + 1) and not rel_tgt.related(r(slot), r(slot + 1)):
-            return False
-    return True
+    """Whether r descends to a map of quotients I/E -> J/E': E lies in the
+    pullback of E'."""
+    return rel_src.leq(pullback_relation(r, rel_tgt))
 
 
 def induced_on_quotients(r: PreordMap, rel_src: ConvexRelation,
@@ -396,22 +390,26 @@ def induced_on_quotients(r: PreordMap, rel_src: ConvexRelation,
     )
 
 
+def _named(rel: ConvexRelation) -> Tuple[Tuple[int, ...], GapKey]:
+    """How a failure names a conv-tilde object: (class sizes, gap key)."""
+    return rel.base.sizes, gap_key(rel)
+
+
 @functools.cache
 def build_conv_tilde(N: int) -> ConvTilde:
     """All objects with period <= N, with relation-respecting morphisms; memoized."""
-    rels = [((base.sizes, gap_key(rel)), rel)
-            for base in preorders_up_to(N) for rel in enumerate_conv(base)]
+    rels = tuple(rel for base in preorders_up_to(N) for rel in enumerate_conv(base))
     edges = []
-    for (src_obj, rel_src), (tgt_obj, rel_tgt) in itertools.product(rels, repeat=2):
+    for rel_src, rel_tgt in itertools.product(rels, repeat=2):
         # the induced quotient map is onto, so it is invertible exactly
         # when the two quotients have the same size
         cartesian = len(rel_src.gaps) == len(rel_tgt.gaps)
         for r in enumerate_preord_maps(rel_src.base, rel_tgt.base):
             if respects_relations(r, rel_src, rel_tgt):
-                edges.append(ConvTildeEdge(src_obj, tgt_obj, r, cartesian))
+                edges.append(ConvTildeEdge(rel_src, rel_tgt, r, cartesian))
                 if len(edges) > CONV_TILDE_EDGE_CAP:
                     raise ResourceBound(f"edge enumeration exceeded cap {CONV_TILDE_EDGE_CAP}")
-    return ConvTilde(N, tuple(obj for obj, _ in rels), tuple(edges))
+    return ConvTilde(N, rels, tuple(edges))
 
 
 def check_localization_adjunction(N: int, variant: str = "para") -> dict:
@@ -428,32 +426,27 @@ def check_localization_adjunction(N: int, variant: str = "para") -> dict:
           commutes with the shift action on every edge.
     """
     tilde = build_conv_tilde(N)
-    rel_table = {
-        (sizes, key): ConvexRelation(ParaPreorder(sizes), frozenset(key))
-        for sizes, key in tilde.objects
-    }
     failures = []
 
     # (a) triangle identities
-    for obj in tilde.objects:
-        rel = rel_table[obj]
+    for rel in tilde.objects:
         quotient, proj = quotient_by_relation(rel.base, rel)
         # unit edge: (I, E) -> (I/E, least); it must respect relations
         target_rel = least_relation(proj.tgt)
         if not respects_relations(proj, rel, target_rel):
-            failures.append(("unit-not-a-morphism", obj))
+            failures.append(("unit-not-a-morphism", _named(rel)))
             continue
         # L(unit) must be the identity of I/E (counit is the identity)
         bar = induced_on_quotients(proj, rel, target_rel)
         if bar != Parasimplex(quotient.n).identity():
-            failures.append(("triangle-L", obj))
+            failures.append(("triangle-L", _named(rel)))
         # second triangle: the unit at (J, least) must be the identity map
         if rel.base.is_parasimplex and rel == least_relation(rel.base):
             if proj != identity_map(rel.base):
-                failures.append(("triangle-R", obj))
+                failures.append(("triangle-R", _named(rel)))
 
-    by_src: Dict[tuple, List[ConvTildeEdge]] = {}
-    homs: Dict[tuple, set] = {}
+    by_src: Dict[ConvexRelation, List[ConvTildeEdge]] = {}
+    homs: Dict[Tuple[ConvexRelation, ConvexRelation], set] = {}
     for e in tilde.edges:
         by_src.setdefault(e.src, []).append(e)
         homs.setdefault((e.src, e.tgt), set()).add(e.map.values)
@@ -461,39 +454,36 @@ def check_localization_adjunction(N: int, variant: str = "para") -> dict:
     # (b) full faithfulness of J -> (J, least)
     parasimplices = [b for b in preorders_up_to(N) if b.is_parasimplex]
     for j_obj, j_prime in itertools.product(parasimplices, repeat=2):
-        least_j = (j_obj.sizes, gap_key(least_relation(j_obj)))
-        least_jp = (j_prime.sizes, gap_key(least_relation(j_prime)))
-        conv_homs = homs.get((least_j, least_jp), set())
+        conv_homs = homs.get((least_relation(j_obj), least_relation(j_prime)), set())
         surj_homs = {c.values for c in enumerate_hom(j_obj.k, j_prime.k, "surj")}
         if conv_homs != surj_homs:
             failures.append(("not-fully-faithful", j_obj.sizes, j_prime.sizes))
 
     # (c) Cartesian edges: marked iff inverted by L; closed under composition
     for e in tilde.edges:
-        bar = induced_on_quotients(e.map, rel_table[e.src], rel_table[e.tgt])
+        bar = induced_on_quotients(e.map, e.src, e.tgt)
         if (classify(bar) == "both") != e.cartesian:
-            failures.append(("marking-mismatch", e.src, e.tgt, e.map.values))
+            failures.append(("marking-mismatch", _named(e.src), _named(e.tgt), e.map.values))
         if variant == "para":
             # the quotient functor commutes with the shift action on hom-sets
             shifted = PreordMap(e.map.src, e.map.tgt, e.map.values, e.map.shift + 1)
-            bar_shifted = induced_on_quotients(
-                shifted, rel_table[e.src], rel_table[e.tgt]
-            )
+            bar_shifted = induced_on_quotients(shifted, e.src, e.tgt)
             if bar_shifted != ParaMap(bar.m, bar.n, bar.values, bar.shift + 1):
-                failures.append(("shift-equivariance", e.src, e.tgt, e.map.values))
+                failures.append(("shift-equivariance", _named(e.src), _named(e.tgt),
+                                 e.map.values))
     marked = tilde.marked
-    for obj in tilde.objects:
-        if (obj, obj, identity_map(rel_table[obj].base)) not in marked:
-            failures.append(("identity-not-marked", obj))
+    for rel in tilde.objects:
+        if (rel, rel, identity_map(rel.base).values) not in marked:
+            failures.append(("identity-not-marked", _named(rel)))
     for e in tilde.edges:
         if not e.cartesian:
             continue
         for e2 in by_src.get(e.tgt, []):
             if not e2.cartesian:
                 continue
-            composite = compose_preord(e2.map, e.map).canonical()
+            composite = compose_preord(e2.map, e.map).values
             if (e.src, e2.tgt, composite) not in marked:
-                failures.append(("marked-composite-missing", e.src, e2.tgt))
+                failures.append(("marked-composite-missing", _named(e.src), _named(e2.tgt)))
 
     return {
         "passed": not failures,

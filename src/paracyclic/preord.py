@@ -206,27 +206,15 @@ class ConvexRelation:
         if not all(0 <= b <= self.base.k for b in self.gaps):
             raise ValueError("gap out of boundary range")
 
-    def _crossings_before(self, class_position: int) -> int:
-        period, c = divmod(class_position, self.base.num_classes)
-        return period * len(self.gaps) + sum(1 for b in self.gaps if b < c)
-
     def related(self, i: int, j: int) -> bool:
         """Whether elements i, j (absolute codes) are merged by the relation."""
-        a = self.base.class_position(i)
-        b = self.base.class_position(j)
-        if a > b:
-            a, b = b, a
-        return self._crossings_before(b) == self._crossings_before(a)
+        return self.quotient_class(i) == self.quotient_class(j)
 
     def quotient_class(self, abs_index: int) -> int:
-        """Index of the merged class, counted from the one starting at boundary max(gaps)."""
-        pos = self.base.class_position(abs_index)
-        period, c = divmod(pos, self.base.num_classes)
-        sorted_gaps = sorted(self.gaps)
-        for r, b in enumerate(sorted_gaps):
-            if c <= b:
-                return period * len(self.gaps) + r
-        return (period + 1) * len(self.gaps)
+        """Index of the merged class, counted from the one starting at boundary
+        max(gaps): the surviving boundaries below the element's class."""
+        period, c = divmod(self.base.class_position(abs_index), self.base.num_classes)
+        return period * len(self.gaps) + sum(1 for b in self.gaps if b < c)
 
     @property
     def num_quotient_classes(self) -> int:

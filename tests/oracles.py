@@ -181,6 +181,15 @@ def oracle_class_position(sizes: tuple[int, ...], x: int) -> int:
     return -sum(1 for e in range(x, 0) if e % period in last_slots)
 
 
+def oracle_related(sizes: tuple[int, ...], gaps, i: int, j: int) -> bool:
+    """Whether elements i and j are merged by the convex relation whose
+    surviving boundaries are ``gaps`` over the preorder with class sizes
+    ``sizes``: no surviving boundary is crossed between their class
+    positions, boundary b sitting after every class congruent to b."""
+    low, high = sorted((oracle_class_position(sizes, i), oracle_class_position(sizes, j)))
+    return not any(c % len(sizes) in gaps for c in range(low, high))
+
+
 def class_oracle_mismatches(bases) -> list:
     """Where ``class_of_slot``, ``class_position``, ``leq`` and ``equivalent``
     of each preorder disagree with ``oracle_class_position``, on absolute

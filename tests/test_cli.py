@@ -222,6 +222,11 @@ class TestUsageErrors:
         ["sdot-rotate", "--field", "0"],
         ["strata", "--sizes", "1,-1"],
         ["hom-count", "--m", "-1", "--n", "1"],
+        ["roundtrip", "--count", "0"],
+        ["roundtrip", "--count", "-1"],
+        ["selftest", "--only", "10"],
+        ["selftest", "--only", "0"],
+        ["selftest", "--only", "abc"],
     ])
     def test_bad_flag_value_exits_2(self, args, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -239,4 +244,25 @@ class TestMalformedInput:
     ])
     def test_domain_error_as_json(self, args, capsys):
         code, data = run_cli_json(args, capsys)
+        assert code == 1 and data["error"]["type"] == "MalformedInput"
+
+    @pytest.mark.parametrize("args", [
+        ["dualize", "--map", "{}"],
+        ["dualize", "--map", "[1]"],
+    ])
+    def test_map_of_the_wrong_structure(self, args, capsys):
+        code, data = run_cli_json(args, capsys)
+        assert code == 1 and data["error"]["type"] == "MalformedInput"
+
+    def test_sheaf_file_of_the_wrong_structure(self, tmp_path, capsys):
+        path = tmp_path / "sheaf.json"
+        path.write_text("{}")
+        code, data = run_cli_json(["stalk", "--in", str(path), "--gaps", "0"], capsys)
+        assert code == 1 and data["error"]["type"] == "MalformedInput"
+
+    def test_upset_of_the_wrong_structure(self, tmp_path, capsys):
+        sheaf = constant_sheaf(ParaPreorder((1, 1)), PrimeField(5), 2)
+        path = tmp_path / "sheaf.json"
+        path.write_text(json.dumps(sheaf.to_json()))
+        code, data = run_cli_json(["sections", "--in", str(path), "--upset", "5"], capsys)
         assert code == 1 and data["error"]["type"] == "MalformedInput"

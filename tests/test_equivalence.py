@@ -33,6 +33,8 @@ from paracyclic.preord import (
     least_relation,
 )
 
+from oracles import oracle_related
+
 F101 = PrimeField(101)
 
 
@@ -203,23 +205,23 @@ class TestSystemAndRoundTrip:
 class TestConvTilde:
     def test_objects_over_par1(self):
         tilde = build_conv_tilde(2)
-        par1_objects = [o for o in tilde.objects if o[0] == (1, 1)]
-        assert ((1, 1), (0, 1)) in par1_objects
-        assert ((1, 1), (0,)) in par1_objects and ((1, 1), (1,)) in par1_objects
+        par1_objects = [gap_key(o) for o in tilde.objects if o.base.sizes == (1, 1)]
+        assert (0, 1) in par1_objects
+        assert (0,) in par1_objects and (1,) in par1_objects
 
     def test_unit_edges_are_cartesian(self):
         # the projection (I, E) -> (I/E, least) has isomorphic quotients
         from paracyclic.preord import quotient_by_relation
 
         tilde = build_conv_tilde(2)
+        point = least_relation(ParaPreorder((1,)))
         for gaps in [(0,), (1,)]:
             base = ParaPreorder((1, 1))
             rel = ConvexRelation(base, frozenset(gaps))
             _, proj = quotient_by_relation(base, rel)
             units = [
                 e for e in tilde.edges
-                if e.src == ((1, 1), gaps) and e.tgt == ((1,), (0,))
-                and e.map == proj
+                if e.src == rel and e.tgt == point and e.map == proj
             ]
             assert len(units) == 1 and units[0].cartesian
 
@@ -229,11 +231,8 @@ class TestConvTilde:
         counted = {}
         for e in tilde.edges:
             counted[(e.src, e.tgt)] = counted.get((e.src, e.tgt), 0) + 1
-        bases = {o[0]: ParaPreorder(o[0]) for o in tilde.objects}
-        for (src_obj, tgt_obj), count in counted.items():
-            src, tgt = bases[src_obj[0]], bases[tgt_obj[0]]
-            rel_s = ConvexRelation(src, frozenset(src_obj[1]))
-            rel_t = ConvexRelation(tgt, frozenset(tgt_obj[1]))
+        for (rel_s, rel_t), count in counted.items():
+            src, tgt = rel_s.base, rel_t.base
             oracle = 0
             for values in itertools.product(range(2 * tgt.period), repeat=src.period):
                 if not 0 <= values[0] < tgt.period:
@@ -254,13 +253,13 @@ class TestConvTilde:
                     continue
                 everything = list(values) + [values[0] + tgt.period]
                 respects = all(
-                    not rel_s.related(a, a + 1)
-                    or rel_t.related(everything[a], everything[a + 1])
+                    not oracle_related(src.sizes, rel_s.gaps, a, a + 1)
+                    or oracle_related(tgt.sizes, rel_t.gaps, everything[a], everything[a + 1])
                     for a in range(src.period)
                 )
                 if respects:
                     oracle += 1
-            assert count == oracle, (src_obj, tgt_obj)
+            assert count == oracle, (rel_s, rel_t)
 
 
     @pytest.mark.parametrize("N, objects, edges", [(1, 1, 1), (2, 5, 38), (3, 19, 1499)])

@@ -22,7 +22,7 @@ from paracyclic.equivalence import (
 )
 from paracyclic.errors import NotAComplex, NotMonotone
 from paracyclic.paracat import ParaMap
-from paracyclic.preord import ParaPreorder, enumerate_conv, preorders_up_to
+from paracyclic.preord import ConvexRelation, ParaPreorder, enumerate_conv, preorders_up_to
 from paracyclic.sdot import face, random_filtration
 
 from oracles import (
@@ -32,6 +32,7 @@ from oracles import (
     oracle_upsets_by_mask,
 )
 from test_consheaf import nonzero_sheaf
+from test_preord import relation_oracle_mismatches
 
 
 def failure_kinds(report):
@@ -60,6 +61,18 @@ def test_shifted_class_table_is_caught(monkeypatch):
 
     monkeypatch.setattr(ParaPreorder, "__post_init__", mutant)
     assert class_oracle_mismatches(preorders_up_to(6))
+
+
+def test_boundary_counted_at_its_own_class_is_caught(monkeypatch):
+    """quotient_class counting the surviving boundaries b <= c in place of
+    b < c: every surviving boundary moves up by one class."""
+
+    def mutant(self, abs_index):
+        period, c = divmod(self.base.class_position(abs_index), self.base.num_classes)
+        return period * len(self.gaps) + sum(1 for b in self.gaps if b <= c)
+
+    monkeypatch.setattr(ConvexRelation, "quotient_class", mutant)
+    assert relation_oracle_mismatches([ParaPreorder.from_parasimplex(1)])
 
 
 def test_comparison_memo_keyed_on_relation_alone_is_caught(monkeypatch):
