@@ -163,9 +163,8 @@ def cmd_sections(args) -> int:
 
 def cmd_stalk(args) -> int:
     sheaf = _load_json_argument(None, args.infile, StratSheaf.from_json)
-    gaps = frozenset(int(b) for b in args.gaps.split(","))
-    value = stalk(sheaf, ConvexRelation(sheaf.base, gaps))
-    _emit({"gaps": sorted(gaps), "dim": value.dim}, args.out)
+    value = stalk(sheaf, ConvexRelation(sheaf.base, args.gaps))
+    _emit({"gaps": sorted(args.gaps), "dim": value.dim}, args.out)
     return 0
 
 
@@ -276,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stalk", help="stalk of a sheaf at a stratum")
     p.add_argument("--in", dest="infile", required=True, help="sheaf JSON file")
-    p.add_argument("--gaps", required=True, help="gap set, e.g. 0,2")
+    p.add_argument("--gaps", required=True, help="gap set, e.g. 0,2",
+                   type=_flag(lambda text: frozenset(int(b) for b in text.split(","))))
     common(p)
     p.set_defaults(func=cmd_stalk)
 

@@ -14,7 +14,8 @@ returned in reduced echelon form so repeated runs agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 import numpy as np
@@ -187,6 +188,13 @@ def stalk(sheaf: StratSheaf, rel: ConvexRelation) -> FinVect:
 # open unions of strata
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _stratum_bits(base: ParaPreorder) -> Dict[GapKey, int]:
+    """The numbering of up-set masks: bit 1 << i for the i-th stratum of
+    ``enumerate_conv(base)``; memoized."""
+    return {gap_key(rel): 1 << i for i, rel in enumerate(enumerate_conv(base))}
+
+
 @dataclass(frozen=True)
 class UpSet:
     """An upward closed set of strata: the open unions of the stratification.
@@ -194,16 +202,23 @@ class UpSet:
     The constructor checks that every member is a stratum of ``base`` and
     that the set is upward closed.  Intersections and unions of up-sets are
     up-sets, so ``&`` and ``|`` build their results without re-checking.
+
+    ``mask`` numbers the up-set among those of its base: bit i is set when
+    the i-th stratum of ``enumerate_conv(base)`` is a member.  Meets and
+    joins of masks are ``&`` and ``|`` of integers, which is how
+    ``gluing_check`` forms them and keys its section cache.
     """
 
     base: ParaPreorder
     members: FrozenSet[GapKey]
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(gap_key(k) for k in self.members))
-        strata = {gap_key(rel) for rel in enumerate_conv(self.base)}
+        bits = _stratum_bits(self.base)
+        mask = 0
         for key in self.members:
-            if key not in strata:
+            if key not in bits:
                 raise BaseMismatch(f"{key} is not a stratum of the base {self.base.sizes}")
             for b in key:
                 smaller = tuple(x for x in key if x != b)
@@ -211,13 +226,17 @@ class UpSet:
                     raise NotUpwardClosed(
                         f"{key} is a member but the larger stratum {smaller} is not"
                     )
+            mask |= bits[key]
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
-    def _closed(cls, base: ParaPreorder, members: FrozenSet[GapKey]) -> "UpSet":
-        """An up-set whose members are upward closed by construction."""
+    def _closed(cls, base: ParaPreorder, members: FrozenSet[GapKey], mask: int) -> "UpSet":
+        """An up-set whose members are upward closed by construction, with
+        ``mask`` their number."""
         up = object.__new__(cls)
         object.__setattr__(up, "base", base)
         object.__setattr__(up, "members", members)
+        object.__setattr__(up, "mask", mask)
         return up
 
     def sorted_members(self) -> List[GapKey]:
@@ -232,10 +251,12 @@ class UpSet:
         return self.base
 
     def __and__(self, other: "UpSet") -> "UpSet":
-        return UpSet._closed(self._same_base(other), self.members & other.members)
+        return UpSet._closed(self._same_base(other), self.members & other.members,
+                             self.mask & other.mask)
 
     def __or__(self, other: "UpSet") -> "UpSet":
-        return UpSet._closed(self._same_base(other), self.members | other.members)
+        return UpSet._closed(self._same_base(other), self.members | other.members,
+                             self.mask | other.mask)
 
 
 def up_closure(base: ParaPreorder, seeds: Iterable) -> UpSet:
@@ -251,27 +272,31 @@ def up_closure(base: ParaPreorder, seeds: Iterable) -> UpSet:
 
 
 def whole_space(base: ParaPreorder) -> UpSet:
-    return UpSet._closed(base, frozenset(gap_key(rel) for rel in enumerate_conv(base)))
+    bits = _stratum_bits(base)
+    return UpSet._closed(base, frozenset(bits), (1 << len(bits)) - 1)
+
+
+@functools.cache
+def _upsets_by_mask(base: ParaPreorder) -> Dict[int, UpSet]:
+    """Every up-set of ``base``, keyed by its mask in ascending order;
+    memoized.  Up-sets are generated directly, adding the strata by
+    increasing number of gaps and a stratum only when all its one-gap-smaller
+    faces are members, so the cost grows with the number of up-sets (7,580
+    at Par(4)), not with the 2^(number of strata) subsets."""
+    bit = _stratum_bits(base)
+    masks = [0]
+    for key in sorted(bit, key=len):
+        faces = sum(bit[tuple(x for x in key if x != b)] for b in key) if len(key) > 1 else 0
+        masks += [m | bit[key] for m in masks if m & faces == faces]
+    return {m: UpSet._closed(base, frozenset(k for k in bit if m & bit[k]), m)
+            for m in sorted(masks)}
 
 
 def enumerate_upsets(base: ParaPreorder) -> List[UpSet]:
-    """Every upward closed set of strata, the empty one included.
-
-    The list is in mask order: bit i of an up-set's mask stands for the
-    i-th stratum of ``enumerate_conv(base)``, and masks ascend.  Up-sets are
-    generated directly, adding the strata by increasing number of gaps and
-    a stratum only when all its one-gap-smaller faces are members, so the
-    cost grows with the number of up-sets (7,580 at Par(4)), not with the
-    2^(number of strata) subsets.
-    """
-    keys = [gap_key(rel) for rel in enumerate_conv(base)]
-    bit = {key: 1 << i for i, key in enumerate(keys)}
-    masks = [0]
-    for key in sorted(keys, key=len):
-        faces = sum(bit[tuple(x for x in key if x != b)] for b in key) if len(key) > 1 else 0
-        masks += [m | bit[key] for m in masks if m & faces == faces]
-    return [UpSet._closed(base, frozenset(k for k in keys if m & bit[k]))
-            for m in sorted(masks)]
+    """Every upward closed set of strata, the empty one included, in mask
+    order: masks ascend (see ``UpSet``).  The up-sets are built once per
+    base and shared between calls."""
+    return list(_upsets_by_mask(base).values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,57 +393,79 @@ def gluing_check(sheaf: StratSheaf, u1: UpSet, u2: UpSet,
     check is exact equality of dimensions plus explicit restriction
     compatibility of bases.  Pass a dict as ``section_cache`` to reuse work
     across many pairs over the same sheaf: it holds the section space of
-    each up-set, keyed by its members, and the restriction matrix of each
-    (bigger, smaller) pair of up-sets, keyed by both member sets.  One dict
-    serves one sheaf.
+    each up-set, keyed by its mask, and the restriction matrix of each
+    (bigger, smaller) pair of up-sets, keyed by the pair of masks.  The
+    union and the intersection are formed as ``|`` and ``&`` of the masks;
+    an ``UpSet`` is looked up for a mask only when its section space is
+    missing.  One dict serves one sheaf.
+
+    The five restrictions must have the shapes that the four section
+    dimensions give them; if any does not, ``restrictions_agree`` is False
+    and ``dim_fiber_product`` is None.  When the overlap or the union has
+    no sections, both composites of restrictions are empty, so agreeing
+    shapes are all there is to compare, and an overlap without sections
+    makes the fiber product the direct sum.  Every other pair is checked
+    by elimination and matrix products.
     """
     cache = {} if section_cache is None else section_cache
+    base = u1._same_base(u2)
+    if base is not sheaf.base and base != sheaf.base:
+        raise BaseMismatch("up-sets live over a different base than the sheaf")
+    upsets = _upsets_by_mask(base)
 
-    def cached_sections(open_set: UpSet) -> SectionSpace:
-        space = cache.get(open_set.members)
+    def cached_sections(mask: int) -> SectionSpace:
+        space = cache.get(mask)
         if space is None:
-            space = cache[open_set.members] = sections(sheaf, open_set)
+            space = cache[mask] = sections(sheaf, upsets[mask])
         return space
 
-    def restriction(big: UpSet, small: UpSet) -> np.ndarray:
-        key = (big.members, small.members)
+    def restriction(big: int, small: int) -> np.ndarray:
+        key = (big, small)
         matrix = cache.get(key)
         if matrix is None:
-            matrix = cache[key] = restriction_matrix(
-                sheaf, cache[big.members], cache[small.members])
+            matrix = cache[key] = restriction_matrix(sheaf, cache[big], cache[small])
         return matrix
 
-    union = u1 | u2
-    inter = u1 & u2
-    s_union = cached_sections(union)
-    s1 = cached_sections(u1)
-    s2 = cached_sections(u2)
-    s_inter = cached_sections(inter)
+    m1, m2 = u1.mask, u2.mask
+    union, inter = m1 | m2, m1 & m2
+    dim_union = cached_sections(union).dim
+    dim_left = cached_sections(m1).dim
+    dim_right = cached_sections(m2).dim
+    dim_overlap = cached_sections(inter).dim
+
+    r1 = restriction(union, m1)               # (dim union, dim U1)
+    r2 = restriction(union, m2)
+    r_inter = restriction(union, inter)
+    r1_to_inter = restriction(m1, inter)      # (dim U1, dim overlap)
+    r2_to_inter = restriction(m2, inter)
 
     fld = sheaf.field
-    r1 = restriction(union, u1)               # (dim union, dim U1)
-    r2 = restriction(union, u2)
-    r_inter = restriction(union, inter)
-    r1_to_inter = restriction(u1, inter)      # (dim U1, dim overlap)
-    r2_to_inter = restriction(u2, inter)
-
-    # fiber product of the two section spaces over the overlap
-    pair_constraints = np.concatenate(
-        [r1_to_inter.T, fld.neg(r2_to_inter.T)], axis=1
-    )
-    fp_dim = int(fld.right_kernel(pair_constraints).shape[0])
-
-    via_u1 = fld.matmul(r1_to_inter.T, r1.T)
-    via_u2 = fld.matmul(r2_to_inter.T, r2.T)
-    compatible = fld.equal(via_u1, via_u2) and fld.equal(via_u1, r_inter.T)
-    passed = (s_union.dim == fp_dim) and compatible
+    if not (r1.shape == (dim_union, dim_left) and r2.shape == (dim_union, dim_right)
+            and r_inter.shape == (dim_union, dim_overlap)
+            and r1_to_inter.shape == (dim_left, dim_overlap)
+            and r2_to_inter.shape == (dim_right, dim_overlap)):
+        fp_dim, compatible = None, False
+    elif dim_overlap == 0:
+        fp_dim, compatible = dim_left + dim_right, True
+    else:
+        # fiber product of the two section spaces over the overlap
+        pair_constraints = np.concatenate(
+            [r1_to_inter.T, fld.neg(r2_to_inter.T)], axis=1
+        )
+        fp_dim = dim_left + dim_right - fld.rank(pair_constraints)
+        compatible = True
+        if dim_union:
+            via_u1 = fld.matmul(r1_to_inter.T, r1.T)
+            via_u2 = fld.matmul(r2_to_inter.T, r2.T)
+            compatible = fld.equal(via_u1, via_u2) and fld.equal(via_u1, r_inter.T)
+    passed = (dim_union == fp_dim) and compatible
     return {
         "passed": bool(passed),
-        "dim_union": s_union.dim,
+        "dim_union": dim_union,
         "dim_fiber_product": fp_dim,
-        "dim_left": s1.dim,
-        "dim_right": s2.dim,
-        "dim_overlap": s_inter.dim,
+        "dim_left": dim_left,
+        "dim_right": dim_right,
+        "dim_overlap": dim_overlap,
         "restrictions_agree": bool(compatible),
     }
 

@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     BaseMismatch,
+    MalformedInput,
     NotEssentiallySurjective,
     NotMonotone,
     ResourceBound,
@@ -202,9 +203,9 @@ class ConvexRelation:
     def __post_init__(self):
         object.__setattr__(self, "gaps", frozenset(self.gaps))
         if not self.gaps:
-            raise ValueError("gap set must be non-empty")
+            raise MalformedInput("gap set must be non-empty")
         if not all(0 <= b <= self.base.k for b in self.gaps):
-            raise ValueError("gap out of boundary range")
+            raise MalformedInput("gap out of boundary range")
 
     def related(self, i: int, j: int) -> bool:
         """Whether elements i, j (absolute codes) are merged by the relation."""

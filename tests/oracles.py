@@ -125,6 +125,23 @@ def oracle_rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], lis
     return mat, pivots
 
 
+def oracle_kernel_basis(rows: list[list], width: int, p: int = None) -> list[list]:
+    """A basis of { v : rows v = 0 } in width ``width``, over F_p or over Q
+    when p is None: one vector per free column of the reduced echelon form,
+    1 there and minus that column's entries at the pivots."""
+    mat, pivots = oracle_rref_fraction(rows) if p is None else oracle_rref_mod(rows, p)
+    basis = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        vec = [0] * width
+        vec[free] = 1
+        for r, col in enumerate(pivots):
+            vec[col] = -mat[r][free] if p is None else -mat[r][free] % p
+        basis.append(vec)
+    return basis
+
+
 def oracle_chain_map_rows(src, tgt) -> tuple[list[list], int]:
     """The equations f1 d0 = d0' f0 and f0 d1 = d1' f1 on chain maps between
     2-periodic complexes (``dims``, ``d0``, ``d1``; d' is tgt's), by index

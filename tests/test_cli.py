@@ -266,3 +266,19 @@ class TestMalformedInput:
         path.write_text(json.dumps(sheaf.to_json()))
         code, data = run_cli_json(["sections", "--in", str(path), "--upset", "5"], capsys)
         assert code == 1 and data["error"]["type"] == "MalformedInput"
+
+    @pytest.mark.parametrize("gaps, code", [("abc", 2), ("5", 1)])
+    def test_stalk_gaps_fail_without_a_traceback(self, tmp_path, gaps, code):
+        """Gap text that is not a list of integers is a usage error; a gap
+        beyond the boundaries of Par(2) is MalformedInput."""
+        sheaf = constant_sheaf(ParaPreorder((1, 1, 1)), PrimeField(5), 1)
+        path = tmp_path / "sheaf.json"
+        path.write_text(json.dumps(sheaf.to_json()))
+        result = subprocess.run(
+            [sys.executable, "-m", "paracyclic.cli", "stalk", "--in", str(path), "--gaps", gaps],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == code
+        assert "Traceback" not in result.stderr
+        if code == 1:
+            assert json.loads(result.stdout)["error"]["type"] == "MalformedInput"

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -35,7 +36,9 @@ from paracyclic.preord import (
 )
 
 from oracles import (
+    oracle_kernel_basis,
     oracle_kernel_dim_by_enumeration,
+    oracle_rref_fraction,
     oracle_rref_mod,
     oracle_upsets_by_mask,
 )
@@ -59,27 +62,83 @@ def nonzero_sheaf(rng, base, field, **kwargs):
     raise AssertionError(f"20 draws over {base.sizes} gave only zero sheaves")
 
 
-def constraint_rows(sheaf, members, p):
-    """The compatibility constraints of sections over ``members`` as integer
-    rows mod p, one block per covering edge inside the set, laid out in
-    sorted key order; returns the rows and their width."""
-    layout = sorted(members)
-    offsets = {}
-    width = 0
-    for key in layout:
+def coordinates(sheaf, members):
+    """Offset of each member's block in the sorted key layout, and the width."""
+    offsets, width = {}, 0
+    for key in sorted(members):
         offsets[key] = width
         width += sheaf.dims[key]
+    return offsets, width
+
+
+def constraint_rows(sheaf, members, p=None):
+    """The compatibility constraints of sections over ``members`` as rows,
+    one block per covering edge inside the set, laid out in sorted key
+    order: integers mod p, or Fractions when p is None; returns the rows and
+    their width."""
+    scalar = Fraction if p is None else (lambda x: int(x) % p)
+    offsets, width = coordinates(sheaf, members)
     rows = []
     for (src, dst), mat in sheaf.maps.items():
         if src not in members or dst not in members:
             continue
         for r in range(sheaf.dims[dst]):
-            row = [0] * width
+            row = [scalar(0)] * width
             for c in range(sheaf.dims[src]):
-                row[offsets[src] + c] = int(mat[r, c]) % p
-            row[offsets[dst] + r] = (row[offsets[dst] + r] - 1) % p
+                row[offsets[src] + c] = scalar(mat[r, c])
+            row[offsets[dst] + r] = scalar(row[offsets[dst] + r] - 1)
             rows.append(row)
     return rows, width
+
+
+def oracle_rank(rows, p=None):
+    """Rank over F_p, or over Q when p is None, by the list oracles."""
+    return len((oracle_rref_fraction(rows) if p is None else oracle_rref_mod(rows, p))[1])
+
+
+def oracle_gluing_dims(sheaf, u1, u2, p=None):
+    """The dimensions a gluing report states, from the member sets alone.
+
+    Each section dimension is the width of its constraint rows minus their
+    rank.  The fiber product pairs a section over U1 with one over U2 that
+    agrees with it on the overlap's coordinates: with both section bases
+    restricted to those coordinates and stacked, its dimension is
+    dim_left + dim_right minus the rank of the stack."""
+    sets = {"dim_union": u1.members | u2.members, "dim_left": u1.members,
+            "dim_right": u2.members, "dim_overlap": u1.members & u2.members}
+    dims = {}
+    for name, members in sets.items():
+        rows, width = constraint_rows(sheaf, members, p)
+        dims[name] = width - oracle_rank(rows, p)
+    overlap = sorted(sets["dim_overlap"])
+    stacked = []
+    for members in (u1.members, u2.members):
+        offsets, _ = coordinates(sheaf, members)
+        for vec in oracle_kernel_basis(*constraint_rows(sheaf, members, p), p):
+            stacked.append([x for key in overlap
+                            for x in vec[offsets[key]:offsets[key] + sheaf.dims[key]]])
+    dims["dim_fiber_product"] = dims["dim_left"] + dims["dim_right"] - oracle_rank(stacked, p)
+    return dims
+
+
+def oracle_mask(base, members):
+    """The mask that numbers ``members``: bit i for the i-th stratum of
+    ``enumerate_conv(base)``."""
+    return sum(1 << i for i, rel in enumerate(enumerate_conv(base))
+               if gap_key(rel) in members)
+
+
+def mask_mismatches(base):
+    """Members of the up-sets of ``base`` whose mask is not the one their
+    members define: the enumerated up-sets, the same sets rebuilt by the
+    constructor, every meet and join, and the whole space."""
+    upsets = enumerate_upsets(base)
+    expected = {up.members: oracle_mask(base, up.members) for up in upsets}
+    found = upsets + [UpSet(base, up.members) for up in upsets] + [whole_space(base)]
+    for i, a in enumerate(upsets):
+        for b in upsets[i:]:
+            found += [a & b, a | b]
+    return [sorted(up.members) for up in found if up.mask != expected[up.members]]
 
 
 class TestValidateSheaf:
@@ -160,6 +219,10 @@ class TestUpSets:
             for b in upsets[i:]:
                 for result in (a & b, a | b):
                     assert UpSet(PAR3, result.members) == result
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_masks_number_the_members(self, n):
+        assert not mask_mismatches(ParaPreorder.from_parasimplex(n))
 
     def test_maximal_pair_is_up_closed(self):
         UpSet(PAR1, frozenset({(0,), (1,)}))
@@ -350,7 +413,7 @@ class TestPar4:
             rows, width = constraint_rows(sheaf, up.members, 101)
             _, pivots = oracle_rref_mod(rows, 101)
             space = sections(sheaf, up)
-            cache[up.members] = space
+            cache[up.mask] = space
             assert space.dim == width - len(pivots), sorted(up.members)
         rng = random.Random(4)
         for _ in range(2000):
@@ -359,3 +422,42 @@ class TestPar4:
             assert report["passed"], (sorted(u1.members), sorted(u2.members), report)
         elapsed = time.perf_counter() - start
         assert elapsed < 60, f"Par(4) sections and gluing sample took {elapsed:.1f}s"
+
+
+class TestGluingOracle:
+    """Every number of a gluing report against ``oracle_gluing_dims``,
+    which reads member sets and ranks by list elimination, not masks or
+    ``Field``."""
+
+    @staticmethod
+    def check_pairs(sheaf, pairs, p):
+        cache: dict = {}
+        reports = []
+        for u1, u2 in pairs:
+            report = gluing_check(sheaf, u1, u2, section_cache=cache)
+            expected = {**oracle_gluing_dims(sheaf, u1, u2, p),
+                        "passed": True, "restrictions_agree": True}
+            assert report == expected, (sorted(u1.members), sorted(u2.members))
+            reports.append(report)
+        return reports
+
+    @pytest.mark.parametrize("field, p", [(F5, 5), (QQ, None)], ids=["F5", "QQ"])
+    def test_every_par2_pair(self, field, p):
+        rng = random.Random(59)
+        upsets = enumerate_upsets(PAR2)
+        pairs = [(u1, u2) for i, u1 in enumerate(upsets) for u2 in upsets[i:]]
+        for _ in range(2):
+            self.check_pairs(nonzero_sheaf(rng, PAR2, field), pairs, p)
+
+    @pytest.mark.parametrize("field, p", [(F5, 5), (QQ, None)], ids=["F5", "QQ"])
+    def test_par3_sample_with_empty_and_nonempty_products(self, field, p):
+        """A seeded sample of 150 of the 14,028 Par(3) pairs per sheaf."""
+        rng = random.Random(61)
+        upsets = enumerate_upsets(PAR3)
+        empty = []
+        for _ in range(2):
+            sheaf = nonzero_sheaf(rng, PAR3, field)
+            pairs = [(rng.choice(upsets), rng.choice(upsets)) for _ in range(150)]
+            empty += [r["dim_overlap"] == 0 or r["dim_union"] == 0
+                      for r in self.check_pairs(sheaf, pairs, p)]
+        assert any(empty) and not all(empty)

@@ -31,7 +31,7 @@ from oracles import (
     oracle_rref_mod,
     oracle_upsets_by_mask,
 )
-from test_consheaf import nonzero_sheaf
+from test_consheaf import mask_mismatches, nonzero_sheaf
 from test_preord import relation_oracle_mismatches
 
 
@@ -143,8 +143,8 @@ def test_quotient_classes_read_on_the_source_are_caught(monkeypatch):
 
 
 class SmallerSetKeyedCache(dict):
-    """A section cache that keys each restriction matrix on the smaller
-    up-set alone, so that pairs sharing it share one matrix."""
+    """A section cache that keys each restriction matrix on the mask of the
+    smaller up-set alone, so that pairs sharing it share one matrix."""
 
     @staticmethod
     def _key(key):
@@ -167,10 +167,26 @@ def test_restriction_cache_keyed_on_the_smaller_set_is_caught():
     cache = SmallerSetKeyedCache()
     # on this sheaf the restriction of another pair has the wrong shape;
     # a zero sheaf would let the mutant through
-    with pytest.raises(ValueError, match="mismatch in its core dimension"):
-        for i, u1 in enumerate(upsets):
-            for u2 in upsets[i:]:
-                gluing_check(sheaf, u1, u2, section_cache=cache)
+    reports = [gluing_check(sheaf, u1, u2, section_cache=cache)
+               for i, u1 in enumerate(upsets) for u2 in upsets[i:]]
+    assert any(not r["passed"] and not r["restrictions_agree"] for r in reports)
+
+
+def test_doubled_restrictions_are_caught(monkeypatch):
+    """restriction_matrix returning twice the coordinates: every shape and
+    dimension stays right, so only the comparison of the composite
+    restrictions with the direct one can catch it."""
+    compute = consheaf.restriction_matrix
+    monkeypatch.setattr(consheaf, "restriction_matrix",
+                        lambda sheaf, big, small: sheaf.field.reduce(2 * compute(sheaf, big, small)))
+    base = ParaPreorder.from_parasimplex(2)
+    upsets = consheaf.enumerate_upsets(base)
+    sheaf = nonzero_sheaf(random.Random(53), base, PrimeField(5))
+    cache: dict = {}
+    reports = [gluing_check(sheaf, u1, u2, section_cache=cache)
+               for i, u1 in enumerate(upsets) for u2 in upsets[i:]]
+    assert any(not r["restrictions_agree"] and r["dim_union"] == r["dim_fiber_product"]
+               for r in reports)
 
 
 def enumerate_upsets_any_face(base):
@@ -182,7 +198,7 @@ def enumerate_upsets_any_face(base):
     for key in sorted(keys, key=len):
         faces = sum(bit[tuple(x for x in key if x != b)] for b in key) if len(key) > 1 else 0
         masks += [m | bit[key] for m in masks if m & faces or not faces]
-    return [UpSet._closed(base, frozenset(k for k in keys if m & bit[k]))
+    return [UpSet._closed(base, frozenset(k for k in keys if m & bit[k]), m)
             for m in sorted(masks)]
 
 
@@ -192,6 +208,19 @@ def test_up_sets_from_any_one_face_are_caught(monkeypatch):
     keys = [gap_key(rel) for rel in enumerate_conv(base)]
     found = [up.members for up in consheaf.enumerate_upsets(base)]
     assert found != oracle_upsets_by_mask(keys)
+
+
+def test_constructor_mask_shifted_by_one_is_caught(monkeypatch):
+    """The constructor numbering stratum i by bit i + 1, while the
+    enumeration, meets and joins keep bit i."""
+    post_init = UpSet.__post_init__
+
+    def mutant(self):
+        post_init(self)
+        object.__setattr__(self, "mask", self.mask << 1)
+
+    monkeypatch.setattr(UpSet, "__post_init__", mutant)
+    assert mask_mismatches(ParaPreorder.from_parasimplex(1))
 
 
 def float_path_matmul(reduce):
