@@ -7,10 +7,11 @@ reduced with unit pivots, which makes every returned basis deterministic.
 
 A backend supplies only its scalars and storage; every matrix routine is
 written once in ``Field``, over the backend's ``reduce`` (``% p``, or
-nothing over Q).  ``Field.rref`` picks the elimination loop by row count:
-row by row below ``VECTOR_MIN_ROWS`` rows, otherwise one broadcast update
-per pivot, restricted to the rows with a nonzero entry in the pivot column
-and the columns with a nonzero entry in the pivot row.
+nothing over Q).  ``Field.rref`` is the one entry point for elimination.
+Over a prime field it picks the loop by row count: row by row below
+``VECTOR_MIN_ROWS`` rows, otherwise one broadcast update per pivot,
+restricted to the rows with a nonzero entry in the pivot column and the
+columns with a nonzero entry in the pivot row.
 
 ``PrimeField.matmul`` picks one of three exact regimes per product, from
 the inner dimension k and a bound B on the operands' absolute entries:
@@ -25,10 +26,26 @@ the inner dimension k and a bound B on the operands' absolute entries:
 Each result is reduced by int64 ``%``.  PrimeField accepts only primes with
 (p - 1)**2 < 2**63, so that one product of two reduced entries, which every
 row operation forms, fits in int64.
+
+The rationals do their arithmetic on Python ints, in two regimes:
+
+- ``Rationals.matmul`` keeps numpy's object ``@`` on the Fractions below
+  ``Q_INT_MIN_MULTS`` multiplications.  From there on it scales each operand
+  to integers by the lcm of its denominators, multiplies only the nonzero
+  rows of the left operand, the nonzero columns of the right one and the
+  inner indices nonzero in both, as object-dtype ints, and divides the
+  result once by the product of the two scales;
+- ``Rationals`` elimination, beneath ``Field.rref``, is fraction free: each
+  row is scaled to primitive integers, a row r meets the pivot row through
+  (p_c / g) r - (r_c / g) p with g = gcd(p_c, r_c) and is divided by the gcd
+  of its entries, and one pass at the end divides each pivot row by its
+  pivot.  Entries may be ints as well as Fractions; the result holds
+  Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -46,13 +63,22 @@ from .errors import ResourceBound
 # 419 ms at 512**3 (2-vCPU Xeon VM, OpenBLAS 0.3.31).
 BLAS_MIN_MULTS = 32768
 
+# Q products with at least this many multiplications are formed on
+# integer-scaled operands; below it numpy's object `@` on the Fractions is
+# kept.  On the products of the rational benchmark workload (seeds 5 and 6,
+# up to 50 per size, two runs), `@` took 3-26 us at 1-9 multiplications
+# against the integer path's 23-40 us, and 41-57 us at 12 against 26-38 us;
+# the integer path was 2-3x ahead at 27-54 multiplications and 75x at
+# 13,824 (2-vCPU Xeon VM).
+Q_INT_MIN_MULTS = 12
+
 # Matrices with at least this many rows are reduced by one broadcast update
 # per pivot.  On the rref inputs of a selftest run (F_2) and of the rotation
 # workload (F_101), the update took 1.5x the loop's time on the 18 x 18
 # kernel systems of `random_chain_map`, about the same at 17-32 rows,
 # 0.45-0.7x at 33-64 rows and 0.3-0.5x from 65 rows; on 20 cone matrices of
-# 500-750 rows it took 0.54 s against 3.5 s.  Over Q, on 20 seeded sparse
-# matrices of 32-48 rows, it took 1.2-1.6 s against 3.6-4.2 s.
+# 500-750 rows it took 0.54 s against 3.5 s.  The rationals eliminate by a
+# loop of their own (see the module docstring).
 # `selftest --seed 0` makes 11,447 rref calls, all over prime fields, 159 of
 # them with 32 or more rows; on the other 11,288 the update took 0.27-0.35 s
 # against the loop's 0.19-0.22 s.
@@ -65,7 +91,8 @@ _INT64_EXACT = 2 ** 63
 class Field:
     """The matrix routines, written once.  A backend supplies ``name``,
     ``one``, ``zeros``, ``identity``, ``matmul``, ``mat_to_json``,
-    ``random_matrix`` and the methods below that raise NotImplementedError."""
+    ``random_matrix`` and the methods below that raise NotImplementedError;
+    it may replace ``_eliminate``, the loop beneath ``rref``."""
 
     name: str
 
@@ -119,6 +146,10 @@ class Field:
 
     def rref(self, a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
         """Reduced row echelon form and the list of pivot columns."""
+        return self._eliminate(a)
+
+    def _eliminate(self, a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+        """rref's loop on a copy of a, picked by row count."""
         if a.shape[0] < VECTOR_MIN_ROWS:
             return self._rref_by_rows(a.copy())
         return self._rref_by_broadcast(a.copy())
@@ -323,9 +354,64 @@ class Rationals(Field):
         return out
 
     def matmul(self, a, b):
-        if 0 in a.shape or 0 in b.shape:
-            return self.zeros(a.shape[0], b.shape[1])
-        return a @ b
+        (m, k), n = a.shape, b.shape[1]
+        if m * k * n == 0:
+            return self.zeros(m, n)
+        if m * k * n < Q_INT_MIN_MULTS:
+            return a @ b
+        left, left_scale = _integer_scaled(a.ravel().tolist())
+        right, right_scale = _integer_scaled(b.ravel().tolist())
+        left, right = _object_array(left, a.shape), _object_array(right, b.shape)
+        left_nonzero, right_nonzero = left != 0, right != 0
+        inner = left_nonzero.any(axis=0) & right_nonzero.any(axis=1)
+        rows = np.flatnonzero(left_nonzero[:, inner].any(axis=1))
+        cols = np.flatnonzero(right_nonzero[inner].any(axis=0))
+        out = self.zeros(m, n)
+        if rows.size and cols.size:
+            product = left[rows][:, inner] @ right[inner][:, cols]
+            scale = left_scale * right_scale
+            out[rows[:, None], cols] = [[Fraction(x, scale) if x else _ZERO for x in row]
+                                        for row in product.tolist()]
+        return out
+
+    def _eliminate(self, a):
+        """Fraction-free Gauss-Jordan elimination on primitive integer rows
+        (see the module docstring)."""
+        rows, cols = a.shape
+        mat = [_primitive(_integer_scaled(row)[0]) for row in a.tolist()]
+        pivots: List[int] = []
+        for col in range(cols):
+            rank = len(pivots)
+            pivot = next((r for r in range(rank, rows) if mat[r][col]), None)
+            if pivot is None:
+                continue
+            mat[rank], mat[pivot] = mat[pivot], mat[rank]
+            pivot_row = mat[rank]
+            lead = pivot_row[col]
+            support = [(j, x) for j, x in enumerate(pivot_row[col:], col) if x]
+            for r in range(rows):
+                x = mat[r][col]
+                if r != rank and x:
+                    g = math.gcd(lead, x)
+                    u, v = lead // g, x // g
+                    row = mat[r] if u == 1 else [u * y for y in mat[r]]
+                    for j, y in support:
+                        row[j] -= v * y
+                    mat[r] = _primitive(row)
+            pivots.append(col)
+            if len(pivots) == rows:
+                break
+        return self._unit_pivots(mat, pivots, cols), pivots
+
+    def _unit_pivots(self, mat, pivots, cols):
+        """The rows of mat divided by their pivots, as Fractions; the rows
+        past the pivots are zero."""
+        flat = []
+        for r, col in enumerate(pivots):
+            lead = mat[r][col]
+            flat += [Fraction(y, lead) if y else _ZERO for y in mat[r]]
+        flat += [_ZERO] * ((len(mat) - len(pivots)) * cols)
+        return _object_array(flat, (len(mat), cols))
 
     def reduce(self, a):
         return a
@@ -358,6 +444,27 @@ class Rationals(Field):
 
 
 QQ = Rationals()
+
+_ZERO = Fraction(0)
+
+
+def _integer_scaled(values: list) -> Tuple[List[int], int]:
+    """values times the lcm of their denominators, as ints, and that lcm;
+    the values may be Fractions or ints."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def _primitive(row: List[int]) -> List[int]:
+    """row divided by the gcd of its entries."""
+    content = math.gcd(*row)
+    return [x // content for x in row] if content > 1 else row
+
+
+def _object_array(values: list, shape: Tuple[int, int]) -> np.ndarray:
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out.reshape(shape)
 
 
 def field_from_token(token) -> Field:

@@ -15,7 +15,7 @@ import random
 import sys
 from typing import Optional
 
-from ._linalg import PrimeField, field_from_token
+from ._linalg import field_from_token
 from .consheaf import StratSheaf, UpSet, sections, stalk
 from .corner import fiber_invariants, stratum_of, validate_point, witness_point
 from .equivalence import (
@@ -297,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sdot-rotate", help="rotate a filtration and check periodicity")
     p.add_argument("--in", dest="infile", help="filtration JSON file")
-    p.add_argument("--length", type=int, default=2)
-    p.add_argument("--field", type=_flag(lambda text: PrimeField(int(text))), default="2",
-                   help="a prime")
+    p.add_argument("--length", type=_flag(_at_least(1)), default=2)
+    p.add_argument("--field", type=_flag(field_from_token), default="2",
+                   help="a prime, or Q for the rationals")
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_sdot_rotate)

@@ -316,11 +316,6 @@ class SectionSpace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def component(self, vector_index: int, key: GapKey) -> np.ndarray:
-        i = self.layout.index(key)
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        return self.basis[vector_index, lo:hi]
-
 
 def sections(sheaf: StratSheaf, open_set: UpSet) -> SectionSpace:
     """The limit of the sheaf over an up-set, as an explicit kernel."""
@@ -351,18 +346,32 @@ def sections(sheaf: StratSheaf, open_set: UpSet) -> SectionSpace:
 
 
 def restriction_matrix(sheaf: StratSheaf, big: SectionSpace, small: SectionSpace) -> np.ndarray:
-    """Coordinates of restricted basis vectors in the smaller section basis."""
+    """Coordinates of restricted basis vectors in the smaller section basis.
+
+    The smaller basis comes from ``right_kernel``: each row has a 1 in its
+    own free column, its last nonzero entry, and every other row has a 0
+    there.  So the coordinates of a vector in its span are the vector's
+    entries at those columns, and one product checks that they rebuild
+    every restricted vector.
+    """
     fld = sheaf.field
-    out = fld.zeros(big.dim, small.dim)
-    for i in range(big.dim):
-        restricted = np.concatenate(
-            [big.component(i, key) for key in small.layout]
-        ) if small.layout else fld.zeros(1, 0)[0]
-        coeffs = fld.solve_in_span(small.basis, restricted)
-        if coeffs is None:
-            raise NotFunctorial("restriction of a section is not a section")
-        out[i] = coeffs
-    return out
+    if big.dim == 0:
+        return fld.zeros(0, small.dim)
+    columns: List[int] = []
+    for key in small.layout:
+        i = big.layout.index(key)
+        columns += range(big.offsets[i], big.offsets[i + 1])
+    restricted = big.basis[:, columns]
+    if small.dim == 0:
+        agree = not restricted.any()
+        coords = fld.zeros(big.dim, 0)
+    else:
+        free = [np.flatnonzero(row)[-1] for row in small.basis != 0]
+        coords = restricted[:, free]
+        agree = fld.equal(fld.matmul(coords, small.basis), restricted)
+    if not agree:
+        raise NotFunctorial("restriction of a section is not a section")
+    return coords
 
 
 def pullback_sheaf(r: PreordMap, sheaf: StratSheaf) -> StratSheaf:

@@ -95,6 +95,21 @@ def oracle_rref_fraction(rows: list[list]) -> tuple[list[list[Fraction]], list[i
     return mat, pivots
 
 
+def oracle_matmul_fraction(a: list[list], b: list[list], cols: int) -> list[list[Fraction]]:
+    """Product of list matrices over Q, one Fraction product at a time in a
+    triple loop; b has ``cols`` columns (needed when b has no rows)."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(cols):
+            total = Fraction(0)
+            for t in range(len(b)):
+                total += Fraction(row[t]) * Fraction(b[t][j])
+            out_row.append(total)
+        out.append(out_row)
+    return out
+
+
 def oracle_matmul_mod(a: list[list[int]], b: list[list[int]], p: int,
                       cols: int) -> list[list[int]]:
     """Product of list matrices over F_p with Python ints, entry by entry;

@@ -149,6 +149,13 @@ class TestChecks:
         )
         assert code == 0 and data["passed"]
 
+    def test_sdot_rotate_over_q(self, capsys):
+        code, data = run_cli_json(
+            ["sdot-rotate", "--field", "Q", "--length", "3", "--seed", "0"], capsys
+        )
+        assert code == 0 and data["passed"] and data["length"] == 3
+        assert data["rotated"]["field"] == "Q"
+
     def test_sdot_rotate_file(self, tmp_path, capsys):
         filt = random_filtration(random.Random(6), PrimeField(2), 2)
         path = tmp_path / "filtration.json"
@@ -220,6 +227,8 @@ class TestUsageErrors:
         ["roundtrip", "--field", "4"],
         ["sdot-rotate", "--field", "4"],
         ["sdot-rotate", "--field", "0"],
+        ["sdot-rotate", "--length", "0"],
+        ["sdot-rotate", "--length", "-1"],
         ["strata", "--sizes", "1,-1"],
         ["hom-count", "--m", "-1", "--n", "1"],
         ["roundtrip", "--count", "0"],

@@ -7,6 +7,7 @@ import pytest
 
 from paracyclic._linalg import PrimeField, QQ
 from paracyclic.consheaf import (
+    SectionSpace,
     StratSheaf,
     UpSet,
     constant_sheaf,
@@ -292,6 +293,47 @@ class TestSections:
                 direct = restriction_matrix(sheaf, big, small)
                 via = restriction_matrix(sheaf, mid, small)
                 assert F5.equal(F5.matmul(via.T, to_mid.T), direct.T)
+
+    @pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
+    def test_restriction_matches_solve_in_span(self, field):
+        """Every contained pair of Par(2) up-sets on two nonzero sheaves:
+        the coordinates read at the free columns are the ones an
+        elimination per restricted vector finds."""
+        rng = random.Random(41)
+        upsets = enumerate_upsets(PAR2)
+        for _ in range(2):
+            sheaf = nonzero_sheaf(rng, PAR2, field)
+            spaces = {up.mask: sections(sheaf, up) for up in upsets}
+            for big_set in upsets:
+                big = spaces[big_set.mask]
+                blocks = dict(zip(big.layout, zip(big.offsets, big.offsets[1:])))
+                for small_set in upsets:
+                    if not small_set.members <= big_set.members:
+                        continue
+                    small = spaces[small_set.mask]
+                    expected = field.zeros(big.dim, small.dim)
+                    for i in range(big.dim):
+                        vector = field.matrix([[x for key in small.layout
+                                                for x in big.basis[i, slice(*blocks[key])]]])
+                        expected[i] = field.solve_in_span(small.basis, vector[0])
+                    assert field.equal(restriction_matrix(sheaf, big, small), expected)
+
+    def test_restriction_outside_the_span_raises(self):
+        """A 'section' over the bigger set whose restriction is no section
+        over the smaller one, nor over a set without sections."""
+        sheaf = constant_sheaf(PAR1, F5, 1)
+        small = sections(sheaf, whole_space(PAR1))
+        layout = small.layout
+        offsets = tuple(range(len(layout) + 1))
+        bad = F5.zeros(1, len(layout))
+        bad[0, 0] = 1
+        big = SectionSpace(F5, layout, offsets, bad)
+        with pytest.raises(NotFunctorial):
+            restriction_matrix(sheaf, big, small)
+        none = SectionSpace(F5, layout, offsets, F5.zeros(0, len(layout)))
+        with pytest.raises(NotFunctorial):
+            restriction_matrix(sheaf, big, none)
+        assert restriction_matrix(sheaf, none, small).shape == (0, small.dim)
 
 
 class TestStalk:

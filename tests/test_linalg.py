@@ -4,8 +4,10 @@ Fractions over Q.
 Every kernel is checked on both sides of the size crossovers in
 ``_linalg`` (the float64 BLAS product and the broadcast row reduction),
 on zero-size shapes and on sparse block matrices shaped like mapping
-cones, for a small, a medium and the largest common word-size prime.  The
-elimination routines are checked over Q on both sides of the row crossover.
+cones, for a small, a medium and the largest common word-size prime.  Over
+Q the product is checked on both sides of its integer crossover, and the
+elimination routines on sparse inputs of up to 40 rows and on a dense one
+with large denominators.
 """
 
 from fractions import Fraction
@@ -13,10 +15,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paracyclic._linalg import BLAS_MIN_MULTS, QQ, VECTOR_MIN_ROWS, PrimeField
+from paracyclic._linalg import BLAS_MIN_MULTS, Q_INT_MIN_MULTS, QQ, VECTOR_MIN_ROWS, PrimeField
 from paracyclic.errors import PackageError, ResourceBound
 
-from oracles import oracle_matmul_mod, oracle_rref_fraction, oracle_rref_mod
+from oracles import (
+    oracle_matmul_fraction,
+    oracle_matmul_mod,
+    oracle_rref_fraction,
+    oracle_rref_mod,
+)
 
 PRIMES = [2, 101, 2**31 - 1]
 
@@ -228,16 +235,18 @@ def test_largest_accepted_prime_is_exact():
 
 # -- the rationals -------------------------------------------------------------
 
-def random_q(rng, rows, cols, density):
-    """Sparse Fractions with numerators in -9..9 and denominators in 1..4."""
+def random_q(rng, rows, cols, density, top=9, max_den=4):
+    """Sparse Fractions with numerators in -top..top and denominators in
+    1..max_den."""
     out = QQ.zeros(rows, cols)
     for i, j in zip(*np.nonzero(rng.random((rows, cols)) < density)):
-        out[i, j] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+        out[i, j] = Fraction(int(rng.integers(-top, top + 1)), int(rng.integers(1, max_den + 1)))
     return out
 
 
 def q_rref_inputs(rng):
-    """Sparse Q matrices below, at and above the row crossover."""
+    """Sparse Q matrices of 31 to 40 rows, and a dense one whose large
+    denominators make the integer rows long."""
     small, large = VECTOR_MIN_ROWS - 1, VECTOR_MIN_ROWS
     return [
         random_q(rng, small, small + 3, 0.1),
@@ -245,15 +254,22 @@ def q_rref_inputs(rng):
         random_q(rng, large + 8, large - 5, 0.06),
         # rank-deficient: the last rows repeat combinations of the first
         np.vstack([m := random_q(rng, large, large + 2, 0.06), m[:4] * 3 + m[4:8]]),
+        # dense, with a repeated combination so that a row cancels entirely
+        np.vstack([m := random_q(rng, 11, 14, 1.0, top=10**6, max_den=10**6),
+                   m[:1] * Fraction(3, 7) - m[1:2] * Fraction(5, 11)]),
     ]
+
+
+def as_q(rows, shape):
+    out = QQ.zeros(*shape)
+    for i, row in enumerate(rows):
+        out[i] = row
+    return out
 
 
 def expected_rref_q(a):
     reduced, pivots = oracle_rref_fraction(a.tolist())
-    out = QQ.zeros(*a.shape)
-    for i, row in enumerate(reduced):
-        out[i] = row
-    return out, pivots
+    return as_q(reduced, a.shape), pivots
 
 
 def test_rationals_rref_matches_oracle():
@@ -317,3 +333,71 @@ def test_rationals_solve_in_span_matches_oracle(count):
             expected[pc] = reduced[r, -1]
         assert QQ.equal(coeffs, expected)
         assert QQ.equal(QQ.matmul(coeffs.reshape(1, -1), basis)[0], vector)
+
+
+def q_matmul_shapes():
+    """(m, k, n) just below and at the integer crossover, and larger, thin
+    and degenerate products."""
+    at = -(-Q_INT_MIN_MULTS // 4)
+    assert (at - 1) * 4 < Q_INT_MIN_MULTS <= at * 4
+    return [(at - 1, 2, 2), (at, 2, 2), (1, 1, 1), (3, 3, 3), (12, 12, 12),
+            (1, 40, 1), (30, 4, 30)]
+
+
+def expected_product_q(a, b):
+    return as_q(oracle_matmul_fraction(a.tolist(), b.tolist(), b.shape[1]),
+                (a.shape[0], b.shape[1]))
+
+
+@pytest.mark.parametrize("shape", q_matmul_shapes())
+def test_rationals_matmul_matches_oracle(shape):
+    """30 seeded products per shape, 210 in all: dense and sparse, with
+    denominators up to 4 on the left and up to 30 on the right, and every
+    third pair with a zero row on the left and a zero column on the right."""
+    rng = np.random.default_rng(37 + sum(shape))
+    m, k, n = shape
+    for trial in range(30):
+        density = (1.0, 0.4, 0.1)[trial % 3]
+        a = random_q(rng, m, k, density)
+        b = random_q(rng, k, n, density, top=30, max_den=30)
+        if trial % 3 == 2:
+            a[rng.integers(m)] = Fraction(0)
+            b[:, rng.integers(n)] = Fraction(0)
+        product = QQ.matmul(a, b)
+        assert QQ.equal(product, expected_product_q(a, b)), (shape, trial)
+        assert all(type(x) is Fraction for x in product.flat)
+
+
+@pytest.mark.parametrize("shape", [(0, 5, 3), (4, 0, 3), (4, 5, 0), (0, 0, 0)])
+def test_rationals_matmul_zero_size(shape):
+    m, k, n = shape
+    product = QQ.matmul(QQ.zeros(m, k), QQ.zeros(k, n))
+    assert product.shape == (m, n) and QQ.equal(product, QQ.zeros(m, n))
+
+
+@pytest.mark.parametrize("shape", q_matmul_shapes()[:2] + [(12, 12, 12)])
+def test_rationals_matmul_without_a_shared_inner_index(shape):
+    """a is nonzero only on the first inner indices, b only on the rest,
+    so every term of every entry has a zero factor."""
+    rng = np.random.default_rng(43)
+    m, k, n = shape
+    half = k // 2
+    a = QQ.zeros(m, k)
+    a[:, :half] = random_q(rng, m, half, 1.0)
+    b = QQ.zeros(k, n)
+    b[half:] = random_q(rng, k - half, n, 1.0, max_den=30)
+    product = QQ.matmul(a, b)
+    assert product.shape == (m, n) and QQ.equal(product, QQ.zeros(m, n))
+    assert all(type(x) is Fraction for x in product.flat)
+
+
+def test_rationals_rref_takes_int_entries():
+    """Entries may be ints: the echelon form is that of the same Fractions."""
+    rng = np.random.default_rng(47)
+    ints = rng.integers(-5, 6, size=(6, 8))
+    a = QQ.zeros(6, 8)
+    a[:] = ints.tolist()
+    reduced, pivots = QQ.rref(a)
+    expected, expected_pivots = expected_rref_q(QQ.matrix(ints.tolist()))
+    assert pivots == expected_pivots and QQ.equal(reduced, expected)
+    assert all(type(x) is Fraction for x in reduced.flat)

@@ -6,12 +6,20 @@ Each mutant runs against the smallest entry point that should catch it.
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from paracyclic import consheaf, equivalence, paracat, sdot, selftest
-from paracyclic._linalg import BLAS_MIN_MULTS, VECTOR_MIN_ROWS, PrimeField
+from paracyclic import _linalg, consheaf, equivalence, paracat, sdot, selftest
+from paracyclic._linalg import (
+    BLAS_MIN_MULTS,
+    Q_INT_MIN_MULTS,
+    QQ,
+    VECTOR_MIN_ROWS,
+    PrimeField,
+    Rationals,
+)
 from paracyclic.consheaf import UpSet, gap_key, gluing_check
 from paracyclic.equivalence import (
     ConvTilde,
@@ -27,7 +35,9 @@ from paracyclic.sdot import face, random_filtration
 
 from oracles import (
     class_oracle_mismatches,
+    oracle_matmul_fraction,
     oracle_matmul_mod,
+    oracle_rref_fraction,
     oracle_rref_mod,
     oracle_upsets_by_mask,
 )
@@ -267,6 +277,40 @@ def test_row_loop_without_reduce_is_caught(monkeypatch):
     a = rng.integers(0, 101, size=(VECTOR_MIN_ROWS - 1, VECTOR_MIN_ROWS + 2), dtype=np.int64)
     reduced, pivots = PrimeField(101).rref(a)
     assert (reduced.tolist(), pivots) != oracle_rref_mod(a.tolist(), 101)
+
+
+matmul_q = Rationals.matmul
+
+
+def left_scale_only_matmul(self, a, b):
+    """Rationals.matmul whose integer product is divided by the left
+    operand's scale alone; products below the crossover are unchanged."""
+    if a.shape[0] * a.shape[1] * b.shape[1] < Q_INT_MIN_MULTS:
+        return matmul_q(self, a, b)
+    left, left_scale = _linalg._integer_scaled(a.ravel().tolist())
+    right, _ = _linalg._integer_scaled(b.ravel().tolist())
+    product = _linalg._object_array(left, a.shape) @ _linalg._object_array(right, b.shape)
+    return self.matrix([[Fraction(x, left_scale) for x in row] for row in product.tolist()])
+
+
+def test_q_product_divided_by_the_left_scale_only_is_caught(monkeypatch):
+    """A product at the crossover whose right operand has denominators."""
+    monkeypatch.setattr(Rationals, "matmul", left_scale_only_matmul)
+    a = QQ.matrix([[Fraction(1, 2), 3], [-1, Fraction(2, 3)]])
+    b = QQ.matrix([[Fraction(1, 5)] * Q_INT_MIN_MULTS, [2] * Q_INT_MIN_MULTS])
+    expected = oracle_matmul_fraction(a.tolist(), b.tolist(), b.shape[1])
+    assert QQ.matmul(a, b).tolist() != expected
+
+
+def test_q_elimination_without_its_division_pass_is_caught(monkeypatch):
+    """The integer rows handed back as they are: the first pivot stays 2,
+    because the first row is primitive, 2 1 0."""
+    monkeypatch.setattr(Rationals, "_unit_pivots", lambda self, mat, pivots, cols:
+                        _linalg._object_array([Fraction(y) for row in mat for y in row],
+                                              (len(mat), cols)))
+    a = QQ.matrix([[2, 1, 0], [4, 2, 3], [Fraction(1, 2), Fraction(1, 4), 0]])
+    reduced, pivots = QQ.rref(a)
+    assert (reduced.tolist(), pivots) != oracle_rref_fraction(a.tolist())
 
 
 def test_cones_of_single_steps_are_caught(monkeypatch):
