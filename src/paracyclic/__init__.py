@@ -4,7 +4,7 @@ The package provides, at a finite truncation and in exact arithmetic:
 
 - the paracyclic and cyclic categories (objects, hom enumeration modulo the
   integer shift action, composition, duality),
-- paracyclic preorders, their convex equivalence relations, and amalgams,
+- paracyclic preorders and their convex equivalence relations,
 - the stratified corner spaces of gap cocycles with their fiber lines,
 - constructible sheaves on those spaces as poset representations over a
   prime field or the rationals,
@@ -73,17 +73,13 @@ from .paracat import (
     shift_action,
 )
 from .preord import (
-    Amalgam,
     ConvexRelation,
     ParaPreorder,
     PreordMap,
-    enumerate_amalgams,
     enumerate_conv,
     is_valid_morphism,
-    join_amalgam,
     pullback_relation,
     quotient_by_relation,
-    quotient_by_sim,
 )
 from .sdot import (
     ComplexMap,

@@ -92,7 +92,8 @@ class Field:
     """The matrix routines, written once.  A backend supplies ``name``,
     ``one``, ``zeros``, ``identity``, ``matmul``, ``mat_to_json``,
     ``random_matrix`` and the methods below that raise NotImplementedError;
-    it may replace ``_eliminate``, the loop beneath ``rref``."""
+    it may replace ``_eliminate``, the loop beneath ``rref``, and then needs
+    no ``_inv_scalar``."""
 
     name: str
 
@@ -417,14 +418,12 @@ class Rationals(Field):
         return a
 
     def scalar(self, x):
-        return Fraction(x)
+        # a numpy integer would stay fixed-width inside the Fraction and wrap
+        return Fraction(int(x) if isinstance(x, np.integer) else x)
 
     def scalar_power(self, x, k):
-        value = Fraction(x) ** abs(k)
+        value = self.scalar(x) ** abs(k)
         return value if k >= 0 else 1 / value
-
-    def _inv_scalar(self, x):
-        return 1 / Fraction(x)
 
     def mat_to_json(self, a):
         return [[f"{x.numerator}/{x.denominator}" for x in row] for row in a]

@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     NotFunctorial,
     NotUpwardClosed,
+    ResourceBound,
 )
 from .preord import (
     ConvexRelation,
@@ -36,6 +37,11 @@ from .preord import (
 )
 
 GapKey = Tuple[int, ...]
+
+# Beyond this many classes the up-sets of a base are not built: ResourceBound
+# is raised before any work.  Five classes (Par(4)) give 7,580 up-sets, six
+# would give 7,828,353, one less than the Dedekind number M(6).
+UPSET_CLASS_CAP = 5
 
 
 def gap_key(rel_or_gaps) -> GapKey:
@@ -283,6 +289,9 @@ def _upsets_by_mask(base: ParaPreorder) -> Dict[int, UpSet]:
     increasing number of gaps and a stratum only when all its one-gap-smaller
     faces are members, so the cost grows with the number of up-sets (7,580
     at Par(4)), not with the 2^(number of strata) subsets."""
+    if base.num_classes > UPSET_CLASS_CAP:
+        raise ResourceBound(
+            f"{base.num_classes} classes exceed the cap of {UPSET_CLASS_CAP} for up-sets")
     bit = _stratum_bits(base)
     masks = [0]
     for key in sorted(bit, key=len):

@@ -137,10 +137,9 @@ class ParaMap:
 
     @classmethod
     def from_json(cls, data: dict) -> "ParaMap":
-        m, n = int(data["m"]), int(data["n"])
-        tgt = Parasimplex(n)
+        src, tgt = Parasimplex(int(data["m"])), Parasimplex(int(data["n"]))
         values = tuple(tgt.abs_of(v) for v in data["values"])
-        return cls(m, n, values, int(data.get("shift", 0)))
+        return cls(src.n, tgt.n, values, int(data.get("shift", 0)))
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,11 @@ class TestConvAndPoints:
         )
         assert code == 1 and data["error"]["type"] == "NoInfinityGap"
 
+    @pytest.mark.parametrize("command", ["conv", "strata"])
+    def test_too_many_classes_fail_fast(self, command, capsys):
+        code, data = run_cli_json([command, "--sizes", ",".join(["1"] * 24)], capsys)
+        assert code == 1 and data["error"]["type"] == "ResourceBound"
+
     def test_strata(self, capsys):
         code, data = run_cli_json(["strata", "--sizes", "2,1"], capsys)
         assert code == 0 and len(data["strata"]) == 3
@@ -261,6 +266,10 @@ class TestMalformedInput:
     ])
     def test_map_of_the_wrong_structure(self, args, capsys):
         code, data = run_cli_json(args, capsys)
+        assert code == 1 and data["error"]["type"] == "MalformedInput"
+
+    def test_map_with_a_negative_source(self, capsys):
+        code, data = run_cli_json(["dualize", "--map", '{"m":-1,"n":1,"values":[]}'], capsys)
         assert code == 1 and data["error"]["type"] == "MalformedInput"
 
     def test_sheaf_file_of_the_wrong_structure(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from paracyclic._linalg import PrimeField, QQ
 from paracyclic.consheaf import (
+    UPSET_CLASS_CAP,
     SectionSpace,
     StratSheaf,
     UpSet,
@@ -28,6 +29,7 @@ from paracyclic.errors import (
     DimensionMismatch,
     NotFunctorial,
     NotUpwardClosed,
+    ResourceBound,
 )
 from paracyclic.preord import (
     ConvexRelation,
@@ -204,6 +206,16 @@ class TestUpSets:
         assert len(enumerate_upsets(PAR2)) == 19
         assert len(enumerate_upsets(PAR3)) == 167
         assert len(enumerate_upsets(PAR4)) == 7580
+
+    def test_up_sets_beyond_the_class_cap_are_refused(self):
+        """Six classes would give 7,828,353 up-sets; the refusal comes first,
+        also from a gluing check, which looks its up-sets up by mask."""
+        base = ParaPreorder((1,) * (UPSET_CLASS_CAP + 1))
+        with pytest.raises(ResourceBound):
+            enumerate_upsets(base)
+        top = whole_space(base)
+        with pytest.raises(ResourceBound):
+            gluing_check(constant_sheaf(base, F5, 1), top, top)
 
     @pytest.mark.parametrize("n", range(4))
     def test_enumerate_matches_mask_scan_in_order(self, n):

@@ -7,7 +7,8 @@ on zero-size shapes and on sparse block matrices shaped like mapping
 cones, for a small, a medium and the largest common word-size prime.  Over
 Q the product is checked on both sides of its integer crossover, and the
 elimination routines on sparse inputs of up to 40 rows and on a dense one
-with large denominators.
+with large denominators; both product regimes and the elimination also on
+entries read from numpy integers beyond int64 products.
 """
 
 from fractions import Fraction
@@ -401,3 +402,23 @@ def test_rationals_rref_takes_int_entries():
     expected, expected_pivots = expected_rref_q(QQ.matrix(ints.tolist()))
     assert pivots == expected_pivots and QQ.equal(reduced, expected)
     assert all(type(x) is Fraction for x in reduced.flat)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_rationals_matmul_is_exact_on_numpy_integers(n):
+    """Entries read from numpy integers of 2**40 and more, whose products
+    overflow int64: n = 1 stays below the integer crossover, n = 4 is past
+    it."""
+    assert (n ** 3 < Q_INT_MIN_MULTS) == (n == 1)
+    ints = np.random.default_rng(53 + n).integers(2**40, 2**41, size=(n, n))
+    a = QQ.matrix(list(ints))
+    exact = QQ.matrix(ints.tolist())
+    assert QQ.equal(QQ.matmul(a, a), expected_product_q(exact, exact))
+    assert QQ.scalar_power(ints[0, 0], -2) == Fraction(1, int(ints[0, 0]) ** 2)
+
+
+def test_rationals_rref_is_exact_on_numpy_integers():
+    ints = np.random.default_rng(59).integers(2**40, 2**42, size=(4, 5))
+    reduced, pivots = QQ.rref(QQ.matrix(list(ints)))
+    expected, expected_pivots = expected_rref_q(QQ.matrix(ints.tolist()))
+    assert pivots == expected_pivots and QQ.equal(reduced, expected)

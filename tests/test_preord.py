@@ -11,21 +11,18 @@ from paracyclic.errors import (
 )
 from paracyclic.paracat import Parasimplex
 from paracyclic.preord import (
-    Amalgam,
+    CONV_CLASS_CAP,
     ConvexRelation,
     ParaPreorder,
     PreordMap,
     compose_preord,
-    enumerate_amalgams,
     enumerate_conv,
     identity_map,
     is_valid_morphism,
-    join_amalgam,
     least_relation,
     preorders_up_to,
     pullback_relation,
     quotient_by_relation,
-    quotient_by_sim,
     shift_map,
 )
 
@@ -125,17 +122,19 @@ class TestParaPreorder:
 
 class TestQuotientBySim:
     def test_all_singletons(self):
-        quotient, proj = quotient_by_sim(PAR2)
+        quotient, proj = quotient_by_relation(PAR2, least_relation(PAR2))
         assert quotient == Parasimplex(2)
         assert proj.values == (0, 1, 2)
 
     def test_two_one(self):
-        quotient, proj = quotient_by_sim(ParaPreorder((2, 1)))
+        base = ParaPreorder((2, 1))
+        quotient, proj = quotient_by_relation(base, least_relation(base))
         assert quotient == Parasimplex(1)
         assert proj.values == (0, 0, 1)
 
     def test_single_class(self):
-        quotient, proj = quotient_by_sim(ParaPreorder((3,)))
+        base = ParaPreorder((3,))
+        quotient, proj = quotient_by_relation(base, least_relation(base))
         assert quotient == Parasimplex(0)
         assert proj.values == (0, 0, 0)
 
@@ -158,6 +157,10 @@ class TestEnumerateConv:
         base = ParaPreorder(sizes)
         assert len(enumerate_conv(base)) == 2 ** base.num_classes - 1
 
+    def test_bases_beyond_the_class_cap_are_refused(self):
+        with pytest.raises(ResourceBound):
+            enumerate_conv(ParaPreorder((1,) * (CONV_CLASS_CAP + 1)))
+
     def test_least_element_below_everything(self):
         poset = enumerate_conv(PAR2)
         assert poset[0] == least_relation(PAR2)
@@ -172,8 +175,9 @@ class TestEnumerateConv:
 
 class TestQuotientByRelation:
     def test_least_is_class_quotient(self):
-        rel = least_relation(PAR2)
-        assert quotient_by_relation(PAR2, rel) == quotient_by_sim(PAR2)
+        # on a parasimplex the class relation is trivial: the projection is the identity
+        assert quotient_by_relation(PAR2, least_relation(PAR2)) == (
+            Parasimplex(2), identity_map(PAR2))
 
     def test_total_merge(self):
         quotient, proj = quotient_by_relation(PAR2, ConvexRelation(PAR2, frozenset({2})))
@@ -318,85 +322,3 @@ class TestCrossModuleConsistency:
         }
         surjections = {c.values for c in enumerate_hom(m, n, "surj")}
         assert preord_homs == surjections
-
-
-class TestAmalgams:
-    def test_two_points_has_three(self):
-        amalgams = enumerate_amalgams(PAR0, PAR0)
-        assert len(amalgams) == 3
-        sizes = sorted(a.to_preorder().sizes for a in amalgams)
-        assert sizes == [(1, 1), (1, 1), (2,)]
-
-    def test_poset_structure(self):
-        a_low, merged, b_low = None, None, None
-        for a in enumerate_amalgams(PAR0, PAR0):
-            if a.positions == (0,):
-                merged = a
-            elif a.positions == (1,):
-                a_low = a
-            elif a.positions == (-1,):
-                b_low = a
-        assert merged.contains(a_low) and merged.contains(b_low)
-        assert not a_low.contains(b_low) and not b_low.contains(a_low)
-
-    def test_join_is_transitive_closure(self):
-        amalgams = enumerate_amalgams(PAR0, PAR0)
-        for a, b in itertools.product(amalgams, repeat=2):
-            joined = join_amalgam(a, b, amalgams)
-            assert joined is not None
-            # transitive closure of the union, computed on the window
-            close = set(a.relation_table() | b.relation_table())
-            changed = True
-            while changed:
-                changed = False
-                for (u, v), (v2, w) in itertools.product(list(close), list(close)):
-                    if v == v2 and (u, w) not in close:
-                        close.add((u, w))
-                        changed = True
-            # compare on the pairs the window representation records: one side
-            # in period zero, the other within one period of it
-            period0 = {(0, s) for s in range(a.left.period)} | {
-                (1, s) for s in range(a.right.period)
-            }
-            window = {
-                (side, s + t * (a.left.period if side == 0 else a.right.period))
-                for side, s in period0
-                for t in (-1, 0, 1)
-            }
-
-            def recordable(pair):
-                u, v = pair
-                return (u in period0 and v in window) or (v in period0 and u in window)
-
-            assert {p for p in close if recordable(p)} <= joined.relation_table()
-            if a == b:
-                assert joined == a
-
-    def test_classes_jointly_covered(self):
-        for left, right in [(PAR0, PAR1), (PAR1, PAR1), (ParaPreorder((2,)), PAR0)]:
-            for a in enumerate_amalgams(left, right):
-                combined = a.to_preorder()
-                assert combined.period == left.period + right.period
-
-    def test_resource_bound(self):
-        with pytest.raises(ResourceBound):
-            enumerate_amalgams(ParaPreorder((5, 5)), ParaPreorder((5,)), cap=10)
-
-    def test_counts_stable(self):
-        # frozen counts guard the shared-fundamental-domain convention; the
-        # two orders agree because the convention is symmetric
-        assert len(enumerate_amalgams(PAR0, PAR1)) == 7
-        assert len(enumerate_amalgams(PAR1, PAR0)) == 7
-
-    @pytest.mark.parametrize("left,right", [(PAR0, PAR1), (PAR0, ParaPreorder((2,)))])
-    def test_closed_under_existing_joins(self, left, right):
-        amalgams = enumerate_amalgams(left, right)
-        for a, b in itertools.product(amalgams, repeat=2):
-            uppers = [k for k in amalgams if k.contains(a) and k.contains(b)]
-            joined = join_amalgam(a, b, amalgams)
-            if uppers:
-                assert joined is not None
-                assert joined.contains(a) and joined.contains(b)
-                assert all(u.contains(joined) for u in uppers)
-            else:
-                assert joined is None
