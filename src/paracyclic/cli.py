@@ -91,8 +91,12 @@ def _load_json_argument(inline: Optional[str], path: Optional[str], decode):
     if inline:
         return _parse_json(inline, decode)
     if path:
-        with open(path) as handle:
-            return _parse_json(handle.read(), decode)
+        try:
+            with open(path) as handle:
+                text = handle.read()
+        except OSError as error:
+            raise MalformedInput(f"cannot read --in file: {error}") from None
+        return _parse_json(text, decode)
     raise PackageError("provide input inline or with --in FILE")
 
 

@@ -7,6 +7,9 @@ one vector-space dimension per stratum and one matrix per covering edge
 (dropping a single surviving boundary); the only law is path independence
 around the diamonds of the poset.
 
+``strata(base)`` is the one derivation of that poset: it numbers the strata
+and gives each one's relation, faces and covering edges, once per base.
+
 Sections over an open union of strata (an upward closed set) are computed
 as the kernel of the block matrix of compatibility constraints; bases are
 returned in reduced echelon form so repeated runs agree exactly.
@@ -15,6 +18,7 @@ returned in reduced echelon form so repeated runs agree exactly.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
@@ -50,9 +54,33 @@ def gap_key(rel_or_gaps) -> GapKey:
     return tuple(sorted(rel_or_gaps))
 
 
-def key_order(key: GapKey):
-    """Deterministic listing order: least stratum (most gaps) first."""
-    return (-len(key), key)
+@dataclass(frozen=True, eq=False)
+class StratumPoset:
+    """The convex relations of a base as a poset of gap keys.
+
+    ``keys`` lists the strata in ``enumerate_conv`` order, least stratum
+    (most gaps) first.  ``relation[key]`` is the relation behind a key,
+    ``bit[key]`` its up-set mask bit, 1 << its position in ``keys``, and
+    ``faces[key][b]`` the stratum that drops gap b (none for one gap).
+    ``edges`` are the covering edges (key, face), in key and gap order.
+    """
+
+    keys: Tuple[GapKey, ...]
+    relation: Mapping[GapKey, ConvexRelation]
+    bit: Mapping[GapKey, int]
+    faces: Mapping[GapKey, Mapping[int, GapKey]]
+    edges: Tuple[Tuple[GapKey, GapKey], ...]
+
+
+@functools.cache
+def strata(base: ParaPreorder) -> StratumPoset:
+    """The stratum poset of ``base``; memoized."""
+    relation = {gap_key(rel): rel for rel in enumerate_conv(base)}
+    bit = {key: 1 << i for i, key in enumerate(relation)}
+    faces = {key: {b: tuple(x for x in key if x != b) for b in key} if len(key) > 1 else {}
+             for key in relation}
+    edges = tuple((key, face) for key in relation for face in faces[key].values())
+    return StratumPoset(tuple(relation), relation, bit, faces, edges)
 
 
 @dataclass(frozen=True)
@@ -80,9 +108,6 @@ class StratSheaf:
     def value(self, stratum) -> FinVect:
         return FinVect(self.field, self.dims[gap_key(stratum)])
 
-    def keys(self) -> List[GapKey]:
-        return sorted(self.dims, key=key_order)
-
     def edge_map(self, fine, coarse) -> np.ndarray:
         """The functor on an arbitrary relation fine <= coarse.
 
@@ -93,10 +118,11 @@ class StratSheaf:
         fine, coarse = gap_key(fine), gap_key(coarse)
         if not set(coarse) <= set(fine):
             raise ValueError("edge goes from finer to coarser strata only")
+        faces = strata(self.base).faces
         matrix = self.field.identity(self.dims[fine])
         current = fine
         for dropped in sorted(set(fine) - set(coarse), reverse=True):
-            nxt = tuple(b for b in current if b != dropped)
+            nxt = faces[current][dropped]
             matrix = self.field.matmul(self.maps[(current, nxt)], matrix)
             current = nxt
         return matrix
@@ -105,7 +131,7 @@ class StratSheaf:
         return {
             "base": self.base.to_json(),
             "field": self.field.name,
-            "values": {",".join(map(str, k)): self.dims[k] for k in self.keys()},
+            "values": {",".join(map(str, k)): self.dims[k] for k in strata(self.base).keys},
             "maps": [
                 {
                     "from": list(src),
@@ -133,55 +159,38 @@ class StratSheaf:
         return validate_sheaf(base, fld, dims, maps)
 
 
-def covering_edges(base: ParaPreorder) -> List[Tuple[GapKey, GapKey]]:
-    edges = []
-    for rel in enumerate_conv(base):
-        key = gap_key(rel)
-        if len(key) == 1:
-            continue
-        for dropped in key:
-            edges.append((key, tuple(b for b in key if b != dropped)))
-    return edges
-
-
 def validate_sheaf(base, field, dims, maps) -> StratSheaf:
     """Check shapes and path independence on all diamonds; raises on failure."""
-    expected_keys = {gap_key(rel) for rel in enumerate_conv(base)}
-    if set(dims) != expected_keys:
+    poset = strata(base)
+    if set(dims) != set(poset.keys):
         raise DimensionMismatch("dimension table does not cover the stratum poset")
     if any(d < 0 for d in dims.values()):
         raise DimensionMismatch("negative dimension")
-    edges = covering_edges(base)
-    if set(maps) != set(edges):
+    if set(maps) != set(poset.edges):
         raise DimensionMismatch("matrix table does not match the covering edges")
     for (src, dst), mat in maps.items():
         if mat.shape != (dims[dst], dims[src]):
             raise DimensionMismatch(
                 f"edge {src}->{dst} expects shape {(dims[dst], dims[src])}, got {mat.shape}"
             )
-    sheaf = StratSheaf(base, field, dict(dims), dict(maps))
-    for key in sheaf.keys():
-        key_set = set(key)
+    for key in poset.keys:
         if len(key) < 3:
             continue
-        for b1 in key:
-            for b2 in key:
-                if b1 >= b2:
-                    continue
-                mid1 = tuple(b for b in key if b != b1)
-                mid2 = tuple(b for b in key if b != b2)
-                bottom = tuple(b for b in key if b not in (b1, b2))
-                one = field.matmul(maps[(mid1, bottom)], maps[(key, mid1)])
-                two = field.matmul(maps[(mid2, bottom)], maps[(key, mid2)])
-                if not field.equal(one, two):
-                    raise NotFunctorial(f"diamond {key} -> {bottom} does not commute")
-    return sheaf
+        faces = poset.faces[key]
+        for b1, b2 in itertools.combinations(key, 2):
+            mid1, mid2 = faces[b1], faces[b2]
+            bottom = poset.faces[mid1][b2]
+            one = field.matmul(maps[(mid1, bottom)], maps[(key, mid1)])
+            two = field.matmul(maps[(mid2, bottom)], maps[(key, mid2)])
+            if not field.equal(one, two):
+                raise NotFunctorial(f"diamond {key} -> {bottom} does not commute")
+    return StratSheaf(base, field, dict(dims), dict(maps))
 
 
 def constant_sheaf(base: ParaPreorder, field: Field, dim: int) -> StratSheaf:
-    dims = {gap_key(rel): dim for rel in enumerate_conv(base)}
-    maps = {edge: field.identity(dim) for edge in covering_edges(base)}
-    return StratSheaf(base, field, dims, maps)
+    poset = strata(base)
+    maps = {edge: field.identity(dim) for edge in poset.edges}
+    return StratSheaf(base, field, dict.fromkeys(poset.keys, dim), maps)
 
 
 def stalk(sheaf: StratSheaf, rel: ConvexRelation) -> FinVect:
@@ -194,13 +203,6 @@ def stalk(sheaf: StratSheaf, rel: ConvexRelation) -> FinVect:
 # open unions of strata
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _stratum_bits(base: ParaPreorder) -> Dict[GapKey, int]:
-    """The numbering of up-set masks: bit 1 << i for the i-th stratum of
-    ``enumerate_conv(base)``; memoized."""
-    return {gap_key(rel): 1 << i for i, rel in enumerate(enumerate_conv(base))}
-
-
 @dataclass(frozen=True)
 class UpSet:
     """An upward closed set of strata: the open unions of the stratification.
@@ -209,10 +211,10 @@ class UpSet:
     that the set is upward closed.  Intersections and unions of up-sets are
     up-sets, so ``&`` and ``|`` build their results without re-checking.
 
-    ``mask`` numbers the up-set among those of its base: bit i is set when
-    the i-th stratum of ``enumerate_conv(base)`` is a member.  Meets and
-    joins of masks are ``&`` and ``|`` of integers, which is how
-    ``gluing_check`` forms them and keys its section cache.
+    ``mask`` numbers the up-set among those of its base: it is the sum of
+    its members' bits in ``strata(base)``.  Meets and joins of masks are
+    ``&`` and ``|`` of integers, which is how ``gluing_check`` forms them
+    and keys its section cache.
     """
 
     base: ParaPreorder
@@ -221,18 +223,17 @@ class UpSet:
 
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(gap_key(k) for k in self.members))
-        bits = _stratum_bits(self.base)
+        poset = strata(self.base)
         mask = 0
         for key in self.members:
-            if key not in bits:
+            if key not in poset.bit:
                 raise BaseMismatch(f"{key} is not a stratum of the base {self.base.sizes}")
-            for b in key:
-                smaller = tuple(x for x in key if x != b)
-                if smaller and smaller not in self.members:
+            for smaller in poset.faces[key].values():
+                if smaller not in self.members:
                     raise NotUpwardClosed(
                         f"{key} is a member but the larger stratum {smaller} is not"
                     )
-            mask |= bits[key]
+            mask |= poset.bit[key]
         object.__setattr__(self, "mask", mask)
 
     @classmethod
@@ -244,9 +245,6 @@ class UpSet:
         object.__setattr__(up, "members", members)
         object.__setattr__(up, "mask", mask)
         return up
-
-    def sorted_members(self) -> List[GapKey]:
-        return sorted(self.members, key=key_order)
 
     def __contains__(self, key):
         return gap_key(key) in self.members
@@ -266,6 +264,8 @@ class UpSet:
 
 
 def up_closure(base: ParaPreorder, seeds: Iterable) -> UpSet:
+    """The least up-set holding ``seeds``; the constructor rejects non-strata."""
+    faces = strata(base).faces
     members = set()
     stack = [gap_key(s) for s in seeds]
     while stack:
@@ -273,13 +273,13 @@ def up_closure(base: ParaPreorder, seeds: Iterable) -> UpSet:
         if key in members or not key:
             continue
         members.add(key)
-        stack.extend(tuple(x for x in key if x != b) for b in key if len(key) > 1)
+        stack.extend(faces.get(key, {}).values())
     return UpSet(base, frozenset(members))
 
 
 def whole_space(base: ParaPreorder) -> UpSet:
-    bits = _stratum_bits(base)
-    return UpSet._closed(base, frozenset(bits), (1 << len(bits)) - 1)
+    keys = strata(base).keys
+    return UpSet._closed(base, frozenset(keys), (1 << len(keys)) - 1)
 
 
 @functools.cache
@@ -292,12 +292,13 @@ def _upsets_by_mask(base: ParaPreorder) -> Dict[int, UpSet]:
     if base.num_classes > UPSET_CLASS_CAP:
         raise ResourceBound(
             f"{base.num_classes} classes exceed the cap of {UPSET_CLASS_CAP} for up-sets")
-    bit = _stratum_bits(base)
+    poset = strata(base)
+    bit = poset.bit
     masks = [0]
-    for key in sorted(bit, key=len):
-        faces = sum(bit[tuple(x for x in key if x != b)] for b in key) if len(key) > 1 else 0
+    for key in sorted(poset.keys, key=len):
+        faces = sum(bit[face] for face in poset.faces[key].values())
         masks += [m | bit[key] for m in masks if m & faces == faces]
-    return {m: UpSet._closed(base, frozenset(k for k in bit if m & bit[k]), m)
+    return {m: UpSet._closed(base, frozenset(k for k in poset.keys if m & bit[k]), m)
             for m in sorted(masks)}
 
 
@@ -312,8 +313,9 @@ def enumerate_upsets(base: ParaPreorder) -> List[UpSet]:
 class SectionSpace:
     """Solutions of the compatibility constraints over an up-set.
 
-    ``layout`` lists the strata in coordinate order; ``basis`` rows are the
-    compatible families in reduced echelon form.
+    ``layout`` lists the strata in coordinate order, their order in
+    ``strata(base)``; ``basis`` rows are the compatible families in reduced
+    echelon form.
     """
 
     field: Field
@@ -330,14 +332,15 @@ def sections(sheaf: StratSheaf, open_set: UpSet) -> SectionSpace:
     """The limit of the sheaf over an up-set, as an explicit kernel."""
     if open_set.base != sheaf.base:
         raise BaseMismatch("up-set lives over a different base")
-    layout = tuple(open_set.sorted_members())
+    poset = strata(sheaf.base)
+    layout = tuple(key for key in poset.keys if key in open_set.members)
     offsets = [0]
     for key in layout:
         offsets.append(offsets[-1] + sheaf.dims[key])
     total = offsets[-1]
     fld = sheaf.field
     rows = []
-    for src, dst in covering_edges(sheaf.base):
+    for src, dst in poset.edges:
         if src not in open_set.members or dst not in open_set.members:
             continue
         block = fld.zeros(sheaf.dims[dst], total)
@@ -392,15 +395,11 @@ def pullback_sheaf(r: PreordMap, sheaf: StratSheaf) -> StratSheaf:
     """
     if sheaf.base != r.src:
         raise BaseMismatch("sheaf does not live over the source of the map")
-    target_base = r.tgt
-    back: Dict[GapKey, GapKey] = {}
-    for rel in enumerate_conv(target_base):
-        back[gap_key(rel)] = gap_key(pullback_relation(r, rel))
+    poset = strata(r.tgt)
+    back = {key: gap_key(pullback_relation(r, rel)) for key, rel in poset.relation.items()}
     dims = {key: sheaf.dims[back[key]] for key in back}
-    maps = {}
-    for src, dst in covering_edges(target_base):
-        maps[(src, dst)] = sheaf.edge_map(back[src], back[dst])
-    return StratSheaf(target_base, sheaf.field, dims, maps)
+    maps = {(src, dst): sheaf.edge_map(back[src], back[dst]) for src, dst in poset.edges}
+    return StratSheaf(r.tgt, sheaf.field, dims, maps)
 
 
 def gluing_check(sheaf: StratSheaf, u1: UpSet, u2: UpSet,
@@ -500,9 +499,8 @@ def random_sheaf(rng, base: ParaPreorder, field: Field, max_intervals: int = 4) 
     path independence, and conjugation by random isomorphisms keeps that
     while scrambling the matrices.
     """
-    poset = enumerate_conv(base)
-    keys = [gap_key(rel) for rel in poset]
-    rel_of = {gap_key(rel): rel for rel in poset}
+    poset = strata(base)
+    keys, rel_of = poset.keys, poset.relation
 
     supports = []
     for _ in range(rng.randrange(1, max_intervals + 1)):
@@ -515,7 +513,7 @@ def random_sheaf(rng, base: ParaPreorder, field: Field, max_intervals: int = 4) 
 
     dims = {k: sum(1 for s in supports if k in s) for k in keys}
     maps = {}
-    for src, dst in covering_edges(base):
+    for src, dst in poset.edges:
         mat = field.zeros(dims[dst], dims[src])
         src_rows = [i for i, s in enumerate(supports) if src in s]
         dst_rows = [i for i, s in enumerate(supports) if dst in s]

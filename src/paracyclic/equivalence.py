@@ -25,8 +25,8 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import Field, field_from_token
-from .consheaf import StratSheaf, gap_key, covering_edges, validate_sheaf
+from ._linalg import Field
+from .consheaf import StratSheaf, gap_key, strata, validate_sheaf
 from .errors import (
     BaseMismatch,
     IncompleteSystem,
@@ -111,23 +111,6 @@ class ParaRep:
             "shifts": [self.field.mat_to_json(t) for t in self.shifts],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ParaRep":
-        fld = field_from_token(data["field"])
-        N = int(data["N"])
-        dims = tuple(int(data["spaces"][str(n)]) for n in range(N + 1))
-        gen: Dict[Tuple[int, int], Dict[Tuple[int, ...], np.ndarray]] = {}
-        for entry in data["gen_maps"]:
-            m, n = int(entry["m"]), int(entry["n"])
-            gen.setdefault((m, n), {})[tuple(entry["values"])] = fld.mat_from_json(
-                entry["matrix"], (dims[n], dims[m])
-            )
-        shifts = tuple(
-            fld.mat_from_json(data["shifts"][n], (dims[n], dims[n]))
-            for n in range(N + 1)
-        )
-        return cls(N, fld, dims, gen, shifts)
-
 
 def validate_rep(rep: ParaRep) -> dict:
     """Exhaustively check functoriality over the truncation; returns a report."""
@@ -178,12 +161,12 @@ def realize_sheaf(rep: ParaRep, base: ParaPreorder) -> StratSheaf:
         raise TruncationExceeded(
             f"quotients of {base.sizes} reach Par({base.k}) > Par({rep.N})"
         )
-    rel_of = {gap_key(rel): rel for rel in enumerate_conv(base)}
-    dims = {key: rep.dims[len(key) - 1] for key in rel_of}
+    poset = strata(base)
+    dims = {key: rep.dims[len(key) - 1] for key in poset.keys}
     ident = identity_map(base)
     maps = {}
-    for src, dst in covering_edges(base):
-        q = induced_on_quotients(ident, rel_of[src], rel_of[dst])
+    for src, dst in poset.edges:
+        q = induced_on_quotients(ident, poset.relation[src], poset.relation[dst])
         maps[(src, dst)] = rep.evaluate(q)
     return validate_sheaf(base, rep.field, dims, maps)
 
@@ -253,7 +236,7 @@ def realize_system(rep: ParaRep) -> SheafSystem:
                 morphisms.append(PreordMap(src, tgt, c.values, 1))
     sheaves = {base: realize_sheaf(rep, base) for base in objects}
     comparisons = {
-        r: {gap_key(rel): comparison_iso(rep, r, rel) for rel in enumerate_conv(r.tgt)}
+        r: {key: comparison_iso(rep, r, rel) for key, rel in strata(r.tgt).relation.items()}
         for r in morphisms
     }
     return SheafSystem(rep.field, sheaves, comparisons)
@@ -266,12 +249,12 @@ def validate_system(system: SheafSystem) -> dict:
     for r in system.comparisons:
         sheaf_src = system.sheaf_over(r.src)
         sheaf_tgt = system.sheaf_over(r.tgt)
-        for rel in enumerate_conv(r.tgt):
+        poset = strata(r.tgt)
+        for rel in poset.relation.values():
             if not fld.is_invertible(system.comparison(r, rel)):
                 violations.append(("comparison-not-iso", r))
-        for src_key, dst_key in covering_edges(r.tgt):
-            rel_src = ConvexRelation(r.tgt, frozenset(src_key))
-            rel_dst = ConvexRelation(r.tgt, frozenset(dst_key))
+        for src_key, dst_key in poset.edges:
+            rel_src, rel_dst = poset.relation[src_key], poset.relation[dst_key]
             back_src = gap_key(pullback_relation(r, rel_src))
             back_dst = gap_key(pullback_relation(r, rel_dst))
             one = fld.matmul(system.comparison(r, rel_dst),

@@ -24,7 +24,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Literal, Sequence, Tuple
+from typing import Literal, Sequence, Tuple, get_args
 
 from .errors import MalformedInput, NotMonotone, ResourceBound, TypeMismatch
 
@@ -67,13 +67,6 @@ class Parasimplex:
     def shift_map(self, k: int = 1) -> "ParaMap":
         """The shift automorphism x |-> x + k * (n + 1)."""
         return ParaMap(self.n, self.n, tuple(range(self.period)), k)
-
-    def to_json(self) -> dict:
-        return {"n": self.n}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Parasimplex":
-        return cls(int(data["n"]))
 
 
 @dataclass(frozen=True)
@@ -154,11 +147,6 @@ class CycMap:
     def rep(self) -> ParaMap:
         return ParaMap(self.m, self.n, self.values, 0)
 
-    def to_json(self) -> dict:
-        data = self.rep.to_json()
-        del data["shift"]
-        return data
-
 
 def compose(g: ParaMap, f: ParaMap) -> ParaMap:
     """The composite g after f; strictly associative on the nose."""
@@ -226,6 +214,8 @@ def enumerate_hom(m: int, n: int, kind: Kind = "all",
     """
     if m < 0 or n < 0:
         raise ValueError("objects need m, n >= 0")
+    if kind not in get_args(Kind):
+        raise ValueError(f"unknown kind {kind!r}")
     bound = hom_count(m, n)
     if bound > cap:
         raise ResourceBound(f"hom-set has {bound} representatives, cap is {cap}")

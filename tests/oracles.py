@@ -199,6 +199,28 @@ def oracle_upsets_by_mask(keys: list[tuple[int, ...]]) -> list[frozenset]:
     return out
 
 
+def oracle_strata(num_boundaries: int):
+    """The stratum poset of a base with ``num_boundaries`` class boundaries,
+    from subsets of the boundaries alone.
+
+    The keys are every non-empty subset as a sorted tuple, from
+    ``itertools.combinations``, most gaps first and lexicographic within a
+    size; key i has the mask bit 1 << i.  The covering pairs (big, small)
+    come from comparing every pair of keys: small lies inside big and has
+    one gap fewer.  ``faces[big][b]`` is the small key of the pair whose
+    missing gap is b.  Returns keys, bits, faces and covering pairs."""
+    keys = [gaps for size in range(num_boundaries, 0, -1)
+            for gaps in itertools.combinations(range(num_boundaries), size)]
+    bits = {key: 1 << i for i, key in enumerate(keys)}
+    covers = [(big, small) for big in keys for small in keys
+              if len(small) == len(big) - 1 and set(small) < set(big)]
+    faces = {key: {} for key in keys}
+    for big, small in covers:
+        (missing,) = set(big) - set(small)
+        faces[big][missing] = small
+    return keys, bits, faces, covers
+
+
 def oracle_class_position(sizes: tuple[int, ...], x: int) -> int:
     """Absolute class index of element x of the preorder with class sizes
     ``sizes``, class 0 holding element 0: the number of class boundaries

@@ -285,6 +285,18 @@ class TestMalformedInput:
         code, data = run_cli_json(["sections", "--in", str(path), "--upset", "5"], capsys)
         assert code == 1 and data["error"]["type"] == "MalformedInput"
 
+    @pytest.mark.parametrize("args", [
+        ["stalk", "--gaps", "0"],
+        ["sections", "--upset", "[]"],
+        ["dualize"],
+        ["sdot-rotate"],
+    ])
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_in_file(self, args, name, tmp_path, capsys):
+        """A file that does not exist, or a directory, is reported as JSON."""
+        code, data = run_cli_json(args + ["--in", str(tmp_path / name)], capsys)
+        assert code == 1 and data["error"]["type"] == "MalformedInput"
+
     @pytest.mark.parametrize("gaps, code", [("abc", 2), ("5", 1)])
     def test_stalk_gaps_fail_without_a_traceback(self, tmp_path, gaps, code):
         """Gap text that is not a list of integers is a usage error; a gap

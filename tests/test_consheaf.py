@@ -20,6 +20,7 @@ from paracyclic.consheaf import (
     restriction_matrix,
     sections,
     stalk,
+    strata,
     up_closure,
     validate_sheaf,
     whole_space,
@@ -43,6 +44,7 @@ from oracles import (
     oracle_kernel_dim_by_enumeration,
     oracle_rref_fraction,
     oracle_rref_mod,
+    oracle_strata,
     oracle_upsets_by_mask,
 )
 from test_preord import all_preord_maps, small_preorders
@@ -142,6 +144,39 @@ def mask_mismatches(base):
         for b in upsets[i:]:
             found += [a & b, a | b]
     return [sorted(up.members) for up in found if up.mask != expected[up.members]]
+
+
+def strata_mismatches(base, poset):
+    """The parts of ``poset``, a stratum poset of ``base``, that disagree
+    with the subset oracle: the keys and their order, the mask bits, the
+    faces, the covering edges, and the relation behind each key."""
+    keys, bits, faces, covers = oracle_strata(base.num_classes)
+    wrong = []
+    if list(poset.keys) != keys:
+        wrong.append("keys")
+    if dict(poset.bit) != bits:
+        wrong.append("bits")
+    if {key: dict(face) for key, face in poset.faces.items()} != faces:
+        wrong.append("faces")
+    if sorted(poset.edges) != sorted(covers) or len(set(poset.edges)) != len(covers):
+        wrong.append("edges")
+    if list(poset.relation) != keys or any(
+            rel.base != base or rel.gaps != set(key) for key, rel in poset.relation.items()):
+        wrong.append("relations")
+    return wrong
+
+
+class TestStrata:
+    @pytest.mark.parametrize("sizes", [(1,) * (n + 1) for n in range(5)]
+                             + [(2, 1), (1, 2, 1), (3,)])
+    def test_matches_the_subset_oracle(self, sizes):
+        base = ParaPreorder(sizes)
+        keys = oracle_strata(base.num_classes)[0]
+        assert keys == sorted(keys, key=lambda key: (-len(key), key))
+        assert not strata_mismatches(base, strata(base))
+
+    def test_built_once_per_base(self):
+        assert strata(ParaPreorder((2, 1))) is strata(ParaPreorder((2, 1)))
 
 
 class TestValidateSheaf:

@@ -80,12 +80,6 @@ class TestValidateRep:
             assert validate_rep(random_rep(rng, F101, 2))["passed"]
             assert validate_rep(random_rep(rng, F101, 2, cyclic=True))["passed"]
 
-    def test_json_round_trip(self):
-        rng = random.Random(2)
-        rep = random_rep(rng, F101, 2)
-        again = ParaRep.from_json(rep.to_json())
-        assert reps_equal(rep, again)
-
 
 class TestRealizeSheaf:
     def test_constant_rep_realizes_constant_sheaf(self):

@@ -5,6 +5,8 @@ A check that stays green under its mutant has lost the power to fail.
 Each mutant runs against the smallest entry point that should catch it.
 """
 
+import dataclasses
+import functools
 import random
 from fractions import Fraction
 
@@ -41,7 +43,7 @@ from oracles import (
     oracle_rref_mod,
     oracle_upsets_by_mask,
 )
-from test_consheaf import mask_mismatches, nonzero_sheaf
+from test_consheaf import mask_mismatches, nonzero_sheaf, strata_mismatches
 from test_preord import relation_oracle_mismatches
 
 
@@ -202,13 +204,13 @@ def test_doubled_restrictions_are_caught(monkeypatch):
 def enumerate_upsets_any_face(base):
     """enumerate_upsets adding a stratum when any one of its faces is a
     member, not all of them."""
-    keys = [gap_key(rel) for rel in enumerate_conv(base)]
-    bit = {key: 1 << i for i, key in enumerate(keys)}
+    poset = consheaf.strata(base)
+    bit = poset.bit
     masks = [0]
-    for key in sorted(keys, key=len):
-        faces = sum(bit[tuple(x for x in key if x != b)] for b in key) if len(key) > 1 else 0
+    for key in sorted(poset.keys, key=len):
+        faces = sum(bit[face] for face in poset.faces[key].values())
         masks += [m | bit[key] for m in masks if m & faces or not faces]
-    return [UpSet._closed(base, frozenset(k for k in keys if m & bit[k]), m)
+    return [UpSet._closed(base, frozenset(k for k in poset.keys if m & bit[k]), m)
             for m in sorted(masks)]
 
 
@@ -218,6 +220,29 @@ def test_up_sets_from_any_one_face_are_caught(monkeypatch):
     keys = [gap_key(rel) for rel in enumerate_conv(base)]
     found = [up.members for up in consheaf.enumerate_upsets(base)]
     assert found != oracle_upsets_by_mask(keys)
+
+
+def test_faces_dropping_the_wrong_gap_are_caught(monkeypatch):
+    """strata whose faces[key][b] drop the key's first gap, whatever b is.
+    The up-set enumeration then takes sets that are not upward closed, such
+    as {(0, 1), (1,)} over Par(1): the mask-scan comparison of
+    ``TestUpSets::test_enumerate_matches_mask_scan_in_order`` goes red, and
+    so does the subset oracle of ``TestStrata``."""
+    build = consheaf.strata.__wrapped__
+
+    def mutant(base):
+        poset = build(base)
+        faces = {key: {b: key[1:] for b in face} for key, face in poset.faces.items()}
+        return dataclasses.replace(poset, faces=faces)
+
+    monkeypatch.setattr(consheaf, "strata", mutant)
+    monkeypatch.setattr(consheaf, "_upsets_by_mask",
+                        functools.cache(consheaf._upsets_by_mask.__wrapped__))
+    base = ParaPreorder.from_parasimplex(1)
+    keys = [gap_key(rel) for rel in enumerate_conv(base)]
+    found = [up.members for up in consheaf.enumerate_upsets(base)]
+    assert found != oracle_upsets_by_mask(keys)
+    assert "faces" in strata_mismatches(base, consheaf.strata(base))
 
 
 def test_constructor_mask_shifted_by_one_is_caught(monkeypatch):

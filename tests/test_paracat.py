@@ -46,10 +46,6 @@ class TestParasimplex:
         assert classify(succ) == "both"
         assert compose(succ, succ) == par.shift_map(1)
 
-    def test_json_round_trip(self):
-        par = Parasimplex(3)
-        assert Parasimplex.from_json(par.to_json()) == par
-
 
 class TestParaMapValidation:
     def test_rejects_non_monotone(self):
@@ -169,6 +165,13 @@ class TestEnumerateHom:
     def test_resource_bound(self):
         with pytest.raises(ResourceBound):
             enumerate_hom(3, 3, cap=10)
+
+    def test_unknown_kind_is_refused_before_the_cap_and_the_memo(self):
+        before = enumerate_hom.cache_info().currsize
+        for cap in (10**5, 1):
+            with pytest.raises(ValueError, match="unknown kind"):
+                enumerate_hom(1, 1, "bogus", cap=cap)
+        assert enumerate_hom.cache_info().currsize == before
 
 
 class TestShiftActionAndCyc:
