@@ -218,13 +218,13 @@ class Field:
         if rows == 0:
             return self.identity(cols)
         reduced, pivots = self.rref(a)
-        free = [c for c in range(cols) if c not in pivots]
-        basis = self.zeros(len(free), cols)
-        for idx, fc in enumerate(free):
-            basis[idx, fc] = self.one
-            for r, pc in enumerate(pivots):
-                basis[idx, pc] = self.scalar(-reduced[r, fc])
-        return basis
+        pivot_set = set(pivots)
+        # the identity with its pivot rows replaced by the negated reduced
+        # rows; its free columns hold 1 at their own index and -reduced[r, c]
+        # at the r-th pivot
+        square = self.identity(cols)
+        square[pivots] = self.neg(reduced[:len(pivots)])
+        return square.T[[c for c in range(cols) if c not in pivot_set]]
 
     def is_invertible(self, a: np.ndarray) -> bool:
         return a.shape[0] == a.shape[1] and self.rank(a) == a.shape[0]

@@ -185,6 +185,48 @@ def oracle_chain_map_rows(src, tgt) -> tuple[list[list], int]:
     return rows, width
 
 
+def oracle_fingerprint(filtration) -> tuple:
+    """Homology dimensions of every step and of the cone of every composite
+    X_i -> X_j (i < j) of a filtration, from the definitions with plain
+    lists: composites by entrywise products, the cone's differentials as
+    blocks d0 = [[-d1, 0], [f1, d0']] and d1 = [[-d0, 0], [f0, d1']] (degree
+    i of the cone is src_{i+1} + tgt_i, d' the target's), and
+    h_i = dim V_i - rank d0 - rank d1, ranks by ``oracle_rref_mod`` over F_p
+    or ``oracle_rref_fraction`` over Q.  Returns (steps, cones), the cones
+    ordered by i, then j."""
+    p = getattr(filtration.field, "p", None)
+
+    def rank(rows):
+        return len((oracle_rref_fraction(rows) if p is None else oracle_rref_mod(rows, p))[1])
+
+    def product(a, b, cols):
+        return oracle_matmul_fraction(a, b, cols) if p is None else oracle_matmul_mod(a, b, p, cols)
+
+    def homology(d0, d1, v0, v1):
+        r0, r1 = rank(d0), rank(d1)
+        return (v0 - r0 - r1, v1 - r1 - r0)
+
+    def block(a, zero_cols, below, beside):
+        """[[-a, 0], [below, beside]] with zero_cols columns of zeros."""
+        return ([[-x for x in row] + [0] * zero_cols for row in a]
+                + [left + right for left, right in zip(below, beside)])
+
+    objects = [(x.d0.tolist(), x.d1.tolist(), *x.dims) for x in filtration.objects]
+    maps = [(m.f0.tolist(), m.f1.tolist()) for m in filtration.maps]
+    steps = tuple(homology(*x) for x in objects)
+    cones = []
+    for i, (src_d0, src_d1, s0, s1) in enumerate(objects):
+        f0 = [[int(r == c) for c in range(s0)] for r in range(s0)]
+        f1 = [[int(r == c) for c in range(s1)] for r in range(s1)]
+        for j in range(i + 1, len(objects)):
+            tgt_d0, tgt_d1, t0, t1 = objects[j]
+            f0 = product(maps[j - 1][0], f0, s0)
+            f1 = product(maps[j - 1][1], f1, s1)
+            cones.append(homology(block(src_d1, t0, f1, tgt_d0),
+                                  block(src_d0, t1, f0, tgt_d1), s1 + t0, s0 + t1))
+    return (steps, tuple(cones))
+
+
 def oracle_upsets_by_mask(keys: list[tuple[int, ...]]) -> list[frozenset]:
     """Every upward closed subset of the strata ``keys`` (sorted gap tuples),
     by scanning all 2^len(keys) masks in ascending order, bit i standing for

@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -160,6 +161,16 @@ class TestChecks:
         )
         assert code == 0 and data["passed"] and data["length"] == 3
         assert data["rotated"]["field"] == "Q"
+
+    @pytest.mark.parametrize("args", [["--length", "9"], ["--field", "Q", "--length", "6"]],
+                             ids=["F2", "Q"])
+    def test_sdot_rotate_beyond_the_cap_fails_fast(self, args, capsys):
+        """F_2 at length 9 and Q at length 6 would reach total dimensions
+        70,680 and 5,694; both are refused before any rotation."""
+        start = time.perf_counter()
+        code, data = run_cli_json(["sdot-rotate", "--seed", "0"] + args, capsys)
+        assert code == 1 and data["error"]["type"] == "ResourceBound"
+        assert time.perf_counter() - start < 1
 
     def test_sdot_rotate_file(self, tmp_path, capsys):
         filt = random_filtration(random.Random(6), PrimeField(2), 2)

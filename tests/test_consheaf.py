@@ -228,6 +228,9 @@ class TestUpSets:
     def test_rejects_non_upward_closed(self):
         with pytest.raises(NotUpwardClosed):
             UpSet(PAR1, frozenset({(0, 1)}))
+        # holds the face (1,) of (0, 1) but not the face (0,)
+        with pytest.raises(NotUpwardClosed):
+            UpSet(PAR1, frozenset({(0, 1), (1,)}))
 
     def test_closure(self):
         up = up_closure(PAR1, [(0, 1)])

@@ -45,6 +45,7 @@ from oracles import (
 )
 from test_consheaf import mask_mismatches, nonzero_sheaf, strata_mismatches
 from test_preord import relation_oracle_mismatches
+from test_sdot import fingerprint_mismatches
 
 
 def failure_kinds(report):
@@ -227,7 +228,9 @@ def test_faces_dropping_the_wrong_gap_are_caught(monkeypatch):
     The up-set enumeration then takes sets that are not upward closed, such
     as {(0, 1), (1,)} over Par(1): the mask-scan comparison of
     ``TestUpSets::test_enumerate_matches_mask_scan_in_order`` goes red, and
-    so does the subset oracle of ``TestStrata``."""
+    so does the subset oracle of ``TestStrata``.  The constructor accepts
+    that set, so its second case in ``TestUpSets::test_rejects_non_upward_closed``
+    goes red too; {(0, 1)} alone is still refused."""
     build = consheaf.strata.__wrapped__
 
     def mutant(base):
@@ -243,6 +246,7 @@ def test_faces_dropping_the_wrong_gap_are_caught(monkeypatch):
     found = [up.members for up in consheaf.enumerate_upsets(base)]
     assert found != oracle_upsets_by_mask(keys)
     assert "faces" in strata_mismatches(base, consheaf.strata(base))
+    assert UpSet(base, frozenset({(0, 1), (1,)})).members == {(0, 1), (1,)}
 
 
 def test_constructor_mask_shifted_by_one_is_caught(monkeypatch):
@@ -359,3 +363,28 @@ def test_shift_without_negation_is_caught(monkeypatch):
     filt = random_filtration(random.Random(0), PrimeField(101), 3)
     with pytest.raises(NotAComplex):
         sdot.rotate(filt)
+
+
+def test_long_exact_sequence_without_the_degree_swap_is_caught(monkeypatch):
+    """The cone's homology read with the source's degrees left unswapped:
+    h_0(X) where h_1(X) belongs, and the other way round.  The cone oracle
+    comparison ``TestFingerprint::test_matches_the_cone_oracle`` goes red."""
+    def mutant(src, tgt, ranks):
+        (x0, x1), (y0, y1), (r0, r1) = src, tgt, ranks
+        return (y0 - r0 + x0 - r1, y1 - r1 + x1 - r0)
+
+    monkeypatch.setattr(sdot, "_cone_homology", mutant)
+    assert fingerprint_mismatches(PrimeField(101))
+
+
+def test_homology_representatives_not_reduced_modulo_boundaries_are_caught(monkeypatch):
+    """Representatives of H taken from an echelon basis of Z itself, without
+    clearing B's pivot columns: the steps then count dim Z.  The cone oracle
+    comparison ``TestFingerprint::test_matches_the_cone_oracle`` goes red."""
+    def mutant(field, d_out, d_in):
+        boundaries, boundary_pivots = sdot._echelon(field, d_in.T)
+        return sdot._DegreeHomology(boundaries, boundary_pivots,
+                                    *sdot._echelon(field, field.right_kernel(d_out)))
+
+    monkeypatch.setattr(sdot, "_degree_homology", mutant)
+    assert fingerprint_mismatches(PrimeField(101))

@@ -6,7 +6,7 @@ import pytest
 
 from paracyclic import sdot
 from paracyclic._linalg import PrimeField, QQ
-from paracyclic.errors import IndexOutOfRange, NotAComplex
+from paracyclic.errors import IndexOutOfRange, NotAComplex, ResourceBound
 from paracyclic.sdot import (
     ComplexMap,
     FilteredObject,
@@ -24,6 +24,7 @@ from paracyclic.sdot import (
     random_complex,
     random_filtration,
     rotate,
+    rotated_total_dim,
     rotation_periodicity_check,
     shift,
     shift_map,
@@ -31,7 +32,11 @@ from paracyclic.sdot import (
     zero_complex,
 )
 
-from oracles import oracle_chain_map_rows, oracle_kernel_dim_by_enumeration
+from oracles import (
+    oracle_chain_map_rows,
+    oracle_fingerprint,
+    oracle_kernel_dim_by_enumeration,
+)
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -45,6 +50,59 @@ def complexes_equal(x, y):
 def one_zero(field):
     """V0 = k, V1 = 0; homology (1, 0)."""
     return TwoPeriodicComplex.from_dims(field, 1, 0)
+
+
+def fully_rotated(filt):
+    """The (n + 1)-fold rotation of a length-n filtration."""
+    for _ in range(filt.length + 1):
+        filt = rotate(filt)
+    return filt
+
+
+def fingerprint_mismatches(field):
+    """Seeded filtrations of lengths 1-3, and their (n + 1)-fold rotations,
+    on which ``fingerprint`` and ``oracle_fingerprint`` differ."""
+    rng = random.Random(40)
+    out = []
+    for trial in range(12):
+        filt = random_filtration(rng, field, 1 + trial % 3, max_dim=3)
+        out += [(trial, rotations) for rotations, g in enumerate((filt, fully_rotated(filt)))
+                if fingerprint(g) != oracle_fingerprint(g)]
+    return out
+
+
+def edge_case_filtrations(field):
+    """Zero complexes, steps of dimensions (0, k) and (k, 0), zero maps,
+    identity maps, and every degeneracy of a seeded filtration."""
+    rng = random.Random(41)
+    zero = zero_complex(field)
+    x = TwoPeriodicComplex.from_dims(field, 2, 1)
+    y = random_complex(rng, field, 3)
+    only_odd, only_even = (TwoPeriodicComplex.from_dims(field, 0, 2),
+                           TwoPeriodicComplex.from_dims(field, 3, 0))
+    lopsided = (only_odd, y, only_even)
+    seeded = random_filtration(rng, field, 2, max_dim=3)
+    return [
+        FilteredObject(field, (zero,) * 3, (zero_chain_map(zero, zero),) * 2),
+        FilteredObject(field, lopsided, tuple(random_chain_map(rng, field, a, b)
+                                              for a, b in zip(lopsided, lopsided[1:]))),
+        FilteredObject(field, (x, y, x), (zero_chain_map(x, y), zero_chain_map(y, x))),
+        FilteredObject(field, (x,) * 3, (identity_chain_map(x),) * 2),
+    ] + [degeneracy(seeded, i) for i in range(seeded.length + 1)]
+
+
+def f101_steps_of_dims_three(length):
+    """A length-n filtration over F_101 with (3, 3) steps, the first with
+    zero differentials so that the fingerprint carries nonzero homology."""
+    rng = random.Random(36)
+    objects = [TwoPeriodicComplex.from_dims(F101, 3, 3)]
+    while len(objects) < length:
+        x = random_complex(rng, F101, 3)
+        if x.dims == (3, 3):
+            objects.append(x)
+    maps = tuple(random_chain_map(rng, F101, objects[i], objects[i + 1])
+                 for i in range(length - 1))
+    return FilteredObject(F101, tuple(objects), maps)
 
 
 class TestComplexes:
@@ -314,23 +372,29 @@ class TestRotate:
     def test_periodicity_length_six_over_f101(self):
         """Length 6 with (3, 3) steps: cones of up to about 750 rows after
         the 7 rotations.  The first step has zero differentials, so the
-        fingerprint carries nonzero homology.  Bound: 30 s (about 3.5 s on
-        a 2-vCPU VM; 42 s before the vectorized prime-field kernels)."""
-        rng = random.Random(36)
-        objects = [TwoPeriodicComplex.from_dims(F101, 3, 3)]
-        while len(objects) < 6:
-            x = random_complex(rng, F101, 3)
-            if x.dims == (3, 3):
-                objects.append(x)
-        maps = tuple(random_chain_map(rng, F101, objects[i], objects[i + 1])
-                     for i in range(5))
-        filt = FilteredObject(F101, tuple(objects), maps)
+        fingerprint carries nonzero homology.  Bound: 30 s (0.5-0.7 s on a
+        2-vCPU VM; 1.9 s while the fingerprint built the cone of every
+        composite, 42 s before the vectorized prime-field kernels)."""
+        filt = f101_steps_of_dims_three(6)
         start = time.perf_counter()
         report = rotation_periodicity_check(filt)
         elapsed = time.perf_counter() - start
         assert report["passed"], report
         assert report["fingerprint_before"][0][0] == (3, 3)
         assert elapsed < 30, f"length-6 periodicity check took {elapsed:.1f}s"
+
+    def test_periodicity_length_seven_over_f101(self):
+        """Length 7 with (3, 3) steps, seeded as at length 6: the 8 rotations
+        reach total dimension 9,186.  Bound: 30 s (about 2.4 s on a 2-vCPU
+        VM; 12.6 s while the fingerprint built the cone of every composite)."""
+        filt = f101_steps_of_dims_three(7)
+        assert rotated_total_dim(filt) == 9186
+        start = time.perf_counter()
+        report = rotation_periodicity_check(filt)
+        elapsed = time.perf_counter() - start
+        assert report["passed"], report
+        assert report["fingerprint_before"][0][0] == (3, 3)
+        assert elapsed < 30, f"length-7 periodicity check took {elapsed:.1f}s"
 
     def test_length_one_certificate(self):
         x = one_zero(F2)
@@ -378,6 +442,80 @@ class TestRotate:
         for _ in range(filt.length + 1):
             bad = broken_rotate(bad)
         assert fingerprint(bad) != fingerprint(filt)
+
+
+class TestFingerprint:
+    @pytest.mark.parametrize("field", [F2, F101, QQ], ids=["F2", "F101", "Q"])
+    def test_matches_the_cone_oracle(self, field):
+        assert fingerprint_mismatches(field) == []
+
+    @pytest.mark.parametrize("field", [F2, F101, QQ], ids=["F2", "F101", "Q"])
+    def test_edge_cases_match_the_cone_oracle(self, field):
+        for k, filt in enumerate(edge_case_filtrations(field)):
+            for g in (filt, fully_rotated(filt)):
+                assert fingerprint(g) == oracle_fingerprint(g), k
+            assert rotation_periodicity_check(filt)["passed"], k
+
+    def test_steps_are_the_homology_dims(self):
+        rng = random.Random(43)
+        for field in (F2, F101, QQ):
+            filt = fully_rotated(random_filtration(rng, field, 3, max_dim=4))
+            assert fingerprint(filt)[0] == tuple(homology_dims(x) for x in filt.objects)
+
+    def test_builds_no_cone_and_no_composite(self, monkeypatch):
+        filt = random_filtration(random.Random(42), F101, 4, max_dim=3)
+        turned = fully_rotated(filt)
+        expected = [oracle_fingerprint(filt), oracle_fingerprint(turned)]
+
+        def refuse(*args):
+            raise AssertionError("the fingerprint built a cone or a composite")
+
+        monkeypatch.setattr(sdot, "cone", refuse)
+        monkeypatch.setattr(sdot, "compose_chain_maps", refuse)
+        assert [fingerprint(filt), fingerprint(turned)] == expected
+
+
+class TestRotationCap:
+    """rotation_periodicity_check refuses, before any rotation, a filtration
+    whose n + 1 rotations exceed the backend's total-dimension cap."""
+
+    def test_total_dim_is_the_largest_total_of_the_rotations(self):
+        rng = random.Random(44)
+        for length in (1, 2, 3, 4):
+            filt = random_filtration(rng, F2, length, max_dim=4)
+            totals, turned = [], filt
+            for _ in range(length + 1):
+                turned = rotate(turned)
+                totals.append(sum(sum(x.dims) for x in turned.objects))
+            assert rotated_total_dim(filt) == max(totals) == totals[-1]
+        assert rotated_total_dim(FilteredObject(F2, (), ())) == 0
+
+    @pytest.mark.parametrize("field, length, total", [(F2, 9, 70680), (QQ, 6, 5694)],
+                             ids=["F2", "Q"])
+    def test_refused_before_rotating(self, field, length, total, monkeypatch):
+        filt = random_filtration(random.Random(0), field, length, max_dim=6)
+        assert rotated_total_dim(filt) == total
+        monkeypatch.setattr(sdot, "rotate", lambda filt: pytest.fail("rotated"))
+        start = time.perf_counter()
+        with pytest.raises(ResourceBound, match=str(total)):
+            rotation_periodicity_check(filt)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("field, length", [(F2, 8), (QQ, 5)], ids=["F2", "Q"])
+    def test_accepted_below_the_cap(self, field, length, monkeypatch):
+        """F_2 at length 8 (total 30,938) and Q at length 5 (2,279) pass the
+        cap and go on to rotate."""
+        filt = random_filtration(random.Random(0), field, length, max_dim=6)
+
+        class Rotated(Exception):
+            pass
+
+        def stop(filt):
+            raise Rotated
+
+        monkeypatch.setattr(sdot, "rotate", stop)
+        with pytest.raises(Rotated):
+            rotation_periodicity_check(filt)
 
 
 class TestCyclicRelations:
