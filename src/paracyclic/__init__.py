@@ -66,6 +66,7 @@ from .paracat import (
     Parasimplex,
     classify,
     compose,
+    composition_table,
     cyc_canonicalize,
     dualize_map,
     embed_simplex,

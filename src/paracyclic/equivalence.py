@@ -33,7 +33,7 @@ from .errors import (
     ResourceBound,
     TruncationExceeded,
 )
-from .paracat import ParaMap, Parasimplex, classify, compose, enumerate_hom
+from .paracat import ParaMap, Parasimplex, classify, composition_table, enumerate_hom
 from .preord import (
     ConvexRelation,
     ParaPreorder,
@@ -112,12 +112,31 @@ class ParaRep:
         }
 
 
+def _block_matrix(blocks: np.ndarray) -> np.ndarray:
+    """The matrix whose (i, j) block is blocks[i, j], from an array of shape
+    (rows, cols, p, q)."""
+    rows, cols, p, q = blocks.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(rows * p, cols * q)
+
+
 def validate_rep(rep: ParaRep) -> dict:
-    """Exhaustively check functoriality over the truncation; returns a report."""
+    """Exhaustively check functoriality over the truncation; returns a report.
+
+    A matrix of the wrong shape is reported as ``bad-shape`` and a canonical
+    surjection without a matrix as ``missing-map``; the checks that would
+    multiply either are skipped.  Composition is checked per triple (m, n, p)
+    by one block product: vstack(G_i) @ hstack(F_j) against the blocks
+    T_p^wrap H_idx read from ``composition_table``.  The failing pairs are
+    located only on a mismatch, and reported g by g, then f by f.
+    """
     violations = []
     fld = rep.field
-    for n in range(rep.N + 1):
-        if not fld.is_invertible(rep.shifts[n]):
+    levels = range(rep.N + 1)
+    shift_ok = [rep.shifts[n].shape == (rep.dims[n],) * 2 for n in levels]
+    for n in levels:
+        if not shift_ok[n]:
+            violations.append(("bad-shape", "shift", n))
+        elif not fld.is_invertible(rep.shifts[n]):
             violations.append(("shift-not-invertible", n))
         ident = Parasimplex(n).identity()
         table = rep.gen.get((n, n), {})
@@ -129,21 +148,45 @@ def validate_rep(rep: ParaRep) -> dict:
         for values, mat in table.items():
             if mat.shape != (rep.dims[n], rep.dims[m]):
                 violations.append(("bad-shape", (m, n), values))
-            # the shift automorphism is central: t_n M = M t_m
-            left = fld.matmul(rep.shifts[n], mat)
-            right = fld.matmul(mat, rep.shifts[m])
-            if not fld.equal(left, right):
-                violations.append(("shift-not-natural", (m, n), values))
-    for m, n, p in itertools.product(range(rep.N + 1), repeat=3):
-        for g in enumerate_hom(n, p, "surj"):
-            for f in enumerate_hom(m, n, "surj"):
-                h = compose(g.rep, f.rep)
-                lhs = fld.matmul(rep.evaluate(g.rep), rep.evaluate(f.rep))
-                rhs = rep.evaluate(h)
-                if not fld.equal(lhs, rhs):
-                    violations.append(
-                        ("composition", (m, n, p), f.values, g.values)
-                    )
+            elif shift_ok[m] and shift_ok[n]:
+                # the shift automorphism is central: t_n M = M t_m
+                left = fld.matmul(rep.shifts[n], mat)
+                right = fld.matmul(mat, rep.shifts[m])
+                if not fld.equal(left, right):
+                    violations.append(("shift-not-natural", (m, n), values))
+    # per hom-set, the matrices in enumerate_hom order, a zero block standing
+    # in for each missing or misshapen one, and which of them are usable
+    surjections = {}
+    for m, n in itertools.product(levels, repeat=2):
+        table, blank = rep.gen.get((m, n), {}), fld.zeros(rep.dims[n], rep.dims[m])
+        mats, usable = [], []
+        for c in enumerate_hom(m, n, "surj"):
+            mat = table.get(c.values)
+            if mat is None:
+                violations.append(("missing-map", (m, n), c.values))
+            usable.append(mat is not None and mat.shape == blank.shape)
+            mats.append(mat if usable[-1] else blank)
+        surjections[(m, n)] = (mats, np.array(usable, dtype=bool))
+    for m, n, p in itertools.product(levels, repeat=3):
+        (fs, f_ok), (gs, g_ok), (hs, h_ok) = (
+            surjections[(m, n)], surjections[(n, p)], surjections[(m, p)])
+        if not fs or not gs:
+            continue
+        idx, wrap = composition_table(m, n, p, "surj")
+        lhs = fld.matmul(np.vstack(gs), np.hstack(fs))
+        # T_p^w [H_0 | H_1 | ...] for each wrap w, cut into its blocks
+        hs_row, wraps = np.hstack(hs), np.unique(wrap)
+        stack = np.stack([fld.matmul(rep.shift_power(p, int(w)), hs_row)
+                          if w and shift_ok[p] else hs_row for w in wraps])
+        stack = stack.reshape(len(wraps), rep.dims[p], len(hs), rep.dims[m])
+        rhs = _block_matrix(stack.transpose(0, 2, 1, 3)[np.searchsorted(wraps, wrap), idx])
+        checked = g_ok[:, None] & f_ok[None, :] & h_ok[idx] & (shift_ok[p] | (wrap == 0))
+        if checked.all() and fld.equal(lhs, rhs):
+            continue
+        differs = (lhs != rhs).reshape(len(gs), rep.dims[p], len(fs), rep.dims[m])
+        for i, j in np.argwhere(differs.any(axis=(1, 3)) & checked):
+            violations.append(("composition", (m, n, p), enumerate_hom(m, n, "surj")[j].values,
+                               enumerate_hom(n, p, "surj")[i].values))
     return {"passed": not violations, "violations": violations}
 
 
@@ -490,18 +533,16 @@ def cell_rep(j: int, scale, field: Field, N: int) -> ParaRep:
     to the power of the shift offset, so the shift matrix is scale times
     the identity.
     """
-    basis = {n: [c.values for c in enumerate_hom(j, n, "surj")] for n in range(N + 1)}
-    dims = tuple(len(basis[n]) for n in range(N + 1))
+    dims = tuple(len(enumerate_hom(j, n, "surj")) for n in range(N + 1))
     gen = {}
     for m in range(N + 1):
         for n in range(N + 1):
+            # column b of c's matrix: the composite c o b, at its row of the basis
+            idx, wrap = composition_table(j, m, n, "surj")
             table = {}
-            for c in enumerate_hom(m, n, "surj"):
+            for c, rows, shifts in zip(enumerate_hom(m, n, "surj"), idx, wrap):
                 mat = field.zeros(dims[n], dims[m])
-                for col, b_values in enumerate(basis[m]):
-                    composite = compose(c.rep, ParaMap(j, m, b_values))
-                    row = basis[n].index(composite.values)
-                    mat[row, col] = field.scalar_power(scale, composite.shift)
+                mat[rows, np.arange(dims[m])] = [field.scalar_power(scale, int(k)) for k in shifts]
                 table[c.values] = mat
             gen[(m, n)] = table
     shifts = tuple(

@@ -16,6 +16,15 @@ The duality ``dualize_map`` sends f to f^v(x') = max { x | f(x) <= x' },
 which exchanges injections and surjections and retracts injections.  Its
 square is conjugation by the successor automorphism (not the identity), so
 its 2(n + 1)-th power is the identity on the endomorphisms of Par(n).
+
+``composition_table(a, b, c, kind)`` compiles composition of canonical
+representatives to integer arrays over ``enumerate_hom`` order, one numpy
+gather per triple, built on first use and memoized.  Shift offsets enter
+composition additively, (g + k) o (f + l) = (g o f) + k + l, so the table's
+wrap column covers every offset at once.  Criterion 2 of the self test reads
+these tables for its unit and associativity identities, exhaustively on
+objects <= Par(3); its scalar ``compose`` calls, exhaustive on objects
+<= Par(2) and a seeded sample at Par(3), are each compared with the table.
 """
 
 from __future__ import annotations
@@ -26,9 +35,16 @@ from dataclasses import dataclass
 from math import comb
 from typing import Literal, Sequence, Tuple, get_args
 
-from .errors import MalformedInput, NotMonotone, ResourceBound, TypeMismatch
+import numpy as np
+
+from .errors import MalformedInput, NotFunctorial, NotMonotone, ResourceBound, TypeMismatch
 
 DEFAULT_HOM_CAP = 10**6
+
+# composition_table refuses a triple whose gather holds more cells than
+# this, |H(b, c)| * |H(a, b)| * (a + 1); the largest triple of Lambda_4,
+# (4, 4, 4), holds 1,984,500 and Lambda_5's (5, 5, 5) 46,103,904.
+DEFAULT_TABLE_CELL_CAP = 4 * 10**6
 
 Kind = Literal["all", "inj", "surj"]
 
@@ -237,6 +253,65 @@ def enumerate_hom(m: int, n: int, kind: Kind = "all",
                 continue
             out.append(CycMap(m, n, values))
     return tuple(out)
+
+
+def _value_rows(m: int, n: int, kind: Kind) -> np.ndarray:
+    """The value tuples of ``enumerate_hom(m, n, kind)`` as int64 rows."""
+    values = [c.values for c in enumerate_hom(m, n, kind)]
+    return np.array(values, dtype=np.int64).reshape(len(values), m + 1)
+
+
+def _compose_rows(g_rows: np.ndarray, f_rows: np.ndarray, b: int, c: int):
+    """Every composite g o f of canonical maps Par(a) -> Par(b) -> Par(c) at
+    once: values of shape (len(g_rows), len(f_rows), a + 1), canonical,
+    and the wrap, the power of the shift split off each."""
+    raw = g_rows[:, f_rows % (b + 1)] + (f_rows // (b + 1)) * (c + 1)
+    wrap = raw[..., 0] // (c + 1)
+    return raw - wrap[..., None] * (c + 1), wrap
+
+
+def _positions(rows: np.ndarray, queries: np.ndarray, c: int) -> np.ndarray:
+    """The position in ``rows`` of each query row, by one searchsorted over
+    integer codes (the rows read as digits base 2(c + 1), which bounds the
+    canonical values of maps into Par(c)); raises if one is missing."""
+    base, width = 2 * (c + 1), rows.shape[1]
+    dtype = np.int64 if base ** width < 2**63 else object
+    weights = np.array([base ** k for k in range(width - 1, -1, -1)], dtype=dtype)
+    codes = rows.astype(dtype) @ weights
+    wanted = queries.astype(dtype) @ weights
+    order = np.argsort(codes, kind="stable")
+    ranked = np.append(codes[order], -1)    # -1 is no code: a miss lands on it
+    at = np.searchsorted(ranked[:-1], wanted)
+    if (ranked[at] != wanted).any():
+        raise NotFunctorial("a composite lies outside the target hom-set")
+    return order[at]
+
+
+@functools.cache
+def composition_table(a: int, b: int, c: int, kind: Kind = "all",
+                      cap: int = DEFAULT_TABLE_CELL_CAP) -> Tuple[np.ndarray, np.ndarray]:
+    """Composition of canonical representatives Par(a) -> Par(b) -> Par(c)
+    of the given kind, as read-only arrays (idx, wrap), int32 and int8, of shape
+    (|H(b, c)|, |H(a, b)|) over ``enumerate_hom`` order: the i-th map g of
+    H(b, c) after the j-th map f of H(a, b) is the idx[i, j]-th map of
+    H(a, c) followed by the shift to the power wrap[i, j].  No ``ParaMap`` is
+    built.  Built on first use and memoized; a triple whose gather would hold
+    more than ``cap`` cells raises ResourceBound before any enumeration."""
+    if kind not in get_args(Kind):
+        raise ValueError(f"unknown kind {kind!r}")
+    if min(a, b, c) < 0:
+        raise ValueError("objects need a, b, c >= 0")
+    cells = hom_count(b, c, kind) * hom_count(a, b, kind) * (a + 1)
+    if cells > cap:
+        raise ResourceBound(f"composition table has {cells} cells, cap is {cap}")
+    values, wrap = _compose_rows(_value_rows(b, c, kind), _value_rows(a, b, kind), b, c)
+    idx = _positions(_value_rows(a, c, kind), values.reshape(-1, a + 1), c)
+    # hom-sets are capped below 2**31 maps, and a canonical composite's wrap
+    # is 0 or 1; the narrow types halve the gathers that read the tables
+    tables = (idx.reshape(wrap.shape).astype(np.int32), wrap.astype(np.int8))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def dualize_map(f: ParaMap) -> ParaMap:

@@ -52,6 +52,7 @@ from .paracat import (
     Parasimplex,
     classify,
     compose,
+    composition_table,
     dualize_map,
     enumerate_hom,
     shift_action,
@@ -66,8 +67,11 @@ from .preord import (
     quotient_by_relation,
 )
 from .sdot import (
+    compose_chain_maps,
     cone,
     euler_characteristic,
+    homology_dims,
+    identity_chain_map,
     random_chain_map,
     random_complex,
     random_filtration,
@@ -113,15 +117,18 @@ def criterion_1(seed: int = 0) -> dict:
 
 
 def criterion_2(seed: int = 0) -> dict:
-    """Category axioms via exhaustive composition tables plus spot checks.
+    """Category axioms via the composition tables plus scalar spot checks.
 
-    The tables record canonical composite and wrap offset for every
-    composable pair with objects <= Par(3).  Associativity of arbitrary
-    shift offsets reduces to associativity of the tables because offsets
-    enter composition additively; the wrap comparison below is therefore
-    exhaustive over all offsets at once.  A seeded sample re-checks the
-    reduction against the real composition on map objects with offsets
-    |k| <= 2, exhaustively for objects <= Par(1).
+    ``paracat.composition_table`` gives canonical composite and wrap offset
+    for every composable pair with objects <= Par(3).  Associativity of
+    arbitrary shift offsets reduces to associativity of the tables because
+    offsets enter composition additively; the unit and associativity
+    identities below are therefore exhaustive over all offsets at once.
+    The scalar ``compose`` checks each composite it forms against the
+    table's prediction (values = table row, shift = wrap + the offsets):
+    offset associativity exhaustively on objects <= Par(1) with offsets
+    |k| <= 2, independence of cyclic representatives exhaustively on
+    objects <= Par(2), and 2,000 seeded triples at full size.
     """
     rng = random.Random(seed)
     objs = range(4)
@@ -131,22 +138,25 @@ def criterion_2(seed: int = 0) -> dict:
         for b in objs:
             reps[(a, b)] = [c.rep for c in enumerate_hom(a, b)]
             index[(a, b)] = {f.values: i for i, f in enumerate(reps[(a, b)])}
-
-    idx_tab: Dict[tuple, np.ndarray] = {}
-    wrap_tab: Dict[tuple, np.ndarray] = {}
+    idx_tab, wrap_tab, idx_rows, wrap_rows = {}, {}, {}, {}
     for a, b, c in itertools.product(objs, repeat=3):
-        fs, gs = reps[(a, b)], reps[(b, c)]
-        idx = np.zeros((len(gs), len(fs)), dtype=np.int32)
-        wrap = np.zeros((len(gs), len(fs)), dtype=np.int32)
-        for i, g in enumerate(gs):
-            for j, f in enumerate(fs):
-                h = compose(g, f)
-                idx[i, j] = index[(a, c)][h.values]
-                wrap[i, j] = h.shift
-        idx_tab[(a, b, c)] = idx
-        wrap_tab[(a, b, c)] = wrap
+        idx_tab[(a, b, c)], wrap_tab[(a, b, c)] = composition_table(a, b, c)
+        idx_rows[(a, b, c)] = idx_tab[(a, b, c)].tolist()
+        wrap_rows[(a, b, c)] = wrap_tab[(a, b, c)].tolist()
 
     failures = []
+
+    def composite(a, b, c, i, j, g, f):
+        """compose(g, f) for g the i-th map of H(b, c) and f the j-th of
+        H(a, b), each with any shift, checked against the table; returns
+        the position of its canonical map in H(a, c) and the composite."""
+        k = idx_rows[(a, b, c)][i][j]
+        h = compose(g, f)
+        if (h.values != reps[(a, c)][k].values
+                or h.shift != wrap_rows[(a, b, c)][i][j] + g.shift + f.shift):
+            failures.append(("table", a, b, c))
+        return k, h
+
     # units
     for a, b in itertools.product(objs, repeat=2):
         ident_a = index[(a, a)][Parasimplex(a).identity().values]
@@ -158,46 +168,50 @@ def criterion_2(seed: int = 0) -> dict:
             failures.append(("unit-left", a, b))
         if wrap_tab[(a, a, b)][:, ident_a].any() or wrap_tab[(a, b, b)][ident_b, :].any():
             failures.append(("unit-wrap", a, b))
-    # associativity, vectorized over all triples
+    # associativity, vectorized over all triples: entry (h, g, f) of each
+    # side is the position and the wrap of h(gf), resp. (hg)f
     for a, b, c, d in itertools.product(objs, repeat=4):
-        n_ab, n_bc, n_cd = len(reps[(a, b)]), len(reps[(b, c)]), len(reps[(c, d)])
-        if 0 in (n_ab, n_bc, n_cd):
-            continue
-        gf_idx = idx_tab[(a, b, c)]                     # (n_bc, n_ab)
-        gf_wrap = wrap_tab[(a, b, c)]
-        h_grid = np.arange(n_cd)[:, None, None]
-        left_idx = idx_tab[(a, c, d)][h_grid, gf_idx[None, :, :]]
-        left_wrap = wrap_tab[(a, c, d)][h_grid, gf_idx[None, :, :]] + gf_wrap[None, :, :]
-        hg_idx = idx_tab[(b, c, d)]                     # (n_cd, n_bc)
-        hg_wrap = wrap_tab[(b, c, d)]
-        f_grid = np.arange(n_ab)[None, None, :]
-        right_idx = idx_tab[(a, b, d)][hg_idx[:, :, None], f_grid]
-        right_wrap = wrap_tab[(a, b, d)][hg_idx[:, :, None], f_grid] + hg_wrap[:, :, None]
-        if not (left_idx == right_idx).all() or not (left_wrap == right_wrap).all():
+        gf_idx, gf_wrap = idx_tab[(a, b, c)], wrap_tab[(a, b, c)]     # (n_bc, n_ab)
+        hg_idx, hg_wrap = idx_tab[(b, c, d)], wrap_tab[(b, c, d)]     # (n_cd, n_bc)
+        left_idx = idx_tab[(a, c, d)][:, gf_idx]                      # (n_cd, n_bc, n_ab)
+        left_wrap = wrap_tab[(a, c, d)][:, gf_idx] + gf_wrap
+        right_idx = idx_tab[(a, b, d)][hg_idx]
+        right_wrap = wrap_tab[(a, b, d)][hg_idx] + hg_wrap[:, :, None]
+        if not (np.array_equal(left_idx, right_idx) and np.array_equal(left_wrap, right_wrap)):
             failures.append(("associativity", a, b, c, d))
+
+    def associates(a, b, c, d, i_h, i_g, i_f, h, g, f):
+        k_gf, gf = composite(a, b, c, i_g, i_f, g, f)
+        k_hg, hg = composite(b, c, d, i_h, i_g, h, g)
+        return composite(a, c, d, i_h, k_gf, h, gf)[1] == composite(a, b, d, k_hg, i_f, hg, f)[1]
+
     # object-level composition with explicit offsets: exhaustive on Par(<=1)
     small = [0, 1]
     for a, b, c, d in itertools.product(small, repeat=4):
-        for f, g, h in itertools.product(reps[(a, b)], reps[(b, c)], reps[(c, d)]):
+        for (i_f, f), (i_g, g), (i_h, h) in itertools.product(
+                enumerate(reps[(a, b)]), enumerate(reps[(b, c)]), enumerate(reps[(c, d)])):
             for kf, kg, kh in itertools.product((-2, 0, 2), (-1, 1), (0, 2)):
                 fs, gs, hs = shift_action(f, kf), shift_action(g, kg), shift_action(h, kh)
-                if compose(hs, compose(gs, fs)) != compose(compose(hs, gs), fs):
+                if not associates(a, b, c, d, i_h, i_g, i_f, hs, gs, fs):
                     failures.append(("offset-associativity", a, b, c, d))
+    def draw(key):
+        i = rng.randrange(len(reps[key]))
+        return i, shift_action(reps[key][i], rng.randrange(-2, 3))
+
     # seeded spot checks at full size
     for _ in range(2000):
         a, b, c, d = (rng.randrange(4) for _ in range(4))
-        f = shift_action(rng.choice(reps[(a, b)]), rng.randrange(-2, 3))
-        g = shift_action(rng.choice(reps[(b, c)]), rng.randrange(-2, 3))
-        h = shift_action(rng.choice(reps[(c, d)]), rng.randrange(-2, 3))
-        if compose(h, compose(g, f)) != compose(compose(h, g), f):
+        (i_f, f), (i_g, g), (i_h, h) = draw((a, b)), draw((b, c)), draw((c, d))
+        if not associates(a, b, c, d, i_h, i_g, i_f, h, g, f):
             failures.append(("sampled-associativity", a, b, c, d))
     # cyclic composition is independent of representatives (objects <= 2)
     for a, b, c in itertools.product(range(3), repeat=3):
-        for f, g in itertools.product(reps[(a, b)], reps[(b, c)]):
-            expected = compose(g, f).values
+        for (i_g, g), (i_f, f) in itertools.product(enumerate(reps[(b, c)]),
+                                                    enumerate(reps[(a, b)])):
+            expected = composite(a, b, c, i_g, i_f, g, f)[1].values
             for kf, kg in itertools.product((-2, -1, 1, 2), repeat=2):
-                got = compose(shift_action(g, kg), shift_action(f, kf)).values
-                if got != expected:
+                got = composite(a, b, c, i_g, i_f, shift_action(g, kg), shift_action(f, kf))
+                if got[1].values != expected:
                     failures.append(("cyc-representative", a, b, c))
     return {
         "id": 2,
@@ -438,18 +452,38 @@ def criterion_8(seed: int = 0) -> dict:
     }
 
 
+def _cone_fingerprint(filtration) -> tuple:
+    """``sdot.fingerprint`` from its definition: the homology of every step
+    and of the cone of every composite X_i -> X_j (i < j), each cone built
+    and reduced."""
+    steps = tuple(homology_dims(x) for x in filtration.objects)
+    cones = []
+    for i, x in enumerate(filtration.objects):
+        composite = identity_chain_map(x)
+        for step in filtration.maps[i:]:
+            composite = compose_chain_maps(step, composite)
+            cones.append(homology_dims(cone(composite)))
+    return (steps, tuple(cones))
+
+
 def criterion_9(seed: int = 0) -> dict:
-    """Rotation periodicity and cone additivity for filtered complexes."""
+    """Rotation periodicity and cone additivity for filtered complexes.
+
+    The periodicity check compares the fingerprint with itself before and
+    after the rotations, so each fingerprint before is also compared with
+    one built from the cones themselves (``_cone_fingerprint``)."""
     rng = random.Random(seed)
     field = PrimeField(2)
     failures = []
     # explicit double rotation at length 1
-    for _ in range(5):
+    for trial in range(5):
         filt = random_filtration(rng, field, 1, max_dim=6)
         report = rotation_periodicity_check(filt)
         if not (report["passed"] and report["double_rotation_is_identity"]
                 and report["certificate_is_quasi_iso"]):
             failures.append(("length-1", report))
+        if report["fingerprint_before"] != _cone_fingerprint(filt):
+            failures.append(("fingerprint-by-cones", "length-1", trial))
     # fingerprints across fifty seeded random filtrations
     for trial in range(50):
         length = 1 + trial % 3
@@ -457,6 +491,8 @@ def criterion_9(seed: int = 0) -> dict:
         report = rotation_periodicity_check(filt)
         if not report["passed"]:
             failures.append(("fingerprint", trial, length))
+        if report["fingerprint_before"] != _cone_fingerprint(filt):
+            failures.append(("fingerprint-by-cones", trial, length))
     # Euler additivity of mapping cones
     for trial in range(100):
         x = random_complex(rng, field, 4)

@@ -60,6 +60,33 @@ def oracle_compose_values(
     return tuple(v - lead * (p + 1) for v in raw), lead
 
 
+def oracle_composition_violations(rep) -> list:
+    """The ``composition`` violations of ``equivalence.validate_rep`` by the
+    per-pair loop it used to run: for every composable pair of canonical
+    surjections g : Par(n) -> Par(p) and f : Par(m) -> Par(n), g outer and f
+    inner in enumeration order, compare M(g) M(f) with t_p^lead M(h), where
+    h and lead come from ``oracle_compose_values``.  The surjections are
+    ``oracle_hom_values`` filtered by the definition; products are the
+    field's own."""
+    fld = rep.field
+
+    def surjections(m, n):
+        return [v for v in oracle_hom_values(m, n)
+                if {x % (n + 1) for x in v} == set(range(n + 1))]
+
+    violations = []
+    for m, n, p in itertools.product(range(rep.N + 1), repeat=3):
+        for g in surjections(n, p):
+            for f in surjections(m, n):
+                h, lead = oracle_compose_values(g, 0, f, 0, m, n, p)
+                rhs = rep.gen[(m, p)][h]
+                for _ in range(lead):
+                    rhs = fld.matmul(rep.shifts[p], rhs)
+                if not fld.equal(fld.matmul(rep.gen[(n, p)][g], rep.gen[(m, n)][f]), rhs):
+                    violations.append(("composition", (m, n, p), f, g))
+    return violations
+
+
 def oracle_kernel_dim_by_enumeration(rows: list[list[int]], width: int, p: int) -> int:
     """dim ker of a matrix over F_p by enumerating all vectors (tiny cases)."""
     count = 0

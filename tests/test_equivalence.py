@@ -33,7 +33,7 @@ from paracyclic.preord import (
     least_relation,
 )
 
-from oracles import oracle_related
+from oracles import oracle_composition_violations, oracle_related
 
 F101 = PrimeField(101)
 
@@ -79,6 +79,55 @@ class TestValidateRep:
         for _ in range(6):
             assert validate_rep(random_rep(rng, F101, 2))["passed"]
             assert validate_rep(random_rep(rng, F101, 2, cyclic=True))["passed"]
+
+    def test_bad_shape_is_reported_not_raised(self):
+        rep = cell_rep(1, 3, F101, 2)
+        gen = {key: dict(table) for key, table in rep.gen.items()}
+        victim = enumerate_hom(2, 1, "surj")[0].values
+        gen[(2, 1)][victim] = F101.identity(5)
+        report = validate_rep(ParaRep(2, F101, rep.dims, gen, rep.shifts))
+        assert report["violations"] == [("bad-shape", (2, 1), victim)]
+
+    def test_bad_shift_shape_is_reported_not_raised(self):
+        rep = cell_rep(1, 3, F101, 2)
+        shifts = (rep.shifts[0], F101.identity(rep.dims[1] + 1), rep.shifts[2])
+        report = validate_rep(ParaRep(2, F101, rep.dims, rep.gen, shifts))
+        assert report["violations"] == [("bad-shape", "shift", 1)]
+
+    def test_missing_map_is_reported_not_raised(self):
+        rep = cell_rep(1, 3, F101, 2)
+        gen = {key: dict(table) for key, table in rep.gen.items()}
+        victim = enumerate_hom(2, 1, "surj")[1].values
+        del gen[(2, 1)][victim]
+        report = validate_rep(ParaRep(2, F101, rep.dims, gen, rep.shifts))
+        assert report["violations"] == [("missing-map", (2, 1), victim)]
+
+    @pytest.mark.parametrize("field,N", [(F101, 3), (QQ, 2)])
+    def test_composition_violations_match_the_per_pair_oracle(self, field, N):
+        """Seeded valid reps, and the same reps with one matrix, one shift
+        or one whole hom-set replaced by random matrices."""
+        rng = random.Random(17)
+        corrupted = 0
+        for trial in range(8):
+            rep = random_rep(rng, field, N, cyclic=trial % 2 == 1)
+            gen = {key: dict(table) for key, table in rep.gen.items()}
+            shifts = list(rep.shifts)
+            m = rng.randrange(1, N + 1)
+            n = rng.randrange(m)
+            if trial % 4 == 1:
+                victim = rng.choice(enumerate_hom(m, n, "surj")).values
+                gen[(m, n)][victim] = field.random_matrix(rng, rep.dims[n], rep.dims[m])
+            elif trial % 4 == 2:
+                shifts[n] = field.random_invertible(rng, rep.dims[n])
+            elif trial % 4 == 3:
+                for values in gen[(m, n)]:
+                    gen[(m, n)][values] = field.random_matrix(rng, rep.dims[n], rep.dims[m])
+            broken = ParaRep(N, field, rep.dims, gen, tuple(shifts))
+            violations = validate_rep(broken)["violations"]
+            expected = oracle_composition_violations(broken)
+            assert [v for v in violations if v[0] == "composition"] == expected
+            corrupted += bool(expected)
+        assert corrupted >= 4
 
 
 class TestRealizeSheaf:

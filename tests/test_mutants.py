@@ -27,8 +27,10 @@ from paracyclic.equivalence import (
     ConvTilde,
     cell_rep,
     check_localization_adjunction,
+    random_rep,
     realize_system,
     recover_rep,
+    validate_rep,
 )
 from paracyclic.errors import NotAComplex, NotMonotone
 from paracyclic.paracat import ParaMap
@@ -368,13 +370,16 @@ def test_shift_without_negation_is_caught(monkeypatch):
 def test_long_exact_sequence_without_the_degree_swap_is_caught(monkeypatch):
     """The cone's homology read with the source's degrees left unswapped:
     h_0(X) where h_1(X) belongs, and the other way round.  The cone oracle
-    comparison ``TestFingerprint::test_matches_the_cone_oracle`` goes red."""
+    comparison ``TestFingerprint::test_matches_the_cone_oracle`` goes red,
+    and so does criterion 9, which compares each fingerprint with one built
+    from the cones."""
     def mutant(src, tgt, ranks):
         (x0, x1), (y0, y1), (r0, r1) = src, tgt, ranks
         return (y0 - r0 + x0 - r1, y1 - r1 + x1 - r0)
 
     monkeypatch.setattr(sdot, "_cone_homology", mutant)
     assert fingerprint_mismatches(PrimeField(101))
+    assert not selftest.criterion_9(0)["passed"]
 
 
 def test_homology_representatives_not_reduced_modulo_boundaries_are_caught(monkeypatch):
@@ -388,3 +393,57 @@ def test_homology_representatives_not_reduced_modulo_boundaries_are_caught(monke
 
     monkeypatch.setattr(sdot, "_degree_homology", mutant)
     assert fingerprint_mismatches(PrimeField(101))
+
+
+@pytest.fixture
+def patch_tables(monkeypatch):
+    """Patch a composition-table helper of ``paracat`` and empty the table
+    memo, so that the tables are built under the mutant; the memo is emptied
+    again afterwards, so that none of them is left behind."""
+    def patch(name, mutant):
+        monkeypatch.setattr(paracat, name, mutant)
+        paracat.composition_table.cache_clear()
+
+    yield patch
+    monkeypatch.undo()
+    paracat.composition_table.cache_clear()
+
+
+def test_composition_tables_without_their_wrap_are_caught(patch_tables):
+    """Tables whose wrap is always 0.  Units and associativity hold for them
+    (every wrap reads 0 on both sides); criterion 2's comparison of each
+    scalar composite's shift with wrap + the offsets goes red."""
+    rows = paracat._compose_rows
+
+    def mutant(g_rows, f_rows, b, c):
+        values, wrap = rows(g_rows, f_rows, b, c)
+        return values, np.zeros_like(wrap)
+
+    patch_tables("_compose_rows", mutant)
+    report = selftest.criterion_2(0)
+    assert not report["passed"]
+    assert failure_kinds(report["details"]) == {"table"}
+
+
+def test_rank_lookup_off_by_one_is_caught(patch_tables):
+    """Each composite's position read one place on, cyclically, against a
+    surjection cell, on which the maps of each hom-set act differently."""
+    positions = paracat._positions
+
+    def mutant(rows, queries, c):
+        return (positions(rows, queries, c) + 1) % len(rows)
+
+    rep = cell_rep(1, 3, PrimeField(101), 2)
+    patch_tables("_positions", mutant)
+    assert any(v[0] == "composition" for v in validate_rep(rep)["violations"])
+
+
+def test_blocks_assembled_with_i_and_j_swapped_are_caught(monkeypatch):
+    """validate_rep's gathered blocks laid out f-major instead of g-major."""
+    def mutant(blocks):
+        rows, cols, p, q = blocks.shape
+        return blocks.transpose(1, 2, 0, 3).reshape(rows * p, cols * q)
+
+    rep = random_rep(random.Random(5), PrimeField(101), 2)
+    monkeypatch.setattr(equivalence, "_block_matrix", mutant)
+    assert any(v[0] == "composition" for v in validate_rep(rep)["violations"])
