@@ -123,7 +123,8 @@ def validate_rep(rep: ParaRep) -> dict:
     """Exhaustively check functoriality over the truncation; returns a report.
 
     A matrix of the wrong shape is reported as ``bad-shape`` and a canonical
-    surjection without a matrix as ``missing-map``; the checks that would
+    surjection without a matrix as ``missing-map`` (or ``missing-identity``,
+    once, for an identity); the checks that would
     multiply either are skipped.  Composition is checked per triple (m, n, p)
     by one block product: vstack(G_i) @ hstack(F_j) against the blocks
     T_p^wrap H_idx read from ``composition_table``.  The failing pairs are
@@ -133,6 +134,7 @@ def validate_rep(rep: ParaRep) -> dict:
     fld = rep.field
     levels = range(rep.N + 1)
     shift_ok = [rep.shifts[n].shape == (rep.dims[n],) * 2 for n in levels]
+    no_identity = set()     # (n, values) of each identity reported missing
     for n in levels:
         if not shift_ok[n]:
             violations.append(("bad-shape", "shift", n))
@@ -142,6 +144,7 @@ def validate_rep(rep: ParaRep) -> dict:
         table = rep.gen.get((n, n), {})
         if ident.values not in table:
             violations.append(("missing-identity", n))
+            no_identity.add((n, ident.values))
         elif not fld.equal(table[ident.values], fld.identity(rep.dims[n])):
             violations.append(("identity-not-identity", n))
     for (m, n), table in rep.gen.items():
@@ -162,7 +165,7 @@ def validate_rep(rep: ParaRep) -> dict:
         mats, usable = [], []
         for c in enumerate_hom(m, n, "surj"):
             mat = table.get(c.values)
-            if mat is None:
+            if mat is None and (m != n or (n, c.values) not in no_identity):
                 violations.append(("missing-map", (m, n), c.values))
             usable.append(mat is not None and mat.shape == blank.shape)
             mats.append(mat if usable[-1] else blank)

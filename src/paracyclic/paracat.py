@@ -41,9 +41,10 @@ from .errors import MalformedInput, NotFunctorial, NotMonotone, ResourceBound, T
 
 DEFAULT_HOM_CAP = 10**6
 
-# composition_table refuses a triple whose gather holds more cells than
-# this, |H(b, c)| * |H(a, b)| * (a + 1); the largest triple of Lambda_4,
-# (4, 4, 4), holds 1,984,500 and Lambda_5's (5, 5, 5) 46,103,904.
+# composition_table refuses a triple whose gather, |H(b, c)| * |H(a, b)| *
+# (a + 1) cells, or one of whose hom-sets H(s, t) as value rows, |H(s, t)| *
+# (s + 1) cells, passes this; the largest triple of Lambda_4, (4, 4, 4),
+# holds 1,984,500 and Lambda_5's (5, 5, 5) 46,103,904.
 DEFAULT_TABLE_CELL_CAP = 4 * 10**6
 
 Kind = Literal["all", "inj", "surj"]
@@ -288,22 +289,25 @@ def _positions(rows: np.ndarray, queries: np.ndarray, c: int) -> np.ndarray:
 
 
 @functools.cache
-def composition_table(a: int, b: int, c: int, kind: Kind = "all",
-                      cap: int = DEFAULT_TABLE_CELL_CAP) -> Tuple[np.ndarray, np.ndarray]:
+def composition_table(a: int, b: int, c: int, kind: Kind = "all") -> Tuple[np.ndarray, np.ndarray]:
     """Composition of canonical representatives Par(a) -> Par(b) -> Par(c)
     of the given kind, as read-only arrays (idx, wrap), int32 and int8, of shape
     (|H(b, c)|, |H(a, b)|) over ``enumerate_hom`` order: the i-th map g of
     H(b, c) after the j-th map f of H(a, b) is the idx[i, j]-th map of
     H(a, c) followed by the shift to the power wrap[i, j].  No ``ParaMap`` is
-    built.  Built on first use and memoized; a triple whose gather would hold
-    more than ``cap`` cells raises ResourceBound before any enumeration."""
+    built.  Built on first use and memoized; a triple whose gather, or one of
+    whose three hom-sets as value rows, would hold more than
+    ``DEFAULT_TABLE_CELL_CAP`` cells raises ResourceBound before any
+    enumeration."""
     if kind not in get_args(Kind):
         raise ValueError(f"unknown kind {kind!r}")
     if min(a, b, c) < 0:
         raise ValueError("objects need a, b, c >= 0")
-    cells = hom_count(b, c, kind) * hom_count(a, b, kind) * (a + 1)
-    if cells > cap:
-        raise ResourceBound(f"composition table has {cells} cells, cap is {cap}")
+    rows = max(hom_count(s, t, kind) * (s + 1) for s, t in ((a, b), (b, c), (a, c)))
+    cells = max(rows, hom_count(b, c, kind) * hom_count(a, b, kind) * (a + 1))
+    if cells > DEFAULT_TABLE_CELL_CAP:
+        raise ResourceBound(f"composition table has {cells} cells, "
+                            f"cap is {DEFAULT_TABLE_CELL_CAP}")
     values, wrap = _compose_rows(_value_rows(b, c, kind), _value_rows(a, b, kind), b, c)
     idx = _positions(_value_rows(a, c, kind), values.reshape(-1, a + 1), c)
     # hom-sets are capped below 2**31 maps, and a canonical composite's wrap

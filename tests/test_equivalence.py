@@ -24,7 +24,7 @@ from paracyclic.equivalence import (
     validate_system,
 )
 from paracyclic.errors import TruncationExceeded
-from paracyclic.paracat import enumerate_hom
+from paracyclic.paracat import Parasimplex, enumerate_hom
 from paracyclic.preord import (
     ConvexRelation,
     ParaPreorder,
@@ -101,6 +101,13 @@ class TestValidateRep:
         del gen[(2, 1)][victim]
         report = validate_rep(ParaRep(2, F101, rep.dims, gen, rep.shifts))
         assert report["violations"] == [("missing-map", (2, 1), victim)]
+
+    def test_missing_identity_is_reported_once(self):
+        rep = cell_rep(1, 3, F101, 2)
+        gen = {key: dict(table) for key, table in rep.gen.items()}
+        del gen[(1, 1)][Parasimplex(1).identity().values]
+        report = validate_rep(ParaRep(2, F101, rep.dims, gen, rep.shifts))
+        assert report["violations"] == [("missing-identity", 1)]
 
     @pytest.mark.parametrize("field,N", [(F101, 3), (QQ, 2)])
     def test_composition_violations_match_the_per_pair_oracle(self, field, N):

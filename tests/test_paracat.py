@@ -223,16 +223,28 @@ class TestCompositionTable:
         after = composition_table.cache_info().currsize, enumerate_hom.cache_info().currsize
         assert after == before
 
-    def test_cell_cap_is_checked_before_any_enumeration(self):
+    def test_cell_cap_is_checked_before_any_enumeration(self, monkeypatch):
         before = enumerate_hom.cache_info().currsize
         # |H(7, 7)|**2 * 8 = 1,171,200,800 cells
         with pytest.raises(ResourceBound, match="cells"):
             composition_table(7, 7, 7)
-        # |H(1, 1)| * |H(1, 1)| * 2 = 72 cells
+        # a gather of 21**3 = 9,261 cells into the target H(20, 20), whose
+        # value rows hold 21 * |H(20, 20)| = 21 * 21 * C(41, 21) cells
+        with pytest.raises(ResourceBound, match="cells"):
+            composition_table(20, 0, 20)
+        # an empty gather, H(20, 21) having no surjection, whose other two
+        # hom-sets, H(40, 20) and H(40, 21), would still be enumerated
+        with pytest.raises(ResourceBound, match="cells"):
+            composition_table(40, 20, 21, "surj")
+        # |H(1, 1)| * |H(1, 1)| * 2 = 72 cells; the memo is emptied so that
+        # the cap is read afresh
+        composition_table.cache_clear()
+        monkeypatch.setattr(paracat, "DEFAULT_TABLE_CELL_CAP", 71)
         with pytest.raises(ResourceBound):
-            composition_table(1, 1, 1, cap=71)
+            composition_table(1, 1, 1)
         assert enumerate_hom.cache_info().currsize == before
-        assert composition_table(1, 1, 1, cap=72)[0].shape == (6, 6)
+        monkeypatch.setattr(paracat, "DEFAULT_TABLE_CELL_CAP", 72)
+        assert composition_table(1, 1, 1)[0].shape == (6, 6)
 
     def test_a_composite_outside_the_target_is_refused(self):
         rows = np.array([[0, 1], [1, 2]])
