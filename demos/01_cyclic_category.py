@@ -34,7 +34,8 @@ print("successor map on Par(2):", succ.to_json())
 print("successor cubed equals the shift:",
       compose(succ, compose(succ, succ)) == par2.shift_map(1))
 
-f = ParaMap(0, 1, (0,), 0)   # the injection of a point at slot 0
+# the injection of a point at slot 0
+f = ParaMap(Parasimplex(0), Parasimplex(1), (0,))
 print("\n=== duality ===")
 print("injection:", f.to_json(), "->", classify(f))
 fd = dualize_map(f)

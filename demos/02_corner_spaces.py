@@ -29,7 +29,7 @@ for rel in enumerate_conv(base):
     witness = witness_point(rel)
     quotient, _ = quotient_by_relation(base, rel)
     print(f"gaps {sorted(rel.gaps)}:  witness point "
-          f"{[g.token() for g in witness.gaps]}  quotient Par({quotient.n})")
+          f"{[g.token() for g in witness.gaps]}  quotient Par({quotient.k})")
 
 print("\n=== a point and its cocycle ===")
 point = validate_point(base, ["3/1", "inf"])

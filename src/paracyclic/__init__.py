@@ -63,6 +63,7 @@ from .extreal import ExtReal, NEG_INF, POS_INF, ext_add, ext_sub, ext_sum
 from .paracat import (
     CycMap,
     ParaMap,
+    ParaPreorder,
     Parasimplex,
     classify,
     compose,
@@ -75,8 +76,6 @@ from .paracat import (
 )
 from .preord import (
     ConvexRelation,
-    ParaPreorder,
-    PreordMap,
     enumerate_conv,
     is_valid_morphism,
     pullback_relation,

@@ -32,13 +32,8 @@ from .errors import (
     NotUpwardClosed,
     ResourceBound,
 )
-from .preord import (
-    ConvexRelation,
-    ParaPreorder,
-    PreordMap,
-    enumerate_conv,
-    pullback_relation,
-)
+from .paracat import ParaMap, ParaPreorder
+from .preord import ConvexRelation, enumerate_conv, pullback_relation
 
 GapKey = Tuple[int, ...]
 
@@ -386,7 +381,7 @@ def restriction_matrix(sheaf: StratSheaf, big: SectionSpace, small: SectionSpace
     return coords
 
 
-def pullback_sheaf(r: PreordMap, sheaf: StratSheaf) -> StratSheaf:
+def pullback_sheaf(r: ParaMap, sheaf: StratSheaf) -> StratSheaf:
     """Pull a sheaf on the source's corner space back along the point map.
 
     For r: I' -> I, precomposition maps the corner space of I into the one

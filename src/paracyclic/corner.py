@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import (
     BaseMismatch,
@@ -29,7 +29,8 @@ from .errors import (
     UndefinedAtFixedDiagonal,
 )
 from .extreal import ExtReal, NEG_INF, POS_INF, ZERO, as_ext, ext_sum, require_upper
-from .preord import ConvexRelation, ParaPreorder, PreordMap, pullback_relation
+from .paracat import ParaMap, ParaPreorder
+from .preord import ConvexRelation
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def stratum_of(point: CornerPoint) -> ConvexRelation:
     return ConvexRelation(base, gaps)
 
 
-def pullback_point(r: PreordMap, point: CornerPoint) -> CornerPoint:
+def pullback_point(r: ParaMap, point: CornerPoint) -> CornerPoint:
     """Precompose the cocycle with a preorder map: alpha'(a, b) = alpha(ra, rb)."""
     if r.tgt != point.base:
         raise BaseMismatch("point does not live over the target of the map")

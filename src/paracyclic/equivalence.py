@@ -33,20 +33,24 @@ from .errors import (
     ResourceBound,
     TruncationExceeded,
 )
-from .paracat import ParaMap, Parasimplex, classify, composition_table, enumerate_hom
+from .paracat import (
+    ParaMap,
+    ParaPreorder,
+    Parasimplex,
+    classify,
+    compose,
+    composition_table,
+    enumerate_hom,
+    shift_action,
+)
 from .preord import (
     ConvexRelation,
-    ParaPreorder,
-    PreordMap,
-    compose_preord,
     enumerate_conv,
     enumerate_preord_maps,
-    identity_map,
     least_relation,
     preorders_up_to,
     pullback_relation,
     quotient_by_relation,
-    shift_map,
 )
 
 GapKey = Tuple[int, ...]
@@ -86,12 +90,13 @@ class ParaRep:
 
     def evaluate(self, f: ParaMap) -> np.ndarray:
         """The matrix of an arbitrary truncated surjection (canonical, k)."""
-        if f.m > self.N or f.n > self.N:
-            raise TruncationExceeded(f"map {f.m}->{f.n} outside truncation {self.N}")
-        base = self.gen[(f.m, f.n)][f.values]
+        m, n = f.m, f.n
+        if m > self.N or n > self.N:
+            raise TruncationExceeded(f"map {m}->{n} outside truncation {self.N}")
+        base = self.gen[(m, n)][f.values]
         if f.shift == 0:
             return base
-        return self.field.matmul(self.shift_power(f.n, f.shift), base)
+        return self.field.matmul(self.shift_power(n, f.shift), base)
 
     def to_json(self) -> dict:
         return {
@@ -122,10 +127,12 @@ def _block_matrix(blocks: np.ndarray) -> np.ndarray:
 def validate_rep(rep: ParaRep) -> dict:
     """Exhaustively check functoriality over the truncation; returns a report.
 
-    A matrix of the wrong shape is reported as ``bad-shape`` and a canonical
+    A matrix of the wrong shape is reported as ``bad-shape``, a canonical
     surjection without a matrix as ``missing-map`` (or ``missing-identity``,
-    once, for an identity); the checks that would
-    multiply either are skipped.  Composition is checked per triple (m, n, p)
+    once, for an identity), a level without a shift matrix as
+    ``missing-shift`` and a ``gen`` key beyond the truncation as
+    ``outside-truncation``; the checks that would multiply or index any of
+    them are skipped.  Composition is checked per triple (m, n, p)
     by one block product: vstack(G_i) @ hstack(F_j) against the blocks
     T_p^wrap H_idx read from ``composition_table``.  The failing pairs are
     located only on a mismatch, and reported g by g, then f by f.
@@ -133,10 +140,13 @@ def validate_rep(rep: ParaRep) -> dict:
     violations = []
     fld = rep.field
     levels = range(rep.N + 1)
-    shift_ok = [rep.shifts[n].shape == (rep.dims[n],) * 2 for n in levels]
+    shift_ok = [n < len(rep.shifts) and rep.shifts[n].shape == (rep.dims[n],) * 2
+                for n in levels]
     no_identity = set()     # (n, values) of each identity reported missing
     for n in levels:
-        if not shift_ok[n]:
+        if n >= len(rep.shifts):
+            violations.append(("missing-shift", n))
+        elif not shift_ok[n]:
             violations.append(("bad-shape", "shift", n))
         elif not fld.is_invertible(rep.shifts[n]):
             violations.append(("shift-not-invertible", n))
@@ -148,6 +158,9 @@ def validate_rep(rep: ParaRep) -> dict:
         elif not fld.equal(table[ident.values], fld.identity(rep.dims[n])):
             violations.append(("identity-not-identity", n))
     for (m, n), table in rep.gen.items():
+        if not (0 <= m <= rep.N and 0 <= n <= rep.N):
+            violations.append(("outside-truncation", (m, n)))
+            continue
         for values, mat in table.items():
             if mat.shape != (rep.dims[n], rep.dims[m]):
                 violations.append(("bad-shape", (m, n), values))
@@ -209,7 +222,7 @@ def realize_sheaf(rep: ParaRep, base: ParaPreorder) -> StratSheaf:
         )
     poset = strata(base)
     dims = {key: rep.dims[len(key) - 1] for key in poset.keys}
-    ident = identity_map(base)
+    ident = base.identity()
     maps = {}
     for src, dst in poset.edges:
         q = induced_on_quotients(ident, poset.relation[src], poset.relation[dst])
@@ -223,7 +236,7 @@ def _quotient_class_representatives(rel: ConvexRelation) -> List[int]:
     return [classes.index(c) for c in range(rel.num_quotient_classes)]
 
 
-def comparison_iso(rep: ParaRep, r: PreordMap, rel: ConvexRelation) -> np.ndarray:
+def comparison_iso(rep: ParaRep, r: ParaMap, rel: ConvexRelation) -> np.ndarray:
     """The matrix identifying the pulled-back stalk with the stalk at rel.
 
     For r: I' -> I and rel on I, the induced map of quotient parasimplices
@@ -236,7 +249,7 @@ def comparison_iso(rep: ParaRep, r: PreordMap, rel: ConvexRelation) -> np.ndarra
 
 
 @functools.cache
-def comparison_map(r: PreordMap, rel: ConvexRelation) -> ParaMap:
+def comparison_map(r: ParaMap, rel: ConvexRelation) -> ParaMap:
     """The iso I'/pullback(rel) -> I/rel of quotient parasimplices, memoized."""
     return induced_on_quotients(r, pullback_relation(r, rel), rel)
 
@@ -253,7 +266,7 @@ class SheafSystem:
 
     field: Field
     sheaves: Mapping[ParaPreorder, StratSheaf]
-    comparisons: Mapping[PreordMap, Mapping[GapKey, np.ndarray]]
+    comparisons: Mapping[ParaMap, Mapping[GapKey, np.ndarray]]
 
     def sheaf_over(self, base: ParaPreorder) -> StratSheaf:
         try:
@@ -261,7 +274,7 @@ class SheafSystem:
         except KeyError:
             raise IncompleteSystem(f"no sheaf over {base.sizes}") from None
 
-    def comparison(self, r: PreordMap, rel: ConvexRelation) -> np.ndarray:
+    def comparison(self, r: ParaMap, rel: ConvexRelation) -> np.ndarray:
         if r not in self.comparisons:
             raise IncompleteSystem(f"no comparison data for morphism {r}")
         return self.comparisons[r][gap_key(rel)]
@@ -272,14 +285,13 @@ def realize_system(rep: ParaRep) -> SheafSystem:
     preorders Par(0..N), with all canonical surjection representatives, their
     shifts by one, and the shift automorphisms between them.
     """
-    objects = [ParaPreorder.from_parasimplex(n) for n in range(rep.N + 1)]
+    objects = [Parasimplex(n) for n in range(rep.N + 1)]
     morphisms = []
     for tgt in objects:
-        morphisms.append(shift_map(tgt))
+        morphisms.append(tgt.shift_map())
         for src in objects:
             for c in enumerate_hom(src.k, tgt.k, "surj"):
-                morphisms.append(PreordMap(src, tgt, c.values))
-                morphisms.append(PreordMap(src, tgt, c.values, 1))
+                morphisms += [c.rep, shift_action(c.rep, 1)]
     sheaves = {base: realize_sheaf(rep, base) for base in objects}
     comparisons = {
         r: {key: comparison_iso(rep, r, rel) for key, rel in strata(r.tgt).relation.items()}
@@ -313,7 +325,7 @@ def validate_system(system: SheafSystem) -> dict:
         for r in system.comparisons:
             if r2.tgt != r.src:
                 continue
-            composite = compose_preord(r, r2)
+            composite = compose(r, r2)
             if composite not in system.comparisons:
                 continue
             for rel in enumerate_conv(r.tgt):
@@ -334,7 +346,7 @@ def recover_rep(system: SheafSystem, N: int) -> ParaRep:
     the comparison; the shift matrix is the comparison of the shift
     automorphism at the least stratum.
     """
-    bases = [ParaPreorder.from_parasimplex(n) for n in range(N + 1)]
+    bases = [Parasimplex(n) for n in range(N + 1)]
     sheaves = [system.sheaf_over(base) for base in bases]
     least = [least_relation(base) for base in bases]
     fld = system.field
@@ -343,13 +355,13 @@ def recover_rep(system: SheafSystem, N: int) -> ParaRep:
     for m, n in itertools.product(range(N + 1), repeat=2):
         table = {}
         for c in enumerate_hom(m, n, "surj"):
-            r = PreordMap(bases[m], bases[n], c.values)
+            r = c.rep
             kernel = pullback_relation(r, least[n])
             structure = sheaves[m].edge_map(gap_key(least[m]), gap_key(kernel))
             table[c.values] = fld.matmul(system.comparison(r, least[n]), structure)
         if table:
             gen[(m, n)] = table
-    shifts = tuple(system.comparison(shift_map(base), rel)
+    shifts = tuple(system.comparison(base.shift_map(), rel)
                    for base, rel in zip(bases, least))
     return ParaRep(N, fld, dims, gen, shifts)
 
@@ -375,7 +387,7 @@ def rep_mismatches(rep: ParaRep, recovered: ParaRep) -> list:
 class ConvTildeEdge:
     src: ConvexRelation
     tgt: ConvexRelation
-    map: PreordMap
+    map: ParaMap
     cartesian: bool
 
 
@@ -401,21 +413,21 @@ class ConvTilde:
         return frozenset((e.src, e.tgt, e.map.values) for e in self.edges if e.cartesian)
 
 
-def respects_relations(r: PreordMap, rel_src: ConvexRelation,
+def respects_relations(r: ParaMap, rel_src: ConvexRelation,
                        rel_tgt: ConvexRelation) -> bool:
     """Whether r descends to a map of quotients I/E -> J/E': E lies in the
     pullback of E'."""
     return rel_src.leq(pullback_relation(r, rel_tgt))
 
 
-def induced_on_quotients(r: PreordMap, rel_src: ConvexRelation,
+def induced_on_quotients(r: ParaMap, rel_src: ConvexRelation,
                          rel_tgt: ConvexRelation) -> ParaMap:
     """The induced map of quotient parasimplices for a relation-respecting r."""
     values = tuple(
         rel_tgt.quotient_class(r(slot)) for slot in _quotient_class_representatives(rel_src)
     )
     return ParaMap.from_values(
-        len(rel_src.gaps) - 1, len(rel_tgt.gaps) - 1, values
+        Parasimplex(len(rel_src.gaps) - 1), Parasimplex(len(rel_tgt.gaps) - 1), values
     )
 
 
@@ -467,11 +479,11 @@ def check_localization_adjunction(N: int, variant: str = "para") -> dict:
             continue
         # L(unit) must be the identity of I/E (counit is the identity)
         bar = induced_on_quotients(proj, rel, target_rel)
-        if bar != Parasimplex(quotient.n).identity():
+        if bar != quotient.identity():
             failures.append(("triangle-L", _named(rel)))
         # second triangle: the unit at (J, least) must be the identity map
         if rel.base.is_parasimplex and rel == least_relation(rel.base):
-            if proj != identity_map(rel.base):
+            if proj != rel.base.identity():
                 failures.append(("triangle-R", _named(rel)))
 
     by_src: Dict[ConvexRelation, List[ConvTildeEdge]] = {}
@@ -495,14 +507,13 @@ def check_localization_adjunction(N: int, variant: str = "para") -> dict:
             failures.append(("marking-mismatch", _named(e.src), _named(e.tgt), e.map.values))
         if variant == "para":
             # the quotient functor commutes with the shift action on hom-sets
-            shifted = PreordMap(e.map.src, e.map.tgt, e.map.values, e.map.shift + 1)
-            bar_shifted = induced_on_quotients(shifted, e.src, e.tgt)
-            if bar_shifted != ParaMap(bar.m, bar.n, bar.values, bar.shift + 1):
+            bar_shifted = induced_on_quotients(shift_action(e.map, 1), e.src, e.tgt)
+            if bar_shifted != shift_action(bar, 1):
                 failures.append(("shift-equivariance", _named(e.src), _named(e.tgt),
                                  e.map.values))
     marked = tilde.marked
     for rel in tilde.objects:
-        if (rel, rel, identity_map(rel.base).values) not in marked:
+        if (rel, rel, rel.base.identity().values) not in marked:
             failures.append(("identity-not-marked", _named(rel)))
     for e in tilde.edges:
         if not e.cartesian:
@@ -510,7 +521,7 @@ def check_localization_adjunction(N: int, variant: str = "para") -> dict:
         for e2 in by_src.get(e.tgt, []):
             if not e2.cartesian:
                 continue
-            composite = compose_preord(e2.map, e.map).values
+            composite = compose(e2.map, e.map).values
             if (e.src, e2.tgt, composite) not in marked:
                 failures.append(("marked-composite-missing", _named(e.src), _named(e2.tgt)))
 

@@ -1,16 +1,25 @@
-"""The paracyclic category at a finite truncation, and its cyclic quotient.
+"""Paracyclic preorders, the paracyclic category at a finite truncation,
+and its cyclic quotient.
 
-Objects are parasimplices: for n >= 0 the ordered set ZZ x [n] with the
-dictionary order and the shift action (k, a) + 1 = (k + 1, a).  Elements are
-encoded as absolute integers e = k * (n + 1) + a, so the order is the integer
-order and the shift action is addition of n + 1.
+A paracyclic preorder with finite fundamental domain is stored by the tuple
+of its class sizes: ``sizes = (s_0, ..., s_k)`` means one period has
+``sum(sizes)`` elements grouped into k + 1 consecutive equivalence classes,
+classes strictly ordered, and the shift action moving everything by one
+period.  Elements are encoded as absolute integers e = p * period + slot,
+so the shift action is addition of the period.  The parasimplex
+Par(n) = ZZ x [n], with the dictionary order, is the preorder of n + 1
+singleton classes; ``Parasimplex(n)`` returns it, built once.
 
-A morphism Par(m) -> Par(n) is a weakly monotone, shift-equivariant map.  It
-is determined by the images v_0 <= v_1 <= ... <= v_m <= v_0 + (n + 1) of one
-period, and every such map is uniquely a canonical map (v_0 in the zeroth
-period, 0 <= v_0 <= n) followed by a power of the shift.  ``ParaMap`` stores
-exactly that decomposition; erasing the power of the shift gives the cyclic
-category, whose morphisms ``CycMap`` are the shift orbits.
+``ParaMap`` is the one kind of arrow: a shift-equivariant map that is
+weakly monotone on classes.  It is determined by the images
+v_0, ..., v_m of one period, and every such map is uniquely a canonical
+map (v_0 in the zeroth period of the target) followed by a power of the
+shift; ``ParaMap`` stores exactly that decomposition.  Between
+parasimplices these are the morphisms of the paracyclic category, and
+erasing the power of the shift gives the cyclic category, whose morphisms
+``CycMap`` are the shift orbits.  The morphisms of paracyclic preorders are
+the ParaMaps that are also essentially surjective, which
+``preord.is_valid_morphism`` checks.
 
 The duality ``dualize_map`` sends f to f^v(x') = max { x | f(x) <= x' },
 which exchanges injections and surjections and retracts injections.  Its
@@ -31,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Literal, Sequence, Tuple, get_args
 
@@ -47,109 +56,192 @@ DEFAULT_HOM_CAP = 10**6
 # holds 1,984,500 and Lambda_5's (5, 5, 5) 46,103,904.
 DEFAULT_TABLE_CELL_CAP = 4 * 10**6
 
+# ParaMap.from_json refuses a map Par(m) -> Par(n) with (m + 1) * (n + 1)
+# above this, before building either parasimplex: dualize_map takes that
+# many steps.  Uncapped, (m, n) = (0, 10**6) took 7.2 s and wrote 38 MB
+# through ``paracyclic dualize``; at the cap it takes about 0.1 s.
+JSON_MAP_CELL_CAP = 10**4
+
 Kind = Literal["all", "inj", "surj"]
 
 
 @dataclass(frozen=True)
-class Parasimplex:
-    """The parasimplex ZZ x [n]; elements are pairs (period, slot)."""
+class ParaPreorder:
+    """A linear preorder with free shift action and finite fundamental domain.
 
-    n: int
+    ``period``, the slot -> class table and whether every class is a single
+    element are computed once, at construction, so class lookups on
+    absolute codes cost one ``divmod``.
+    """
+
+    sizes: Tuple[int, ...]
+    period: int = field(init=False, repr=False, compare=False)
+    num_classes: int = field(init=False, repr=False, compare=False)
+    is_parasimplex: bool = field(init=False, repr=False, compare=False)
+    _class_of: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be non-negative")
+        if not self.sizes or any(s <= 0 for s in self.sizes):
+            raise ValueError("sizes must be a non-empty tuple of positive integers")
+        object.__setattr__(self, "sizes", tuple(self.sizes))
+        object.__setattr__(self, "period", sum(self.sizes))
+        object.__setattr__(self, "num_classes", len(self.sizes))
+        object.__setattr__(self, "is_parasimplex", self.num_classes == self.period)
+        object.__setattr__(self, "_class_of", tuple(
+            c for c, s in enumerate(self.sizes) for _ in range(s)))
+
+    @classmethod
+    def from_parasimplex(cls, n: int) -> "ParaPreorder":
+        return Parasimplex(n)
 
     @property
-    def period(self) -> int:
-        return self.n + 1
+    def k(self) -> int:
+        return len(self.sizes) - 1
+
+    def class_of_slot(self, slot: int) -> int:
+        if not 0 <= slot < self.period:
+            raise ValueError(f"slot {slot} out of range")
+        return self._class_of[slot]
+
+    def class_position(self, abs_index: int) -> int:
+        """Absolute class index period * (k+1) + class of the element."""
+        period, slot = divmod(abs_index, self.period)
+        return period * self.num_classes + self._class_of[slot]
+
+    def leq(self, i: int, j: int) -> bool:
+        return self.class_position(i) <= self.class_position(j)
+
+    def equivalent(self, i: int, j: int) -> bool:
+        return self.class_position(i) == self.class_position(j)
+
+    def boundary_slot(self, b: int) -> int:
+        """Slot of the last element of class b; the gap after it crosses boundary b."""
+        return sum(self.sizes[: b + 1]) - 1
 
     def abs_of(self, element: Sequence[int]) -> int:
         period, slot = element
-        if not 0 <= slot <= self.n:
-            raise MalformedInput(f"slot {slot} out of range for Par({self.n})")
+        if not 0 <= slot < self.period:
+            raise MalformedInput(f"slot {slot} out of range for a period of {self.period}")
         return period * self.period + slot
 
     def element_of(self, abs_index: int) -> Tuple[int, int]:
-        period, slot = divmod(abs_index, self.period)
-        return (period, slot)
+        """The (period, slot) pair of an absolute code."""
+        return divmod(abs_index, self.period)
 
     def identity(self) -> "ParaMap":
-        return ParaMap(self.n, self.n, tuple(range(self.period)), 0)
+        return ParaMap(self, self, tuple(range(self.period)))
 
     def successor_map(self) -> "ParaMap":
-        """The automorphism x |-> x + 1 in the element order (not the shift)."""
-        return ParaMap.from_values(self.n, self.n, tuple(range(1, self.period + 1)))
+        """The automorphism x |-> x + 1 in the element order (not the shift);
+        a morphism only on a parasimplex."""
+        return ParaMap.from_values(self, self, tuple(range(1, self.period + 1)))
 
     def shift_map(self, k: int = 1) -> "ParaMap":
-        """The shift automorphism x |-> x + k * (n + 1)."""
-        return ParaMap(self.n, self.n, tuple(range(self.period)), k)
+        """The shift automorphism x |-> x + k * period."""
+        return ParaMap(self, self, tuple(range(self.period)), k)
+
+    def to_json(self) -> dict:
+        return {"sizes": list(self.sizes)}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "ParaPreorder":
+        return cls(tuple(int(s) for s in data["sizes"]))
+
+
+@functools.cache
+def Parasimplex(n: int) -> ParaPreorder:
+    """The parasimplex Par(n) = ZZ x [n]: n + 1 singleton classes; built once."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    return ParaPreorder((1,) * (n + 1))
 
 
 @dataclass(frozen=True)
 class ParaMap:
-    """A shift-equivariant weakly monotone map Par(m) -> Par(n).
+    """A shift-equivariant map src -> tgt, weakly monotone on classes.
 
     ``values`` is the canonical representative: absolute images of the
-    elements (0, 0), ..., (0, m), with values[0] in the zeroth period.
-    ``shift`` is the power of the shift composed after the canonical map,
-    so the map acts by e |-> values[e mod (m+1)] + (e div (m+1) + shift)*(n+1).
+    elements of period zero, with values[0] in the zeroth period of the
+    target.  ``shift`` is the power of the shift composed after the
+    canonical map, so the map acts by
+    e |-> values[e mod P] + (e div P + shift) * Q for P, Q the periods.
+    Between parasimplices Par(m) -> Par(n) this is a morphism of the
+    paracyclic category; ``m`` and ``n`` are the periods less one.
     """
 
-    m: int
-    n: int
+    src: ParaPreorder
+    tgt: ParaPreorder
     values: Tuple[int, ...]
     shift: int = 0
 
     def __post_init__(self):
-        src_period, tgt_period = self.m + 1, self.n + 1
-        if len(self.values) != src_period:
-            raise NotMonotone(f"expected {src_period} values, got {len(self.values)}")
-        if not 0 <= self.values[0] < tgt_period:
+        src, tgt, values = self.src, self.tgt, self.values
+        if len(values) != src.period:
+            raise NotMonotone(f"expected {src.period} values, got {len(values)}")
+        if not 0 <= values[0] < tgt.period:
             raise NotMonotone("canonical form requires values[0] in the zeroth period")
-        for a in range(src_period - 1):
-            if self.values[a] > self.values[a + 1]:
-                raise NotMonotone(f"values not weakly increasing at position {a}")
-        if self.values[-1] > self.values[0] + tgt_period:
-            raise NotMonotone("period wrap constraint v_m <= v_0 + 1 violated")
+        # the class positions of the values; on a parasimplex, the values
+        pos = values if tgt.is_parasimplex else [tgt.class_position(v) for v in values]
+        for a in range(len(pos) - 1):
+            if pos[a] > pos[a + 1]:
+                raise NotMonotone(f"values not weakly monotone at position {a}")
+        if not src.is_parasimplex:
+            # equivalent elements must stay equivalent (monotone both ways)
+            classes = src._class_of
+            for a in range(len(pos) - 1):
+                if classes[a] == classes[a + 1] and pos[a] != pos[a + 1]:
+                    raise NotMonotone(f"class of positions {a}, {a + 1} is torn apart")
+        # values[0] + period sits exactly one period of classes above values[0]
+        if pos[-1] > pos[0] + tgt.num_classes:
+            raise NotMonotone("period wrap constraint violated")
 
     @classmethod
-    def from_values(cls, m: int, n: int, raw_values: Sequence[int], shift: int = 0) -> "ParaMap":
+    def from_values(cls, src: ParaPreorder, tgt: ParaPreorder, raw_values: Sequence[int],
+                    shift: int = 0) -> "ParaMap":
         """Build from any one-period value list, normalizing to canonical form."""
-        tgt_period = n + 1
-        lead_period = raw_values[0] // tgt_period
-        canonical = tuple(v - lead_period * tgt_period for v in raw_values)
-        return cls(m, n, canonical, shift + lead_period)
+        period = tgt.period
+        lead = raw_values[0] // period
+        return cls(src, tgt, tuple(v - lead * period for v in raw_values), shift + lead)
 
     @property
-    def src(self) -> Parasimplex:
-        return Parasimplex(self.m)
+    def m(self) -> int:
+        return self.src.period - 1
 
     @property
-    def tgt(self) -> Parasimplex:
-        return Parasimplex(self.n)
+    def n(self) -> int:
+        return self.tgt.period - 1
 
     def __call__(self, abs_index: int) -> int:
-        period, slot = divmod(abs_index, self.m + 1)
-        return self.values[slot] + (period + self.shift) * (self.n + 1)
+        period, slot = divmod(abs_index, self.src.period)
+        return self.values[slot] + (period + self.shift) * self.tgt.period
 
     def canonical(self) -> "ParaMap":
-        return ParaMap(self.m, self.n, self.values, 0)
+        return ParaMap(self.src, self.tgt, self.values)
 
     def to_json(self) -> dict:
-        tgt = self.tgt
+        """Maps of parasimplices only: the codec names objects by m and n."""
+        if not (self.src.is_parasimplex and self.tgt.is_parasimplex):
+            raise TypeMismatch(f"no JSON for a map {self.src.sizes} -> {self.tgt.sizes}")
         return {
             "m": self.m,
             "n": self.n,
-            "values": [list(tgt.element_of(v)) for v in self.values],
+            "values": [list(self.tgt.element_of(v)) for v in self.values],
             "shift": self.shift,
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "ParaMap":
-        src, tgt = Parasimplex(int(data["m"])), Parasimplex(int(data["n"]))
+        """A map of parasimplices; (m + 1) * (n + 1) above
+        ``JSON_MAP_CELL_CAP`` is refused before either is built."""
+        m, n = int(data["m"]), int(data["n"])
+        if min(m, n) < 0:
+            raise MalformedInput(f"objects need m, n >= 0, got m = {m}, n = {n}")
+        if (m + 1) * (n + 1) > JSON_MAP_CELL_CAP:
+            raise ResourceBound(f"a map Par({m}) -> Par({n}) has (m + 1)(n + 1) = "
+                                f"{(m + 1) * (n + 1)} cells, cap is {JSON_MAP_CELL_CAP}")
+        tgt = Parasimplex(n)
         values = tuple(tgt.abs_of(v) for v in data["values"])
-        return cls(src.n, tgt.n, values, int(data.get("shift", 0)))
+        return cls(Parasimplex(m), tgt, values, int(data.get("shift", 0)))
 
 
 @dataclass(frozen=True)
@@ -162,15 +254,17 @@ class CycMap:
 
     @property
     def rep(self) -> ParaMap:
-        return ParaMap(self.m, self.n, self.values, 0)
+        return ParaMap(Parasimplex(self.m), Parasimplex(self.n), self.values)
 
 
 def compose(g: ParaMap, f: ParaMap) -> ParaMap:
     """The composite g after f; strictly associative on the nose."""
-    if f.n != g.m:
-        raise TypeMismatch(f"cannot compose Par({f.m})->Par({f.n}) with Par({g.m})->Par({g.n})")
-    raw = [g(v) + f.shift * (g.n + 1) for v in f.values]
-    return ParaMap.from_values(f.m, g.n, raw)
+    if f.tgt is not g.src and f.tgt != g.src:
+        raise TypeMismatch(f"cannot compose {f.src.sizes} -> {f.tgt.sizes} "
+                           f"with {g.src.sizes} -> {g.tgt.sizes}")
+    period = g.tgt.period
+    raw = [g(v) + f.shift * period for v in f.values]
+    return ParaMap.from_values(f.src, g.tgt, raw)
 
 
 def compose_cyc(g: CycMap, f: CycMap) -> CycMap:
@@ -178,7 +272,7 @@ def compose_cyc(g: CycMap, f: CycMap) -> CycMap:
 
 
 def shift_action(f: ParaMap, k: int) -> ParaMap:
-    return ParaMap(f.m, f.n, f.values, f.shift + k)
+    return ParaMap(f.src, f.tgt, f.values, f.shift + k)
 
 
 def cyc_canonicalize(f: ParaMap) -> CycMap:
@@ -187,8 +281,8 @@ def cyc_canonicalize(f: ParaMap) -> CycMap:
 
 def classify(f: ParaMap) -> str:
     """One of 'injective', 'surjective', 'both', 'neither'."""
-    tgt_period = f.n + 1
-    strict = all(f.values[a] < f.values[a + 1] for a in range(f.m)) and (
+    tgt_period = f.tgt.period
+    strict = all(f.values[a] < f.values[a + 1] for a in range(f.src.period - 1)) and (
         f.values[-1] < f.values[0] + tgt_period
     )
     onto = {v % tgt_period for v in f.values} == set(range(tgt_period))
@@ -324,7 +418,7 @@ def dualize_map(f: ParaMap) -> ParaMap:
     Contravariantly functorial and exchanges the injective and surjective
     classifications; for injective f it retracts: dualize_map(f) o f = id.
     """
-    src_period, tgt_period = f.m + 1, f.n + 1
+    src_period, tgt_period = f.src.period, f.tgt.period
     raw = []
     for x_prime in range(tgt_period):
         best = None
@@ -335,7 +429,7 @@ def dualize_map(f: ParaMap) -> ParaMap:
             if best is None or candidate > best:
                 best = candidate
         raw.append(best)
-    return ParaMap.from_values(f.n, f.m, raw)
+    return ParaMap.from_values(f.tgt, f.src, raw)
 
 
 def embed_simplex(slot_images: Sequence[int], n: int) -> ParaMap:
@@ -348,4 +442,4 @@ def embed_simplex(slot_images: Sequence[int], n: int) -> ParaMap:
             raise NotMonotone(f"not weakly monotone at position {a}")
     if not all(0 <= v <= n for v in slot_images):
         raise NotMonotone(f"values must lie in [0, {n}]")
-    return ParaMap(m, n, tuple(slot_images), 0)
+    return ParaMap(Parasimplex(m), Parasimplex(n), tuple(slot_images))

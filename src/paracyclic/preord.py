@@ -1,11 +1,10 @@
-"""Paracyclic preorders and their convex equivalence relations.
+"""Morphisms of paracyclic preorders and convex equivalence relations.
 
-A paracyclic preorder with finite fundamental domain is stored by the tuple
-of its class sizes: ``sizes = (s_0, ..., s_k)`` means one period has
-``m + 1 = sum(sizes)`` elements e_0, ..., e_m grouped into k + 1 consecutive
-equivalence classes, classes strictly ordered, and the shift action moving
-everything by one period.  Elements are coded as absolute integers
-``e = period_index * (m + 1) + slot`` just like parasimplex elements.
+The preorders themselves, and the one map type ``ParaMap``, live in
+``paracat`` (``ParaPreorder`` is imported back here).  A morphism of
+paracyclic preorders is a ``ParaMap`` that is essentially surjective: it
+hits every class of the target.  ``is_valid_morphism`` checks that, and
+``enumerate_preord_maps`` lists the canonical morphisms through it.
 
 A convex shift-equivariant equivalence relation containing the class
 relation is stored by its set of surviving class boundaries (``gaps``):
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .errors import (
@@ -29,7 +28,7 @@ from .errors import (
     NotMonotone,
     ResourceBound,
 )
-from .paracat import Parasimplex
+from .paracat import ParaMap, ParaPreorder, Parasimplex, compose
 
 # Beyond this many canonical morphisms enumerate_preord_maps raises ResourceBound.
 PREORD_MAP_CAP = 10**5
@@ -40,139 +39,23 @@ PREORD_MAP_CAP = 10**5
 CONV_CLASS_CAP = 16
 
 
-@dataclass(frozen=True)
-class ParaPreorder:
-    """A linear preorder with free shift action and finite fundamental domain.
-
-    ``period`` and the slot -> class table are computed once, at
-    construction, so class lookups on absolute codes cost one ``divmod``.
-    """
-
-    sizes: Tuple[int, ...]
-    period: int = field(init=False, repr=False, compare=False)
-    num_classes: int = field(init=False, repr=False, compare=False)
-    _class_of: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.sizes or any(s <= 0 for s in self.sizes):
-            raise ValueError("sizes must be a non-empty tuple of positive integers")
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-        object.__setattr__(self, "period", sum(self.sizes))
-        object.__setattr__(self, "num_classes", len(self.sizes))
-        object.__setattr__(self, "_class_of", tuple(
-            c for c, s in enumerate(self.sizes) for _ in range(s)))
-
-    @classmethod
-    def from_parasimplex(cls, n: int) -> "ParaPreorder":
-        return cls((1,) * (n + 1))
-
-    @property
-    def k(self) -> int:
-        return len(self.sizes) - 1
-
-    @property
-    def is_parasimplex(self) -> bool:
-        return all(s == 1 for s in self.sizes)
-
-    def class_of_slot(self, slot: int) -> int:
-        if not 0 <= slot < self.period:
-            raise ValueError(f"slot {slot} out of range")
-        return self._class_of[slot]
-
-    def class_position(self, abs_index: int) -> int:
-        """Absolute class index period * (k+1) + class of the element."""
-        period, slot = divmod(abs_index, self.period)
-        return period * self.num_classes + self._class_of[slot]
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.class_position(i) <= self.class_position(j)
-
-    def equivalent(self, i: int, j: int) -> bool:
-        return self.class_position(i) == self.class_position(j)
-
-    def boundary_slot(self, b: int) -> int:
-        """Slot of the last element of class b; the gap after it crosses boundary b."""
-        return sum(self.sizes[: b + 1]) - 1
-
-    def to_json(self) -> dict:
-        return {"sizes": list(self.sizes)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ParaPreorder":
-        return cls(tuple(int(s) for s in data["sizes"]))
-
-
-@dataclass(frozen=True)
-class PreordMap:
-    """A shift-equivariant, weakly monotone, essentially surjective map.
-
-    Stored like ParaMap: canonical one-period value list (values[0] in the
-    zeroth period of the target) plus a shift offset.
-    """
-
-    src: ParaPreorder
-    tgt: ParaPreorder
-    values: Tuple[int, ...]
-    shift: int = 0
-
-    def __post_init__(self):
-        validate_map_data(self.src, self.tgt, self.values)
-
-    @classmethod
-    def from_values(cls, src, tgt, raw_values: Sequence[int], shift: int = 0) -> "PreordMap":
-        lead = raw_values[0] // tgt.period
-        canonical = tuple(v - lead * tgt.period for v in raw_values)
-        return cls(src, tgt, canonical, shift + lead)
-
-    def __call__(self, abs_index: int) -> int:
-        period, slot = divmod(abs_index, self.src.period)
-        return self.values[slot] + (period + self.shift) * self.tgt.period
-
-    def canonical(self) -> "PreordMap":
-        return PreordMap(self.src, self.tgt, self.values, 0)
-
-
-def validate_map_data(src: ParaPreorder, tgt: ParaPreorder, values: Sequence[int]) -> None:
-    if len(values) != src.period:
-        raise NotMonotone(f"expected {src.period} values, got {len(values)}")
-    if not 0 <= values[0] < tgt.period:
-        raise NotMonotone("canonical form requires values[0] in the zeroth period")
-    pos = [tgt.class_position(v) for v in values]
-    for a in range(len(values) - 1):
-        if pos[a] > pos[a + 1]:
-            raise NotMonotone(f"values not weakly monotone at position {a}")
-        # equivalent elements must stay equivalent (monotone both ways)
-        if src._class_of[a] == src._class_of[a + 1] and pos[a] != pos[a + 1]:
-            raise NotMonotone(f"class of positions {a}, {a + 1} is torn apart")
-    # values[0] + period sits exactly one period of classes above values[0]
-    if pos[-1] > pos[0] + tgt.num_classes:
-        raise NotMonotone("period wrap constraint violated")
-    hit = {p % tgt.num_classes for p in pos}
-    if hit != set(range(tgt.num_classes)):
+def is_valid_morphism(src: ParaPreorder, tgt: ParaPreorder, raw_values: Sequence[int],
+                      shift: int = 0) -> ParaMap:
+    """The morphism of preorders with these values: a ParaMap that hits
+    every class of the target; raises NotMonotone or NotEssentiallySurjective."""
+    f = ParaMap.from_values(src, tgt, raw_values, shift)
+    hit = {tgt.class_position(v) % tgt.num_classes for v in f.values}
+    if len(hit) != tgt.num_classes:
         raise NotEssentiallySurjective(
             f"classes {sorted(set(range(tgt.num_classes)) - hit)} of the target are not hit"
         )
+    return f
 
 
-def is_valid_morphism(src: ParaPreorder, tgt: ParaPreorder, raw_values: Sequence[int],
-                      shift: int = 0) -> PreordMap:
-    """Validate raw map data; raises NotMonotone or NotEssentiallySurjective."""
-    return PreordMap.from_values(src, tgt, raw_values, shift)
-
-
-def compose_preord(g: PreordMap, f: PreordMap) -> PreordMap:
+def compose_preord(g: ParaMap, f: ParaMap) -> ParaMap:
     if f.tgt != g.src:
         raise BaseMismatch("cannot compose: middle objects disagree")
-    raw = [g(v) + f.shift * g.tgt.period for v in f.values]
-    return PreordMap.from_values(f.src, g.tgt, raw)
-
-
-def identity_map(base: ParaPreorder) -> PreordMap:
-    return PreordMap(base, base, tuple(range(base.period)), 0)
-
-
-def shift_map(base: ParaPreorder, k: int = 1) -> PreordMap:
-    return PreordMap(base, base, tuple(range(base.period)), k)
+    return compose(g, f)
 
 
 # ---------------------------------------------------------------------------
@@ -263,20 +146,19 @@ def enumerate_conv(base: ParaPreorder) -> Tuple[ConvexRelation, ...]:
     return tuple(members)
 
 
-def quotient_by_relation(base: ParaPreorder, rel: ConvexRelation) -> Tuple[Parasimplex, PreordMap]:
-    """Quotient parasimplex Par(|gaps| - 1) and the class projection.
+def quotient_by_relation(base: ParaPreorder, rel: ConvexRelation) -> Tuple[ParaPreorder, ParaMap]:
+    """Quotient parasimplex Par(|gaps| - 1) and the class projection onto it.
 
     The projection's kernel relation is exactly ``rel``.
     """
     if rel.base != base:
         raise BaseMismatch("relation lives over a different base")
     quotient = Parasimplex(rel.num_quotient_classes - 1)
-    target = ParaPreorder.from_parasimplex(quotient.n)
     values = tuple(rel.quotient_class(slot) for slot in range(base.period))
-    return quotient, PreordMap.from_values(base, target, values)
+    return quotient, ParaMap.from_values(base, quotient, values)
 
 
-def pullback_relation(r: PreordMap, rel: ConvexRelation) -> ConvexRelation:
+def pullback_relation(r: ParaMap, rel: ConvexRelation) -> ConvexRelation:
     """Pull a relation on the target back along r: a ~ b iff r(a) ~ r(b)."""
     if rel.base != r.tgt:
         raise BaseMismatch("relation does not live over the target of the map")
@@ -291,20 +173,20 @@ def pullback_relation(r: PreordMap, rel: ConvexRelation) -> ConvexRelation:
 
 
 @functools.cache
-def enumerate_preord_maps(src: ParaPreorder, tgt: ParaPreorder) -> Tuple[PreordMap, ...]:
+def enumerate_preord_maps(src: ParaPreorder, tgt: ParaPreorder) -> Tuple[ParaMap, ...]:
     """Canonical representatives of all morphisms src -> tgt; memoized.
 
     The full hom-set is this tuple times the shift action (postcomposition
     with powers of the shift).
     """
-    found: List[PreordMap] = []
+    found: List[ParaMap] = []
 
     def extend(prefix: Tuple[int, ...]):
         if len(found) > PREORD_MAP_CAP:
             raise ResourceBound(f"morphism enumeration exceeded cap {PREORD_MAP_CAP}")
         if len(prefix) == src.period:
             try:
-                found.append(PreordMap(src, tgt, prefix))
+                found.append(is_valid_morphism(src, tgt, prefix))
             except (NotMonotone, NotEssentiallySurjective):
                 pass
             return

@@ -49,6 +49,7 @@ from .equivalence import (
 from .extreal import ExtReal, POS_INF
 from .paracat import (
     ParaMap,
+    ParaPreorder,
     Parasimplex,
     classify,
     compose,
@@ -58,8 +59,6 @@ from .paracat import (
     shift_action,
 )
 from .preord import (
-    ParaPreorder,
-    compose_preord,
     enumerate_conv,
     enumerate_preord_maps,
     preorders_up_to,
@@ -239,7 +238,8 @@ def criterion_3(seed: int = 0) -> dict:
     swap = {"injective": "surjective", "surjective": "injective",
             "both": "both", "neither": "neither"}
     succ = {n: Parasimplex(n).successor_map() for n in range(4)}
-    pred = {n: ParaMap.from_values(n, n, range(-1, n)) for n in range(4)}
+    pred = {n: ParaMap.from_values(Parasimplex(n), Parasimplex(n), range(-1, n))
+            for n in range(4)}
     for m in range(4):
         for n in range(4):
             for c in enumerate_hom(m, n):
@@ -300,13 +300,13 @@ def criterion_4(seed: int = 0) -> dict:
     """Stratum counts and gap-count bookkeeping up to Par(6)."""
     failures = []
     for n in range(7):
-        base = ParaPreorder.from_parasimplex(n)
+        base = Parasimplex(n)
         poset = enumerate_conv(base)
         if len(poset) != 2 ** (n + 1) - 1:
             failures.append(("count", n, len(poset)))
         for rel in poset:
             quotient, _ = quotient_by_relation(base, rel)
-            if quotient.n + 1 != len(rel.gaps):
+            if quotient.k + 1 != len(rel.gaps):
                 failures.append(("gap-count", n, sorted(rel.gaps)))
     return {
         "id": 4,
@@ -346,7 +346,7 @@ def criterion_5(seed: int = 0) -> dict:
             for c in bases:
                 for f in enumerate_preord_maps(a, b)[:3]:
                     for g in enumerate_preord_maps(b, c)[:3]:
-                        gf = compose_preord(g, f)
+                        gf = compose(g, f)
                         for point in points[c.sizes][:4]:
                             if pullback_point(f, pullback_point(g, point)) != (
                                 pullback_point(gf, point)
@@ -389,7 +389,7 @@ def criterion_7(seed: int = 0) -> dict:
     rng = random.Random(seed)
     field = PrimeField(101)
     failures = []
-    stalk_bases = [ParaPreorder.from_parasimplex(n) for n in range(4)] + [
+    stalk_bases = [Parasimplex(n) for n in range(4)] + [
         ParaPreorder((2, 1)), ParaPreorder((1, 2, 1)),
     ]
     for kind in ("para", "cyc"):
@@ -432,7 +432,7 @@ def criterion_8(seed: int = 0) -> dict:
     failures = []
     checked = 0
     for n in range(4):
-        base = ParaPreorder.from_parasimplex(n)
+        base = Parasimplex(n)
         upsets = enumerate_upsets(base)
         pairs = [(u1, u2) for i, u1 in enumerate(upsets) for u2 in upsets[i:]]
         for trial in range(5):

@@ -304,6 +304,36 @@ def oracle_class_position(sizes: tuple[int, ...], x: int) -> int:
     return -sum(1 for e in range(x, 0) if e % period in last_slots)
 
 
+def oracle_preord_map_values(src_sizes: tuple[int, ...], tgt_sizes: tuple[int, ...],
+                             onto: bool = True) -> list[tuple[int, ...]]:
+    """All canonical value tuples (values[0] in period zero) of the
+    shift-equivariant maps between the preorders with class sizes
+    ``src_sizes`` and ``tgt_sizes`` that preserve the preorder, x <= y
+    implying f(x) <= f(y) on ``oracle_class_position``, by raw filtering;
+    with ``onto``, only those whose image meets every class of the target.
+    The candidates are every tuple in [-Q, 3Q) for Q the target period, which
+    holds every valid one, and the preorder is tested on every pair of a
+    window of two source periods, which suffices by equivariance."""
+    src_period, tgt_period, tgt_classes = sum(src_sizes), sum(tgt_sizes), len(tgt_sizes)
+    window = range(2 * src_period)
+    src_pos = [oracle_class_position(src_sizes, x) for x in window]
+    tgt_pos = {y: oracle_class_position(tgt_sizes, y)
+               for y in range(-tgt_period, 5 * tgt_period)}
+    out = []
+    for values in itertools.product(range(-tgt_period, 3 * tgt_period), repeat=src_period):
+        if not 0 <= values[0] < tgt_period:
+            continue
+        image = [tgt_pos[values[x % src_period] + (x // src_period) * tgt_period]
+                 for x in window]
+        if any(src_pos[x] <= src_pos[y] and image[x] > image[y]
+               for x in window for y in window):
+            continue
+        if onto and {c % tgt_classes for c in image} != set(range(tgt_classes)):
+            continue
+        out.append(values)
+    return out
+
+
 def oracle_related(sizes: tuple[int, ...], gaps, i: int, j: int) -> bool:
     """Whether elements i and j are merged by the convex relation whose
     surviving boundaries are ``gaps`` over the preorder with class sizes

@@ -86,6 +86,14 @@ class TestDualize:
         }
 
 
+    def test_oversized_map_fails_fast(self, capsys):
+        payload = json.dumps({"m": 0, "n": 10**9, "values": [[0, 0]], "shift": 0})
+        start = time.perf_counter()
+        code, data = run_cli_json(["dualize", "--map", payload], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and data["error"]["type"] == "ResourceBound"
+
+
 class TestSheafCommands:
     @pytest.fixture
     def sheaf_file(self, tmp_path):

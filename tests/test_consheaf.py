@@ -408,11 +408,9 @@ class TestStalk:
 
 class TestPullbackSheaf:
     def test_identity(self):
-        from paracyclic.preord import identity_map
-
         rng = random.Random(31)
         sheaf = random_sheaf(rng, PAR1, F5)
-        pulled = pullback_sheaf(identity_map(PAR1), sheaf)
+        pulled = pullback_sheaf(PAR1.identity(), sheaf)
         assert pulled.dims == sheaf.dims
         for edge in sheaf.maps:
             assert F5.equal(pulled.maps[edge], sheaf.maps[edge])

@@ -28,7 +28,6 @@ from paracyclic.preord import (
     ParaPreorder,
     compose_preord,
     enumerate_conv,
-    identity_map,
     pullback_relation,
 )
 
@@ -129,7 +128,7 @@ class TestStratum:
 class TestPullbackPoint:
     def test_identity(self):
         point = pt((1, 1), ["3/1", "inf"])
-        assert pullback_point(identity_map(point.base), point) == point
+        assert pullback_point(point.base.identity(), point) == point
 
     def test_merge_map_pullback_gaps(self):
         point = pt((1, 1), ["3/1", "inf"])
@@ -144,7 +143,7 @@ class TestPullbackPoint:
     def test_base_mismatch(self):
         point = pt((1, 1), ["3/1", "inf"])
         with pytest.raises(BaseMismatch):
-            pullback_point(identity_map(PAR2), point)
+            pullback_point(PAR2.identity(), point)
 
     def test_contravariant_functorial(self):
         for a, b, c in itertools.product(small_preorders(), repeat=3):

@@ -109,6 +109,18 @@ class TestValidateRep:
         report = validate_rep(ParaRep(2, F101, rep.dims, gen, rep.shifts))
         assert report["violations"] == [("missing-identity", 1)]
 
+    def test_missing_shift_is_reported_not_raised(self):
+        rep = cell_rep(1, 3, F101, 2)
+        report = validate_rep(ParaRep(2, F101, rep.dims, rep.gen, rep.shifts[:2]))
+        assert report["violations"] == [("missing-shift", 2)]
+
+    def test_map_beyond_the_truncation_is_reported_not_raised(self):
+        rep = cell_rep(1, 3, F101, 2)
+        gen = {key: dict(table) for key, table in rep.gen.items()}
+        gen[(3, 1)] = {(0, 0, 1, 1): F101.zeros(rep.dims[1], 1)}
+        report = validate_rep(ParaRep(2, F101, rep.dims, gen, rep.shifts))
+        assert report["violations"] == [("outside-truncation", (3, 1))]
+
     @pytest.mark.parametrize("field,N", [(F101, 3), (QQ, 2)])
     def test_composition_violations_match_the_per_pair_oracle(self, field, N):
         """Seeded valid reps, and the same reps with one matrix, one shift

@@ -9,11 +9,12 @@ import dataclasses
 import functools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from paracyclic import _linalg, consheaf, equivalence, paracat, sdot, selftest
+from paracyclic import _linalg, consheaf, equivalence, paracat, preord, sdot, selftest
 from paracyclic._linalg import (
     BLAS_MIN_MULTS,
     Q_INT_MIN_MULTS,
@@ -32,9 +33,16 @@ from paracyclic.equivalence import (
     recover_rep,
     validate_rep,
 )
-from paracyclic.errors import NotAComplex, NotMonotone
-from paracyclic.paracat import ParaMap
-from paracyclic.preord import ConvexRelation, ParaPreorder, enumerate_conv, preorders_up_to
+from paracyclic.errors import MalformedInput, NotAComplex, NotMonotone
+from paracyclic.paracat import ParaMap, Parasimplex
+from paracyclic.preord import (
+    ConvexRelation,
+    ParaPreorder,
+    enumerate_conv,
+    is_valid_morphism,
+    preorders_up_to,
+    pullback_relation,
+)
 from paracyclic.sdot import face, random_filtration
 
 from oracles import (
@@ -115,7 +123,7 @@ def dualize_map_min(f: ParaMap) -> ParaMap:
     """The min formula f^v(x') = min { x | f(x) >= x' }: also a retraction
     duality, but its square is conjugation by the successor, not the
     predecessor."""
-    src_period, tgt_period = f.m + 1, f.n + 1
+    src_period, tgt_period = f.src.period, f.tgt.period
     raw = []
     for x_prime in range(tgt_period):
         # smallest k with values[a] + (k + shift) * tgt_period >= x'
@@ -123,7 +131,7 @@ def dualize_map_min(f: ParaMap) -> ParaMap:
             (-((f.values[a] - x_prime) // tgt_period) - f.shift) * src_period + a
             for a in range(src_period)
         ))
-    return ParaMap.from_values(f.n, f.m, raw)
+    return ParaMap.from_values(f.tgt, f.src, raw)
 
 
 def test_min_formula_duality_is_caught(monkeypatch):
@@ -150,11 +158,50 @@ def test_quotient_classes_read_on_the_source_are_caught(monkeypatch):
     def mutant(r, rel_src, rel_tgt):
         values = tuple(rel_src.quotient_class(r(slot))
                        for slot in equivalence._quotient_class_representatives(rel_src))
-        return ParaMap.from_values(len(rel_src.gaps) - 1, len(rel_tgt.gaps) - 1, values)
+        return ParaMap.from_values(Parasimplex(len(rel_src.gaps) - 1),
+                                   Parasimplex(len(rel_tgt.gaps) - 1), values)
 
     monkeypatch.setattr(equivalence, "induced_on_quotients", mutant)
     with pytest.raises(NotMonotone):
         check_localization_adjunction(2, "para")
+
+
+def test_morphisms_that_miss_a_class_are_caught(monkeypatch):
+    """is_valid_morphism without its essential surjectivity: every ParaMap
+    between preorders counts as a morphism.  Between parasimplices the
+    enumerated morphisms are then all maps, not just the surjections, and
+    the full-faithfulness comparison of the adjunction check goes red.  The
+    memos built on the enumeration are emptied before and after."""
+    memos = (preord.enumerate_preord_maps, equivalence.build_conv_tilde)
+    monkeypatch.setattr(preord, "is_valid_morphism", ParaMap.from_values)
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        report = check_localization_adjunction(2, "para")
+    finally:
+        monkeypatch.undo()
+        for memo in memos:
+            memo.cache_clear()
+    assert "not-fully-faithful" in failure_kinds(report)
+
+
+def test_torn_classes_are_caught(monkeypatch):
+    """ParaMap validating every source as the parasimplex of its period, so
+    that a class of the source may be torn apart.  Pulling a relation back
+    along such a map can then merge every boundary, which no convex
+    relation does (``TestPullbackRelation::test_never_total`` goes red, and
+    so does the oracle comparison of ``TestValidationByKind``)."""
+    post_init = ParaMap.__post_init__
+
+    def mutant(self):
+        post_init(SimpleNamespace(src=Parasimplex(self.src.period - 1),
+                                  tgt=self.tgt, values=self.values))
+
+    monkeypatch.setattr(ParaMap, "__post_init__", mutant)
+    src, tgt = ParaPreorder((2,)), Parasimplex(1)
+    torn = is_valid_morphism(src, tgt, (0, 1))
+    with pytest.raises(MalformedInput, match="non-empty"):
+        pullback_relation(torn, ConvexRelation(tgt, frozenset({0})))
 
 
 class SmallerSetKeyedCache(dict):

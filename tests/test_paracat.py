@@ -11,6 +11,7 @@ from paracyclic.errors import NotFunctorial, NotMonotone, ResourceBound, TypeMis
 from paracyclic.paracat import (
     CycMap,
     ParaMap,
+    ParaPreorder,
     Parasimplex,
     classify,
     compose,
@@ -55,24 +56,41 @@ class TestParasimplex:
 class TestParaMapValidation:
     def test_rejects_non_monotone(self):
         with pytest.raises(NotMonotone):
-            ParaMap(1, 1, (1, 0), 0)
+            ParaMap(Parasimplex(1), Parasimplex(1), (1, 0), 0)
 
     def test_rejects_wrap_violation(self):
         with pytest.raises(NotMonotone):
-            ParaMap(1, 1, (0, 3), 0)
+            ParaMap(Parasimplex(1), Parasimplex(1), (0, 3), 0)
 
     def test_rejects_non_canonical(self):
         with pytest.raises(NotMonotone):
-            ParaMap(0, 1, (2,), 0)
+            ParaMap(Parasimplex(0), Parasimplex(1), (2,), 0)
 
     def test_from_values_normalizes(self):
-        f = ParaMap.from_values(1, 1, (3, 4))
+        f = ParaMap.from_values(Parasimplex(1), Parasimplex(1), (3, 4))
         assert f.values == (1, 2) and f.shift == 1
 
+    @pytest.mark.parametrize("m", range(4))
+    @pytest.mark.parametrize("n", range(4))
+    def test_accepts_exactly_the_oracle_homs(self, m, n):
+        src, tgt = Parasimplex(m), Parasimplex(n)
+        accepted = []
+        for values in itertools.product(range(-(n + 1), 3 * (n + 1)), repeat=m + 1):
+            try:
+                accepted.append(ParaMap(src, tgt, values).values)
+            except NotMonotone:
+                pass
+        assert accepted == sorted(oracle_hom_values(m, n))
+
     def test_json_round_trip(self):
-        f = ParaMap(1, 2, (1, 3), -2)
+        f = ParaMap(Parasimplex(1), Parasimplex(2), (1, 3), -2)
         assert ParaMap.from_json(f.to_json()) == f
         assert f.to_json()["values"] == [[0, 1], [1, 0]]
+
+    def test_json_refuses_maps_of_other_preorders(self):
+        f = ParaMap(ParaPreorder((2, 1)), Parasimplex(1), (0, 0, 1))
+        with pytest.raises(TypeMismatch):
+            f.to_json()
 
 
 class TestCompose:
@@ -127,11 +145,11 @@ class TestClassify:
         assert classify(Parasimplex(2).identity()) == "both"
 
     def test_injection(self):
-        f = ParaMap(0, 1, (0,), 0)
+        f = ParaMap(Parasimplex(0), Parasimplex(1), (0,), 0)
         assert classify(f) == "injective"
 
     def test_constant_per_period_surjection(self):
-        f = ParaMap(1, 0, (0, 0), 0)
+        f = ParaMap(Parasimplex(1), Parasimplex(0), (0, 0), 0)
         # image meets every element of the target
         assert {f(x) for x in range(-4, 4)} >= {-1, 0, 1}
         assert classify(f) == "surjective"
@@ -313,7 +331,7 @@ def min_dual(f):
         while f(x) < x_prime:
             x += 1
         raw.append(x)
-    return ParaMap.from_values(f.n, f.m, raw)
+    return ParaMap.from_values(f.tgt, f.src, raw)
 
 
 def retraction_dualities(N):
@@ -395,7 +413,7 @@ class TestDualize:
         assert dualize_map(ident) == ident
 
     def test_point_injection_dualizes_to_constant_surjection(self):
-        f = ParaMap(0, 1, (0,), 0)
+        f = ParaMap(Parasimplex(0), Parasimplex(1), (0,), 0)
         fd = dualize_map(f)
         # f^v sends both (0,0) and (0,1) to (0,0): the constant-per-period surjection
         assert fd.m == 1 and fd.n == 0
@@ -423,7 +441,7 @@ class TestDualize:
     @pytest.mark.parametrize("m,n", [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
     def test_double_dual_is_successor_conjugation(self, m, n):
         """The square of the duality conjugates by the successor automorphism."""
-        pred_tgt = ParaMap.from_values(n, n, range(-1, n))
+        pred_tgt = ParaMap.from_values(Parasimplex(n), Parasimplex(n), range(-1, n))
         succ_src = Parasimplex(m).successor_map()
         for f in all_maps(m, n):
             assert dualize_map(dualize_map(f)) == compose(pred_tgt, compose(f, succ_src))

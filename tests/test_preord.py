@@ -9,24 +9,22 @@ from paracyclic.errors import (
     NotMonotone,
     ResourceBound,
 )
-from paracyclic.paracat import Parasimplex
+from paracyclic.paracat import ParaMap, Parasimplex
 from paracyclic.preord import (
     CONV_CLASS_CAP,
     ConvexRelation,
     ParaPreorder,
-    PreordMap,
     compose_preord,
     enumerate_conv,
-    identity_map,
+    enumerate_preord_maps,
     is_valid_morphism,
     least_relation,
     preorders_up_to,
     pullback_relation,
     quotient_by_relation,
-    shift_map,
 )
 
-from oracles import class_oracle_mismatches, oracle_related
+from oracles import class_oracle_mismatches, oracle_preord_map_values, oracle_related
 
 PAR2 = ParaPreorder((1, 1, 1))
 PAR1 = ParaPreorder((1, 1))
@@ -75,7 +73,7 @@ def all_preord_maps(src: ParaPreorder, tgt: ParaPreorder):
     def extend(prefix):
         if len(prefix) == src.period:
             try:
-                found.append(PreordMap(src, tgt, tuple(prefix)))
+                found.append(is_valid_morphism(src, tgt, tuple(prefix)))
             except (NotEssentiallySurjective, NotMonotone):
                 pass
             return
@@ -170,14 +168,14 @@ class TestEnumerateConv:
     def test_gap_count_matches_quotient(self):
         for rel in enumerate_conv(PAR2):
             quotient, _ = quotient_by_relation(PAR2, rel)
-            assert quotient.n + 1 == len(rel.gaps)
+            assert quotient.k + 1 == len(rel.gaps)
 
 
 class TestQuotientByRelation:
     def test_least_is_class_quotient(self):
         # on a parasimplex the class relation is trivial: the projection is the identity
         assert quotient_by_relation(PAR2, least_relation(PAR2)) == (
-            Parasimplex(2), identity_map(PAR2))
+            Parasimplex(2), PAR2.identity())
 
     def test_total_merge(self):
         quotient, proj = quotient_by_relation(PAR2, ConvexRelation(PAR2, frozenset({2})))
@@ -201,7 +199,7 @@ class TestQuotientByRelation:
 class TestPullbackRelation:
     def test_identity(self):
         for rel in enumerate_conv(PAR2):
-            assert pullback_relation(identity_map(PAR2), rel) == rel
+            assert pullback_relation(PAR2.identity(), rel) == rel
 
     def test_projection_pullback_of_diagonal(self):
         _, proj = quotient_by_relation(PAR2, ConvexRelation(PAR2, frozenset({1, 2})))
@@ -241,7 +239,7 @@ class TestInducedQuotientMap:
     def test_canonical_surjection(self):
         fine = least_relation(PAR2)
         coarse = ConvexRelation(PAR2, frozenset({0, 2}))
-        q = induced_on_quotients(identity_map(PAR2), fine, coarse)
+        q = induced_on_quotients(PAR2.identity(), fine, coarse)
         assert q.m == 2 and q.n == 1 and q.shift == 0
         assert q.values == (0, 1, 1)
 
@@ -251,7 +249,7 @@ class TestInducedQuotientMap:
             for fine, coarse in itertools.product(rels, rels):
                 if not fine.leq(coarse):
                     continue
-                q = induced_on_quotients(identity_map(base), fine, coarse)
+                q = induced_on_quotients(base.identity(), fine, coarse)
                 _, p_fine = quotient_by_relation(base, fine)
                 _, p_coarse = quotient_by_relation(base, coarse)
                 for el in range(2 * base.period):
@@ -260,7 +258,7 @@ class TestInducedQuotientMap:
 
 class TestIsValidMorphism:
     def test_identity_valid(self):
-        assert is_valid_morphism(PAR1, PAR1, (0, 1)) == identity_map(PAR1)
+        assert is_valid_morphism(PAR1, PAR1, (0, 1)) == PAR1.identity()
 
     def test_not_essentially_surjective(self):
         with pytest.raises(NotEssentiallySurjective):
@@ -287,14 +285,39 @@ class TestIsValidMorphism:
             is_valid_morphism(PAR1, PAR1, (0, 4))
 
 
+class TestValidationByKind:
+    """The two kinds of map against ``oracle_preord_map_values``, which is
+    built from the definitions: ``ParaMap`` accepts exactly the
+    preorder-preserving shift-equivariant maps, and the morphisms of
+    preorders are those of them that are essentially surjective."""
+
+    def test_enumeration_matches_the_oracle(self):
+        for src, tgt in itertools.product(preorders_up_to(3), repeat=2):
+            found = [r.values for r in enumerate_preord_maps(src, tgt)]
+            assert len(set(found)) == len(found)
+            assert sorted(found) == oracle_preord_map_values(src.sizes, tgt.sizes), (src, tgt)
+
+    def test_para_map_accepts_exactly_the_monotone_maps(self):
+        for src, tgt in itertools.product(preorders_up_to(3), repeat=2):
+            accepted = []
+            for values in itertools.product(range(-tgt.period, 3 * tgt.period),
+                                            repeat=src.period):
+                try:
+                    accepted.append(ParaMap(src, tgt, values).values)
+                except NotMonotone:
+                    pass
+            expected = oracle_preord_map_values(src.sizes, tgt.sizes, onto=False)
+            assert accepted == expected, (src, tgt)
+
+
 class TestComposePreord:
     def test_identity_neutral(self):
         for f in all_preord_maps(ParaPreorder((2, 1)), PAR1):
-            assert compose_preord(identity_map(PAR1), f) == f
+            assert compose_preord(PAR1.identity(), f) == f
 
     def test_shift_composition(self):
-        two = compose_preord(shift_map(PAR1), shift_map(PAR1))
-        assert two.canonical() == identity_map(PAR1) and two.shift == 2
+        two = compose_preord(PAR1.shift_map(), PAR1.shift_map())
+        assert two.canonical() == PAR1.identity() and two.shift == 2
 
     def test_pointwise(self):
         src = ParaPreorder((2, 1))
