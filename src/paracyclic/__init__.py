@@ -25,6 +25,7 @@ from .consheaf import (
     constant_sheaf,
     enumerate_upsets,
     gluing_check,
+    gluing_rows,
     pullback_sheaf,
     random_sheaf,
     sections,

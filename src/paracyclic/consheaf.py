@@ -13,6 +13,13 @@ and gives each one's relation, faces and covering edges, once per base.
 Sections over an open union of strata (an upward closed set) are computed
 as the kernel of the block matrix of compatibility constraints; bases are
 returned in reduced echelon form so repeated runs agree exactly.
+
+Gluing compares the sections over a union U1 u U2 with the fiber product
+of the sections over U1 and U2 over their intersection.  ``gluing_check``
+checks one pair, and can share a cache across pairs.  ``gluing_rows``
+checks every pair of a sheaf, a row of pairs at a time, with the section
+dimensions in arrays indexed by up-set position; only pairs whose overlap
+has sections reach elimination.  Both give the same reports.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
@@ -28,6 +35,7 @@ from ._linalg import Field, field_from_token
 from .errors import (
     BaseMismatch,
     DimensionMismatch,
+    MalformedInput,
     NotFunctorial,
     NotUpwardClosed,
     ResourceBound,
@@ -111,8 +119,11 @@ class StratSheaf:
         irrelevant.
         """
         fine, coarse = gap_key(fine), gap_key(coarse)
+        for key in (fine, coarse):
+            if key not in self.dims:
+                raise MalformedInput(f"{key} is not a stratum of the base {self.base.sizes}")
         if not set(coarse) <= set(fine):
-            raise ValueError("edge goes from finer to coarser strata only")
+            raise MalformedInput("edge goes from finer to coarser strata only")
         faces = strata(self.base).faces
         matrix = self.field.identity(self.dims[fine])
         current = fine
@@ -417,7 +428,10 @@ def gluing_check(sheaf: StratSheaf, u1: UpSet, u2: UpSet,
     no sections, both composites of restrictions are empty, so agreeing
     shapes are all there is to compare, and an overlap without sections
     makes the fiber product the direct sum.  Every other pair is checked
-    by elimination and matrix products.
+    by elimination and matrix products (``_fiber_product``).
+
+    This is the single-pair path.  To check every pair of up-sets of a
+    sheaf, ``gluing_rows`` gives the same reports a row at a time.
     """
     cache = {} if section_cache is None else section_cache
     base = u1._same_base(u2)
@@ -451,7 +465,6 @@ def gluing_check(sheaf: StratSheaf, u1: UpSet, u2: UpSet,
     r1_to_inter = restriction(m1, inter)      # (dim U1, dim overlap)
     r2_to_inter = restriction(m2, inter)
 
-    fld = sheaf.field
     if not (r1.shape == (dim_union, dim_left) and r2.shape == (dim_union, dim_right)
             and r_inter.shape == (dim_union, dim_overlap)
             and r1_to_inter.shape == (dim_left, dim_overlap)
@@ -460,16 +473,8 @@ def gluing_check(sheaf: StratSheaf, u1: UpSet, u2: UpSet,
     elif dim_overlap == 0:
         fp_dim, compatible = dim_left + dim_right, True
     else:
-        # fiber product of the two section spaces over the overlap
-        pair_constraints = np.concatenate(
-            [r1_to_inter.T, fld.neg(r2_to_inter.T)], axis=1
-        )
-        fp_dim = dim_left + dim_right - fld.rank(pair_constraints)
-        compatible = True
-        if dim_union:
-            via_u1 = fld.matmul(r1_to_inter.T, r1.T)
-            via_u2 = fld.matmul(r2_to_inter.T, r2.T)
-            compatible = fld.equal(via_u1, via_u2) and fld.equal(via_u1, r_inter.T)
+        fp_dim, compatible = _fiber_product(sheaf.field, r1, r2, r_inter,
+                                            r1_to_inter, r2_to_inter)
     passed = (dim_union == fp_dim) and compatible
     return {
         "passed": bool(passed),
@@ -480,6 +485,134 @@ def gluing_check(sheaf: StratSheaf, u1: UpSet, u2: UpSet,
         "dim_overlap": dim_overlap,
         "restrictions_agree": bool(compatible),
     }
+
+
+def _fiber_product(fld: Field, r1, r2, r_inter, r1_to_inter, r2_to_inter) -> Tuple[int, bool]:
+    """The fiber product over an overlap that has sections.
+
+    The restrictions go from the union to U1, to U2 and to the overlap, and
+    from U1 and U2 to the overlap, with the shapes that the section
+    dimensions give them.  Returns the dimension of the fiber product of
+    the sections over U1 and U2, and whether both composite restrictions
+    from the union to the overlap equal the direct one.
+    """
+    pair_constraints = np.concatenate([r1_to_inter.T, fld.neg(r2_to_inter.T)], axis=1)
+    fp_dim = r1_to_inter.shape[0] + r2_to_inter.shape[0] - fld.rank(pair_constraints)
+    compatible = True
+    if r1.shape[0]:
+        via_u1 = fld.matmul(r1_to_inter.T, r1.T)
+        via_u2 = fld.matmul(r2_to_inter.T, r2.T)
+        compatible = fld.equal(via_u1, via_u2) and fld.equal(via_u1, r_inter.T)
+    return fp_dim, compatible
+
+
+class GluingRow(NamedTuple):
+    """The gluing reports of one row of up-set pairs, as arrays.
+
+    ``left`` is the position i of U1 in ``enumerate_upsets``; entry k of
+    every array belongs to the pair whose U2 is at position i + k.
+    """
+
+    left: int
+    dim_union: np.ndarray
+    dim_left: np.ndarray
+    dim_right: np.ndarray
+    dim_overlap: np.ndarray
+    dim_fiber_product: np.ndarray
+    restrictions_agree: np.ndarray
+    passed: np.ndarray
+
+    def report(self, k: int) -> dict:
+        """Entry k as the dict that ``gluing_check`` returns for its pair."""
+        return {
+            "passed": bool(self.passed[k]),
+            "dim_union": int(self.dim_union[k]),
+            "dim_fiber_product": int(self.dim_fiber_product[k]),
+            "dim_left": int(self.dim_left[k]),
+            "dim_right": int(self.dim_right[k]),
+            "dim_overlap": int(self.dim_overlap[k]),
+            "restrictions_agree": bool(self.restrictions_agree[k]),
+        }
+
+
+def _support(bit: Mapping[GapKey, int], space: SectionSpace) -> int:
+    """The mask of the strata on whose coordinates some basis vector of
+    ``space`` is nonzero."""
+    nonzero = (space.basis != 0).any(axis=0)
+    return sum(bit[key] for key, start, stop in zip(space.layout, space.offsets, space.offsets[1:])
+               if nonzero[start:stop].any())
+
+
+def _row_positions(masks: np.ndarray, i: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions in the ascending ``masks`` of the unions and of the
+    intersections of up-set i with the up-sets i, i + 1, ..."""
+    row = masks[i:]
+    return np.searchsorted(masks, masks[i] | row), np.searchsorted(masks, masks[i] & row)
+
+
+def gluing_rows(sheaf: StratSheaf) -> Iterator[GluingRow]:
+    """``gluing_check`` over every pair of up-sets, a row of pairs at a time.
+
+    Yields one ``GluingRow`` per up-set position i, in ``enumerate_upsets``
+    order, over the columns j >= i; ``row.report(k)`` equals
+    ``gluing_check(sheaf, U_i, U_{i+k})``.  The section space of every
+    up-set is computed once per call, and its dimension and support (the
+    strata where its basis is not zero) are kept in arrays indexed by
+    position.  Each row finds its unions and intersections with one
+    ``np.searchsorted`` over the ascending masks.
+
+    Every restriction that ``gluing_check`` reads is checked to be a
+    section, and ``NotFunctorial`` is raised where it raises.  Onto an
+    up-set without sections the check is that the support misses its
+    strata, which is what ``restriction_matrix`` checks there; otherwise
+    it is ``restriction_matrix`` itself, memoized by position pair for the
+    call.  A pair whose overlap has no sections is decided by the arrays:
+    its fiber product is the direct sum.  Only the other pairs reach
+    ``_fiber_product``.  Nothing outlives the call, and only one row of
+    arrays is held at a time.
+    """
+    upsets = enumerate_upsets(sheaf.base)
+    bit = strata(sheaf.base).bit
+    spaces = [sections(sheaf, up) for up in upsets]
+    n = len(spaces)
+    dims = np.array([space.dim for space in spaces], dtype=np.int64)
+    masks = np.array([up.mask for up in upsets], dtype=np.int64)
+    support = np.array([_support(bit, space) for space in spaces], dtype=np.int64)
+    restrictions: Dict[int, np.ndarray] = {}
+
+    def restriction(big: int, small: int) -> np.ndarray:
+        key = big * n + small
+        matrix = restrictions.get(key)
+        if matrix is None:
+            matrix = restrictions[key] = restriction_matrix(sheaf, spaces[big], spaces[small])
+        return matrix
+
+    fld = sheaf.field
+    for i in range(n):
+        union, inter = _row_positions(masks, i)
+        right = np.arange(i, n)
+        left = np.full(n - i, i)
+        # the five (big, small) restrictions that each pair of the row reads
+        big = np.concatenate([union, union, union, left, right])
+        small = np.concatenate([left, right, inter, inter, inter])
+        empty = dims[small] == 0
+        if (masks[small[empty]] & support[big[empty]]).any():
+            raise NotFunctorial("restriction of a section is not a section")
+        both = ~empty & (dims[big] > 0)
+        for key in np.unique(big[both] * n + small[both]).tolist():
+            restriction(*divmod(key, n))
+        dim_union, dim_left, dim_right, dim_overlap = dims[union], dims[left], dims[i:], dims[inter]
+        fp_dim = dim_left + dim_right
+        agree = np.ones(n - i, dtype=bool)
+        arithmetic = np.flatnonzero(dim_overlap)
+        for k, u, t in zip(arithmetic.tolist(), union[arithmetic].tolist(),
+                           inter[arithmetic].tolist()):
+            j = i + k
+            fp_dim[k], agree[k] = _fiber_product(
+                fld, restriction(u, i), restriction(u, j), restriction(u, t),
+                restriction(i, t), restriction(j, t))
+        yield GluingRow(i, dim_union, dim_left, dim_right, dim_overlap, fp_dim, agree,
+                        (dim_union == fp_dim) & agree)
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +650,11 @@ def random_sheaf(rng, base: ParaPreorder, field: Field, max_intervals: int = 4) 
                 mat[dst_rows.index(interval), j] = field.one
         maps[(src, dst)] = mat
     conjugators = {k: field.random_invertible(rng, dims[k]) for k in keys}
+    # an edge with a zero dimension holds the empty matrix, which conjugation keeps
     maps = {
         (src, dst): field.matmul(
             conjugators[dst], field.matmul(mat, field.inverse(conjugators[src]))
-        )
+        ) if mat.size else mat
         for (src, dst), mat in maps.items()
     }
     return validate_sheaf(base, field, dims, maps)

@@ -27,7 +27,7 @@ import numpy as np
 from ._linalg import PrimeField
 from .consheaf import (
     enumerate_upsets,
-    gluing_check,
+    gluing_rows,
     random_sheaf,
     stalk,
 )
@@ -425,7 +425,8 @@ def criterion_8(seed: int = 0) -> dict:
     """Sheaf gluing over every up-set pair, 20 seeded random sheaves.
 
     The twenty sheaves are spread five per base Par(0)..Par(3); for each
-    the check runs over all unordered pairs of up-sets.
+    the check runs over all unordered pairs of up-sets, a row of pairs at
+    a time (``gluing_rows``).
     """
     rng = random.Random(seed)
     field = PrimeField(101)
@@ -434,16 +435,13 @@ def criterion_8(seed: int = 0) -> dict:
     for n in range(4):
         base = Parasimplex(n)
         upsets = enumerate_upsets(base)
-        pairs = [(u1, u2) for i, u1 in enumerate(upsets) for u2 in upsets[i:]]
         for trial in range(5):
             sheaf = random_sheaf(rng, base, field)
-            cache: dict = {}
-            for u1, u2 in pairs:
-                report = gluing_check(sheaf, u1, u2, section_cache=cache)
-                checked += 1
-                if not report["passed"]:
-                    failures.append((n, trial, sorted(u1.members),
-                                     sorted(u2.members), report))
+            for row in gluing_rows(sheaf):
+                checked += len(row.passed)
+                for k in np.flatnonzero(~row.passed).tolist():
+                    failures.append((n, trial, sorted(upsets[row.left].members),
+                                     sorted(upsets[row.left + k].members), row.report(k)))
     return {
         "id": 8,
         "title": "sheaf gluing over all up-set pairs",

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from paracyclic import consheaf
 from paracyclic._linalg import PrimeField, QQ
 from paracyclic.consheaf import (
     UPSET_CLASS_CAP,
@@ -15,6 +16,7 @@ from paracyclic.consheaf import (
     enumerate_upsets,
     gap_key,
     gluing_check,
+    gluing_rows,
     pullback_sheaf,
     random_sheaf,
     restriction_matrix,
@@ -28,6 +30,7 @@ from paracyclic.consheaf import (
 from paracyclic.errors import (
     BaseMismatch,
     DimensionMismatch,
+    MalformedInput,
     NotFunctorial,
     NotUpwardClosed,
     ResourceBound,
@@ -124,6 +127,25 @@ def oracle_gluing_dims(sheaf, u1, u2, p=None):
                             for x in vec[offsets[key]:offsets[key] + sheaf.dims[key]]])
     dims["dim_fiber_product"] = dims["dim_left"] + dims["dim_right"] - oracle_rank(stacked, p)
     return dims
+
+
+def row_mismatches(sheaf):
+    """The pairs (i, j) of up-set positions whose ``gluing_rows`` report
+    differs from ``gluing_check``'s, key order included, and the number of
+    pairs compared, which must be every pair j >= i."""
+    upsets = enumerate_upsets(sheaf.base)
+    cache: dict = {}
+    wrong, compared = [], 0
+    for row in gluing_rows(sheaf):
+        for k in range(len(row.passed)):
+            j = row.left + k
+            expected = gluing_check(sheaf, upsets[row.left], upsets[j], section_cache=cache)
+            found = row.report(k)
+            if list(found.items()) != list(expected.items()):
+                wrong.append((row.left, j))
+            compared += 1
+    assert compared == len(upsets) * (len(upsets) + 1) // 2
+    return wrong
 
 
 def oracle_mask(base, members):
@@ -406,6 +428,20 @@ class TestStalk:
             stalk(sheaf, least_relation(PAR1))
 
 
+class TestEdgeMap:
+    def test_coarse_not_below_fine_is_malformed(self):
+        sheaf = constant_sheaf(PAR2, F5, 1)
+        with pytest.raises(MalformedInput, match="finer to coarser"):
+            sheaf.edge_map((0,), (0, 1))
+
+    @pytest.mark.parametrize("fine, coarse", [((0, 3), (0,)), ((0, 1), ())],
+                             ids=["fine", "coarse"])
+    def test_key_that_is_no_stratum_is_malformed(self, fine, coarse):
+        sheaf = constant_sheaf(PAR2, F5, 1)
+        with pytest.raises(MalformedInput, match="not a stratum"):
+            sheaf.edge_map(fine, coarse)
+
+
 class TestPullbackSheaf:
     def test_identity(self):
         rng = random.Random(31)
@@ -486,6 +522,75 @@ class TestGluing:
                     shared = gluing_check(sheaf, u1, u2, section_cache=cache)
                     assert shared == gluing_check(sheaf, u1, u2)
                     assert shared["passed"]
+
+
+class TestGluingRows:
+    @pytest.mark.parametrize("field, n", [(F101, n) for n in range(4)] + [(QQ, n) for n in range(3)],
+                             ids=[f"F101-par{n}" for n in range(4)] + [f"Q-par{n}" for n in range(3)])
+    def test_every_pair_matches_gluing_check(self, field, n):
+        rng = random.Random(67 + n)
+        base = ParaPreorder.from_parasimplex(n)
+        for _ in range(2 if n < 3 else 1):
+            assert not row_mismatches(nonzero_sheaf(rng, base, field))
+
+    @pytest.mark.parametrize("field, p", [(F5, 5), (QQ, None)], ids=["F5", "QQ"])
+    def test_every_par2_pair_matches_the_oracle(self, field, p):
+        rng = random.Random(71)
+        upsets = enumerate_upsets(PAR2)
+        for _ in range(2):
+            sheaf = nonzero_sheaf(rng, PAR2, field)
+            for row in gluing_rows(sheaf):
+                for k in range(len(row.passed)):
+                    u1, u2 = upsets[row.left], upsets[row.left + k]
+                    expected = {**oracle_gluing_dims(sheaf, u1, u2, p),
+                                "passed": True, "restrictions_agree": True}
+                    assert row.report(k) == expected, (sorted(u1.members), sorted(u2.members))
+
+    @pytest.mark.parametrize("column", [0, 2], ids=["onto-no-sections", "onto-sections"])
+    def test_corrupted_section_basis_raises(self, monkeypatch, column):
+        """A section basis over W = {(0, 1), (0,), (1,), (2,)} with 1 added
+        in one column.  The sheaf lives on the three maximal strata, so the
+        sections over W are the families on (2,) alone, the row (0, 0, 1).
+        With the 1 on (0,), W's restriction onto the up-set of (0, 1), which
+        has no sections, is no longer zero.  With the 1 on (2,), the row
+        reads 2 where its own echelon column needs 1, so its restriction
+        onto W itself is no section."""
+        dims = {key: int(len(key) == 1) for key in strata(PAR2).keys}
+        maps = {(src, dst): F5.zeros(dims[dst], dims[src]) for src, dst in strata(PAR2).edges}
+        sheaf = validate_sheaf(PAR2, F5, dims, maps)
+        corrupted = up_closure(PAR2, [(0, 1), (2,)]).mask
+        compute = sections
+
+        def mutant(sheaf, open_set):
+            space = compute(sheaf, open_set)
+            if open_set.mask == corrupted:
+                basis = space.basis.copy()
+                basis[0, column] += 1
+                space = SectionSpace(space.field, space.layout, space.offsets, basis)
+            return space
+
+        monkeypatch.setattr(consheaf, "sections", mutant)
+        upsets = enumerate_upsets(PAR2)
+        with pytest.raises(NotFunctorial):
+            cache: dict = {}
+            for i, u1 in enumerate(upsets):
+                for u2 in upsets[i:]:
+                    gluing_check(sheaf, u1, u2, section_cache=cache)
+        with pytest.raises(NotFunctorial):
+            list(gluing_rows(sheaf))
+
+    def test_each_call_computes_the_section_spaces(self, monkeypatch):
+        """Nothing is memoized across calls: each computes every up-set's
+        sections once."""
+        calls = []
+        compute = sections
+        monkeypatch.setattr(consheaf, "sections",
+                            lambda sheaf, up: calls.append(up.mask) or compute(sheaf, up))
+        sheaf = nonzero_sheaf(random.Random(73), PAR2, F5)
+        masks = [up.mask for up in enumerate_upsets(PAR2)]
+        for round_ in (1, 2):
+            list(gluing_rows(sheaf))
+            assert calls == masks * round_
 
 
 class TestPar4:

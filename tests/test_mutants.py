@@ -7,6 +7,7 @@ Each mutant runs against the smallest entry point that should catch it.
 
 import dataclasses
 import functools
+import inspect
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -33,7 +34,7 @@ from paracyclic.equivalence import (
     recover_rep,
     validate_rep,
 )
-from paracyclic.errors import MalformedInput, NotAComplex, NotMonotone
+from paracyclic.errors import MalformedInput, NotAComplex, NotFunctorial, NotMonotone
 from paracyclic.paracat import ParaMap, Parasimplex
 from paracyclic.preord import (
     ConvexRelation,
@@ -249,6 +250,56 @@ def test_doubled_restrictions_are_caught(monkeypatch):
                for i, u1 in enumerate(upsets) for u2 in upsets[i:]]
     assert any(not r["restrictions_agree"] and r["dim_union"] == r["dim_fiber_product"]
                for r in reports)
+
+
+def row_gluing_failures(n):
+    """The number of pairs that ``gluing_rows`` reports failing on one
+    valid sheaf over Par(n)."""
+    sheaf = nonzero_sheaf(random.Random(53), Parasimplex(n), PrimeField(5))
+    return sum(int((~row.passed).sum()) for row in consheaf.gluing_rows(sheaf))
+
+
+def test_support_read_from_the_next_stratum_is_caught(monkeypatch):
+    """Each stratum's support bit read from the columns of the next stratum
+    of the layout.  On a valid sheaf over Par(1) a restriction onto an
+    up-set without sections then seems to keep a nonzero section, and the
+    row gluing raises."""
+    def mutant(bit, space):
+        nonzero = (space.basis != 0).any(axis=0)
+        blocks = list(zip(space.offsets, space.offsets[1:]))
+        return sum(bit[key] for t, key in enumerate(space.layout)
+                   if nonzero[slice(*blocks[(t + 1) % len(blocks)])].any())
+
+    monkeypatch.setattr(consheaf, "_support", mutant)
+    with pytest.raises(NotFunctorial):
+        row_gluing_failures(1)
+
+
+def test_intersection_positions_off_by_one_are_caught(monkeypatch):
+    """Each intersection's position read one place on, cyclically: over
+    Par(0), whose two up-sets give three pairs, a pair fails."""
+    positions = consheaf._row_positions
+
+    def mutant(masks, i):
+        union, inter = positions(masks, i)
+        return union, (inter + 1) % len(masks)
+
+    monkeypatch.setattr(consheaf, "_row_positions", mutant)
+    assert row_gluing_failures(0)
+
+
+def test_arithmetic_skipped_at_one_dimensional_overlaps_is_caught(monkeypatch):
+    """The row gluing taking the direct sum as the fiber product wherever
+    the overlap has at most one dimension of sections, not only none.
+    The mutant is ``gluing_rows``'s own source with that one condition
+    changed; pairs over Par(1) then fail."""
+    source = inspect.getsource(consheaf.gluing_rows)
+    shortcut = "np.flatnonzero(dim_overlap)"
+    assert source.count(shortcut) == 1
+    namespace = dict(vars(consheaf))
+    exec(source.replace(shortcut, "np.flatnonzero(dim_overlap > 1)"), namespace)
+    monkeypatch.setattr(consheaf, "gluing_rows", namespace["gluing_rows"])
+    assert row_gluing_failures(1)
 
 
 def enumerate_upsets_any_face(base):
