@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stalk)
 
     p = sub.add_parser("check-adjunction", help="verify the localization adjunction")
-    p.add_argument("--N", type=_flag(_at_least(0)), default=2)
+    p.add_argument("--N", type=_flag(_at_least(1)), default=2)
     p.add_argument("--variant", choices=["para", "cyc"], default="para")
     common(p)
     p.set_defaults(func=cmd_check_adjunction)

@@ -39,6 +39,7 @@ from .corner import (
 )
 from .equivalence import (
     check_localization_adjunction,
+    cyclic_report,
     random_rep,
     realize_sheaf,
     realize_system,
@@ -363,23 +364,23 @@ def criterion_5(seed: int = 0) -> dict:
 
 
 def criterion_6(seed: int = 0) -> dict:
-    """Localization adjunction in both variants for periods <= 3."""
-    reports = {}
-    passed = True
-    for variant in ("para", "cyc"):
-        for N in (1, 2, 3):
-            report = check_localization_adjunction(N, variant)
-            reports[f"{variant}-{N}"] = {
-                "passed": report["passed"],
-                "objects": report["objects"],
-                "edges": report["edges"],
-                "failures": report["failures"][:3],
-            }
-            passed = passed and report["passed"]
+    """Localization adjunction in both variants for periods <= 3, from one
+    paracyclic pass per period: the cyclic verdict is that pass without its
+    shift-equivariance failures (``equivalence.cyclic_report``)."""
+    para = [check_localization_adjunction(N, "para") for N in (1, 2, 3)]
+    reports = {
+        f"{report['variant']}-{report['N']}": {
+            "passed": report["passed"],
+            "objects": report["objects"],
+            "edges": report["edges"],
+            "failures": report["failures"][:3],
+        }
+        for report in para + [cyclic_report(report) for report in para]
+    }
     return {
         "id": 6,
         "title": "localization adjunction",
-        "passed": passed,
+        "passed": all(report["passed"] for report in reports.values()),
         "details": reports,
     }
 

@@ -361,3 +361,34 @@ def class_oracle_mismatches(bases) -> list:
             if base.equivalent(x, y) != (oracle[x] == oracle[y]):
                 out.append((base.sizes, "equivalent", x, y))
     return out
+
+
+def oracle_missing_marked_composites(tilde) -> list:
+    """The ``marked-composite-missing`` failures of
+    ``equivalence.check_localization_adjunction`` by the per-pair loop it
+    used to run: for every Cartesian edge e in edge order, and every
+    Cartesian edge e2 leaving e's target in edge order, the composite built
+    by the library's scalar ``compose`` and looked up among the keys of
+    ``tilde.marked``.  Unlike the oracles above, it composes with the
+    library: it is the scalar reference for the gather that replaced it."""
+    from paracyclic.consheaf import gap_key
+    from paracyclic.paracat import compose
+
+    def named(rel):
+        return rel.base.sizes, gap_key(rel)
+
+    by_src = {}
+    for e in tilde.edges:
+        by_src.setdefault(e.src, []).append(e)
+    marked = tilde.marked
+    failures = []
+    for e in tilde.edges:
+        if not e.cartesian:
+            continue
+        for e2 in by_src.get(e.tgt, []):
+            if not e2.cartesian:
+                continue
+            composite = compose(e2.map, e.map).values
+            if (e.src, e2.tgt, composite) not in marked:
+                failures.append(("marked-composite-missing", named(e.src), named(e2.tgt)))
+    return failures

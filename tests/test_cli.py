@@ -260,6 +260,7 @@ class TestUsageErrors:
         ["selftest", "--only", "10"],
         ["selftest", "--only", "0"],
         ["selftest", "--only", "abc"],
+        ["check-adjunction", "--N", "0"],
     ])
     def test_bad_flag_value_exits_2(self, args, capsys):
         with pytest.raises(SystemExit) as exit_info:

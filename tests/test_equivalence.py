@@ -1,8 +1,13 @@
+import dataclasses
 import itertools
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 
+from paracyclic import equivalence, selftest
 from paracyclic._linalg import PrimeField, QQ
 from paracyclic.consheaf import gap_key, stalk, pullback_sheaf, validate_sheaf
 from paracyclic.equivalence import (
@@ -33,7 +38,11 @@ from paracyclic.preord import (
     least_relation,
 )
 
-from oracles import oracle_composition_violations, oracle_related
+from oracles import (
+    oracle_composition_violations,
+    oracle_missing_marked_composites,
+    oracle_related,
+)
 
 F101 = PrimeField(101)
 
@@ -340,3 +349,116 @@ class TestAdjunction:
     def test_triangle_at_merged_pair(self):
         report = check_localization_adjunction(3, "para")
         assert report["passed"], report["failures"][:5]
+
+    @pytest.mark.parametrize("variant", ["para", "cyc"])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_reports_are_pinned(self, N, variant):
+        """The whole report, as each variant's separate pass gave it before
+        the cyclic verdict was read off the paracyclic pass."""
+        objects, edges = {1: (1, 1), 2: (5, 38), 3: (19, 1499)}[N]
+        assert check_localization_adjunction(N, variant) == {
+            "passed": True, "variant": variant, "N": N,
+            "objects": objects, "edges": edges, "failures": []}
+
+    @pytest.mark.parametrize("N, variant", [(2, "bogus"), (2, "Para"), (0, "para"), (-1, "cyc")])
+    def test_unknown_variant_and_empty_truncation_are_refused(self, N, variant):
+        with pytest.raises(ValueError):
+            check_localization_adjunction(N, variant)
+
+    def test_cyclic_verdict_drops_only_the_shift_clause(self, monkeypatch):
+        """Under the shifted quotient without its shift (the committed
+        mutant), every paracyclic entry of criterion 6 reports
+        shift-equivariance, and every derived cyclic entry passes."""
+        induced = equivalence.induced_on_quotients
+        monkeypatch.setattr(equivalence, "induced_on_quotients",
+                            lambda r, rel_src, rel_tgt: induced(r.canonical(), rel_src, rel_tgt))
+        details = selftest.criterion_6(0)["details"]
+        for N in (1, 2, 3):
+            kinds = {failure[0] for failure in details[f"para-{N}"]["failures"]}
+            assert kinds == {"shift-equivariance"}
+            assert details[f"cyc-{N}"] == {**details[f"para-{N}"], "passed": True,
+                                           "failures": []}
+
+    def test_adjunction_at_N4_within_its_bound(self):
+        """The adjunction at N = 4, 65 objects and 63,096 edges, in a
+        fresh interpreter with the edge cap raised there alone, build
+        included, in under 60 s (about 5 s and 90 MB on a 2-vCPU VM).  The
+        peak RSS stays under 300 MB because the composites are gathered
+        in chunks of ``equivalence.COMPOSITE_CHUNK`` pairs."""
+        script = (
+            "import json, resource, time\n"
+            "from paracyclic import equivalence\n"
+            "equivalence.CONV_TILDE_EDGE_CAP = 10**5\n"
+            "start = time.perf_counter()\n"
+            "report = equivalence.check_localization_adjunction(4, 'para')\n"
+            "elapsed = time.perf_counter() - start\n"
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+            "print(json.dumps([report['passed'], report['objects'], report['edges'],\n"
+            "                  report['failures'][:3], elapsed, peak]))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, check=True, timeout=300)
+        passed, objects, edges, failures, elapsed, peak_mb = json.loads(out.stdout)
+        assert passed, failures
+        assert (objects, edges) == (65, 63096)
+        assert elapsed < 60
+        assert peak_mb < 300
+        assert equivalence.CONV_TILDE_EDGE_CAP == 20000
+
+    def test_criterion_6_cold_within_two_seconds(self):
+        """Criterion 6 from a fresh interpreter, the conv-tilde builds
+        included, in under 2 s (about 0.3 s on a 2-vCPU VM); the import is
+        not timed."""
+        script = (
+            "import time\n"
+            "from paracyclic import selftest\n"
+            "start = time.perf_counter()\n"
+            "assert selftest.CRITERIA[6](0)['passed']\n"
+            "print(time.perf_counter() - start)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert float(out.stdout) < 2.0
+
+
+def unmarked(tilde, count):
+    """A copy of ``tilde`` with ``count`` seeded Cartesian edges unmarked."""
+    cartesian = [i for i, e in enumerate(tilde.edges) if e.cartesian]
+    chosen = set(random.Random(count).sample(cartesian, count))
+    return dataclasses.replace(tilde, edges=tuple(
+        dataclasses.replace(e, cartesian=False) if i in chosen else e
+        for i, e in enumerate(tilde.edges)))
+
+
+class TestMarkedComposites:
+    # N = 1 has one edge, the identity of its one object
+    @pytest.mark.parametrize("N, count", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 3),
+                                          (3, 0), (3, 1), (3, 3)])
+    def test_gather_matches_the_scalar_loop(self, N, count):
+        copy = unmarked(build_conv_tilde(N), count)
+        expected = oracle_missing_marked_composites(copy)
+        assert equivalence._missing_marked_composites(copy) == expected
+        assert bool(expected) == (count > 0 and N > 1)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_chunking_leaves_the_failures_alone(self, monkeypatch, chunk):
+        copy = unmarked(build_conv_tilde(3), 3)
+        expected = oracle_missing_marked_composites(copy)
+        monkeypatch.setattr(equivalence, "COMPOSITE_CHUNK", chunk)
+        assert equivalence._missing_marked_composites(copy) == expected
+
+    def test_numbering_is_built_once_per_memoized_tilde(self):
+        tilde = build_conv_tilde(3)
+        assert tilde.numbering is build_conv_tilde(3).numbering
+        assert len(tilde.numbering.src) == sum(e.cartesian for e in tilde.edges)
+        assert build_conv_tilde(0).numbering.values.shape == (0, 0)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_cyclic_report_of_unmarked_copies(self, monkeypatch, N):
+        """With Cartesian edges unmarked both variants fail alike: the
+        cyclic report is the paracyclic one, relabelled."""
+        monkeypatch.setattr(equivalence, "build_conv_tilde",
+                            lambda n: unmarked(build_conv_tilde(n), 3))
+        para = check_localization_adjunction(N, "para")
+        assert not para["passed"]
+        assert check_localization_adjunction(N, "cyc") == {**para, "variant": "cyc"}

@@ -75,6 +75,30 @@ def test_dropped_marked_key_is_caught(monkeypatch):
     assert "marked-composite-missing" in failure_kinds(report)
 
 
+def marked_composites_mutant(monkeypatch, old, new):
+    """``_missing_marked_composites`` from its own source with ``old``, which
+    must occur once, replaced by ``new``."""
+    source = inspect.getsource(equivalence._missing_marked_composites)
+    assert source.count(old) == 1
+    namespace = dict(vars(equivalence))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(equivalence, "_missing_marked_composites",
+                        namespace["_missing_marked_composites"])
+
+
+def test_composites_without_their_lead_normalization_are_caught(monkeypatch):
+    marked_composites_mutant(monkeypatch, "raw -= raw[:, :1] // p_c * p_c\n", "\n")
+    report = check_localization_adjunction(3, "para")
+    assert "marked-composite-missing" in failure_kinds(report)
+
+
+def test_second_edges_from_the_run_of_the_source_are_caught(monkeypatch):
+    marked_composites_mutant(monkeypatch, "num.run_len[num.tgt], num.run_start[num.tgt]",
+                             "num.run_len[num.src], num.run_start[num.src]")
+    report = check_localization_adjunction(3, "para")
+    assert "marked-composite-missing" in failure_kinds(report)
+
+
 def test_shifted_class_table_is_caught(monkeypatch):
     post_init = ParaPreorder.__post_init__
 
