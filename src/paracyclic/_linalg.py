@@ -41,6 +41,17 @@ The rationals do their arithmetic on Python ints, in two regimes:
   of its entries, and one pass at the end divides each pivot row by its
   pivot.  Entries may be ints as well as Fractions; the result holds
   Fractions.
+
+Stacks of many small matrices, shape (K, r, c), have two routines of their
+own, written once in ``Field`` over ``reduce`` for every backend; the 2-D
+routines above do not use them.  ``stacked_matmul`` forms all K products
+with one ``np.matmul``: over a prime field in int64 when k * (p - 1)**2 <
+2**63 for the inner dimension k, the rule of ``PrimeField.matmul`` below
+its BLAS crossover, otherwise on Python ints; over Q on the Fractions.
+``stacked_rank`` eliminates all K matrices at once, one column at a time,
+fraction free: a row r meets its matrix's pivot row p through
+p_c r - r_c p, whose two products are of reduced entries, so it stays in
+int64 for every accepted prime and inverts no scalar.
 """
 
 from __future__ import annotations
@@ -210,6 +221,47 @@ class Field:
             return 0
         return len(self.rref(a)[1])
 
+    # -- stacks of matrices ---------------------------------------------------
+
+    def _overflows(self, k: int) -> bool:
+        """Whether a sum of k products of two entries can leave the storage
+        dtype; never for object storage."""
+        return False
+
+    def stacked_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The products a[s] @ b[s] of stacks of shapes (K, m, k) and
+        (K, k, n), as one (K, m, n) stack."""
+        (count, m, k), n = a.shape, b.shape[2]
+        if count * m * k * n == 0:
+            return self.zeros(count * m, n).reshape(count, m, n)
+        if self._overflows(k):
+            return self.reduce(np.matmul(a.astype(object), b.astype(object))).astype(a.dtype)
+        return self.reduce(np.matmul(a, b))
+
+    def stacked_rank(self, a: np.ndarray) -> np.ndarray:
+        """The rank of each matrix of a stack of shape (K, r, c), by one
+        fraction-free forward elimination of the whole stack: a row r meets
+        its matrix's pivot row p through p_c r - r_c p, so no scalar is
+        inverted."""
+        count, rows, cols = a.shape
+        rank = np.zeros(count, dtype=np.int64)
+        mat = a.copy()
+        row_ids = np.arange(rows)
+        for col in range(cols):
+            candidates = (mat[:, :, col] != 0) & (row_ids >= rank[:, None])
+            live = np.flatnonzero(candidates.any(axis=1))
+            if not live.size:
+                continue
+            top, pivot = rank[live], candidates[live].argmax(axis=1)
+            mat[live, top], mat[live, pivot] = mat[live, pivot], mat[live, top]
+            sub = mat[live]
+            pivot_row = sub[np.arange(live.size), top]
+            factor = np.where(row_ids > top[:, None], sub[:, :, col], 0)
+            mat[live] = self.reduce(pivot_row[:, col, None, None] * sub
+                                    - factor[:, :, None] * pivot_row[:, None, :])
+            rank[live] += 1
+        return rank
+
     def right_kernel(self, a: np.ndarray) -> np.ndarray:
         """Rows form the canonical reduced basis of { v : a v = 0 }."""
         rows, cols = a.shape
@@ -306,6 +358,9 @@ class PrimeField(Field):
 
     def reduce(self, a):
         return a % self.p
+
+    def _overflows(self, k):
+        return k * (self.p - 1) ** 2 >= _INT64_EXACT
 
     def scalar(self, x):
         return int(x) % self.p

@@ -19,7 +19,8 @@ of the sections over U1 and U2 over their intersection.  ``gluing_check``
 checks one pair, and can share a cache across pairs.  ``gluing_rows``
 checks every pair of a sheaf, a row of pairs at a time, with the section
 dimensions in arrays indexed by up-set position; only pairs whose overlap
-has sections reach elimination.  Both give the same reports.
+has sections reach arithmetic, and those of a row in one batch, by one
+stacked product and one stacked elimination.  Both give the same reports.
 """
 
 from __future__ import annotations
@@ -565,11 +566,24 @@ def gluing_rows(sheaf: StratSheaf) -> Iterator[GluingRow]:
     section, and ``NotFunctorial`` is raised where it raises.  Onto an
     up-set without sections the check is that the support misses its
     strata, which is what ``restriction_matrix`` checks there; otherwise
-    it is ``restriction_matrix`` itself, memoized by position pair for the
-    call.  A pair whose overlap has no sections is decided by the arrays:
-    its fiber product is the direct sum.  Only the other pairs reach
-    ``_fiber_product``.  Nothing outlives the call, and only one row of
-    arrays is held at a time.
+    it is ``restriction_matrix`` itself, once per position pair for the
+    call.  The verified matrices are kept in one stack, each padded with
+    zeros to the largest section dimension w, which changes no product
+    and no rank; slot 0 holds the zero matrix, which is every restriction
+    from or onto an up-set without sections.
+
+    A pair whose overlap has no sections is decided by the arrays: its
+    fiber product is the direct sum.  The other pairs of a row are checked
+    in one batch, with their five restrictions gathered from the stack:
+    both composites from the union to the overlap come from one
+    ``Field.stacked_matmul`` and are compared with the direct restriction,
+    and the fiber product dimensions from one ``Field.stacked_rank`` of
+    the (w, 2w) matrices [R_1^T | -R_2^T] of the restrictions R_1 and R_2
+    from U1 and U2 onto the overlap.  Over a prime field the product stays
+    in int64 while w (p - 1)^2 < 2^63 and goes through Python ints above
+    that; the elimination stays in int64 for every accepted prime (see
+    ``_linalg``).  Nothing outlives the call, and only one row of arrays
+    is held at a time besides the stack.
     """
     upsets = enumerate_upsets(sheaf.base)
     bit = strata(sheaf.base).bit
@@ -578,16 +592,11 @@ def gluing_rows(sheaf: StratSheaf) -> Iterator[GluingRow]:
     dims = np.array([space.dim for space in spaces], dtype=np.int64)
     masks = np.array([up.mask for up in upsets], dtype=np.int64)
     support = np.array([_support(bit, space) for space in spaces], dtype=np.int64)
-    restrictions: Dict[int, np.ndarray] = {}
-
-    def restriction(big: int, small: int) -> np.ndarray:
-        key = big * n + small
-        matrix = restrictions.get(key)
-        if matrix is None:
-            matrix = restrictions[key] = restriction_matrix(sheaf, spaces[big], spaces[small])
-        return matrix
-
     fld = sheaf.field
+    width = int(dims.max())
+    stack = fld.zeros(width, width).reshape(1, width, width)
+    slots: Dict[int, int] = {}
+
     for i in range(n):
         union, inter = _row_positions(masks, i)
         right = np.arange(i, n)
@@ -598,19 +607,32 @@ def gluing_rows(sheaf: StratSheaf) -> Iterator[GluingRow]:
         empty = dims[small] == 0
         if (masks[small[empty]] & support[big[empty]]).any():
             raise NotFunctorial("restriction of a section is not a section")
+        keys = big * n + small
         both = ~empty & (dims[big] > 0)
-        for key in np.unique(big[both] * n + small[both]).tolist():
-            restriction(*divmod(key, n))
+        new = [key for key in np.unique(keys[both]).tolist() if key not in slots]
+        needed = len(slots) + 1 + len(new)
+        if needed > len(stack):
+            grown = fld.zeros(2 * needed * width, width).reshape(2 * needed, width, width)
+            grown[:len(stack)] = stack
+            stack = grown
+        for key in new:
+            b, s = divmod(key, n)
+            slots[key] = slot = len(slots) + 1
+            stack[slot, :dims[b], :dims[s]] = restriction_matrix(sheaf, spaces[b], spaces[s])
         dim_union, dim_left, dim_right, dim_overlap = dims[union], dims[left], dims[i:], dims[inter]
         fp_dim = dim_left + dim_right
         agree = np.ones(n - i, dtype=bool)
         arithmetic = np.flatnonzero(dim_overlap)
-        for k, u, t in zip(arithmetic.tolist(), union[arithmetic].tolist(),
-                           inter[arithmetic].tolist()):
-            j = i + k
-            fp_dim[k], agree[k] = _fiber_product(
-                fld, restriction(u, i), restriction(u, j), restriction(u, t),
-                restriction(i, t), restriction(j, t))
+        if arithmetic.size:
+            wanted, index = np.unique(keys.reshape(5, -1)[:, arithmetic], return_inverse=True)
+            slot = np.array([slots.get(key, 0) for key in wanted.tolist()])[index]
+            r_ui, r_uj, r_ut, r_it, r_jt = stack[slot.reshape(5, -1)]
+            via_left, via_right = np.split(
+                fld.stacked_matmul(np.concatenate([r_ui, r_uj]), np.concatenate([r_it, r_jt])), 2)
+            agree[arithmetic] = ((via_left == r_ut) & (via_right == r_ut)).all(axis=(1, 2))
+            constraints = np.concatenate([r_it.transpose(0, 2, 1),
+                                          fld.neg(r_jt.transpose(0, 2, 1))], axis=2)
+            fp_dim[arithmetic] -= fld.stacked_rank(constraints)
         yield GluingRow(i, dim_union, dim_left, dim_right, dim_overlap, fp_dim, agree,
                         (dim_union == fp_dim) & agree)
 

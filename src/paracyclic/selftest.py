@@ -134,10 +134,15 @@ def criterion_2(seed: int = 0) -> dict:
     objs = range(4)
     reps = {}
     index = {}
+    # shifted[key][k][i] is the i-th map of the hom-set key with offset k,
+    # built once for every offset the scalar checks use, |k| <= 2
+    shifted = {}
     for a in objs:
         for b in objs:
             reps[(a, b)] = [c.rep for c in enumerate_hom(a, b)]
             index[(a, b)] = {f.values: i for i, f in enumerate(reps[(a, b)])}
+            shifted[(a, b)] = {k: [shift_action(f, k) for f in reps[(a, b)]]
+                               for k in range(-2, 3)}
     idx_tab, wrap_tab, idx_rows, wrap_rows = {}, {}, {}, {}
     for a, b, c in itertools.product(objs, repeat=3):
         idx_tab[(a, b, c)], wrap_tab[(a, b, c)] = composition_table(a, b, c)
@@ -188,15 +193,17 @@ def criterion_2(seed: int = 0) -> dict:
     # object-level composition with explicit offsets: exhaustive on Par(<=1)
     small = [0, 1]
     for a, b, c, d in itertools.product(small, repeat=4):
-        for (i_f, f), (i_g, g), (i_h, h) in itertools.product(
-                enumerate(reps[(a, b)]), enumerate(reps[(b, c)]), enumerate(reps[(c, d)])):
+        for i_f, i_g, i_h in itertools.product(
+                range(len(reps[(a, b)])), range(len(reps[(b, c)])), range(len(reps[(c, d)]))):
             for kf, kg, kh in itertools.product((-2, 0, 2), (-1, 1), (0, 2)):
-                fs, gs, hs = shift_action(f, kf), shift_action(g, kg), shift_action(h, kh)
+                fs, gs = shifted[(a, b)][kf][i_f], shifted[(b, c)][kg][i_g]
+                hs = shifted[(c, d)][kh][i_h]
                 if not associates(a, b, c, d, i_h, i_g, i_f, hs, gs, fs):
                     failures.append(("offset-associativity", a, b, c, d))
+
     def draw(key):
         i = rng.randrange(len(reps[key]))
-        return i, shift_action(reps[key][i], rng.randrange(-2, 3))
+        return i, shifted[key][rng.randrange(-2, 3)][i]
 
     # seeded spot checks at full size
     for _ in range(2000):
@@ -210,7 +217,8 @@ def criterion_2(seed: int = 0) -> dict:
                                                     enumerate(reps[(a, b)])):
             expected = composite(a, b, c, i_g, i_f, g, f)[1].values
             for kf, kg in itertools.product((-2, -1, 1, 2), repeat=2):
-                got = composite(a, b, c, i_g, i_f, shift_action(g, kg), shift_action(f, kf))
+                got = composite(a, b, c, i_g, i_f, shifted[(b, c)][kg][i_g],
+                                shifted[(a, b)][kf][i_f])
                 if got[1].values != expected:
                     failures.append(("cyc-representative", a, b, c))
     return {

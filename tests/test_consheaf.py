@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from paracyclic import consheaf
-from paracyclic._linalg import PrimeField, QQ
+from paracyclic._linalg import QQ, Field, PrimeField
 from paracyclic.consheaf import (
     UPSET_CLASS_CAP,
     SectionSpace,
@@ -532,6 +532,42 @@ class TestGluingRows:
         base = ParaPreorder.from_parasimplex(n)
         for _ in range(2 if n < 3 else 1):
             assert not row_mismatches(nonzero_sheaf(rng, base, field))
+
+    @pytest.mark.parametrize("n", range(3))
+    def test_every_pair_matches_gluing_check_at_a_large_prime(self, n):
+        """At p = 2^31 - 1 a stacked product with inner dimension 3 or more
+        leaves int64 for Python ints; with up to eight intervals the draws
+        over Par(0) and Par(1) have section spaces that large."""
+        rng = random.Random(79 + n)
+        base = ParaPreorder.from_parasimplex(n)
+        for _ in range(2):
+            sheaf = nonzero_sheaf(rng, base, PrimeField(2**31 - 1), max_intervals=8)
+            assert not row_mismatches(sheaf)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_zero_sheaf_passes_without_elimination(self, monkeypatch, n):
+        """Every stalk is 0, so the padded width is 0 and no overlap has
+        sections: every pair passes and nothing is eliminated."""
+        def refuse(*args):
+            raise AssertionError("an elimination ran on the zero sheaf")
+
+        for name in ("rref", "stacked_rank", "stacked_matmul"):
+            monkeypatch.setattr(Field, name, refuse)
+        base = ParaPreorder.from_parasimplex(n)
+        rows = list(gluing_rows(constant_sheaf(base, F101, 0)))
+        count = len(enumerate_upsets(base))
+        assert sum(len(row.passed) for row in rows) == count * (count + 1) // 2
+        assert all(row.passed.all() for row in rows)
+
+    def test_rows_never_take_the_single_pair_arithmetic(self, monkeypatch):
+        """Pairs whose overlap has sections are checked in batches, never
+        by ``gluing_check``'s ``_fiber_product``."""
+        def refuse(*args):
+            raise AssertionError("a pair went through _fiber_product")
+
+        monkeypatch.setattr(consheaf, "_fiber_product", refuse)
+        rows = list(gluing_rows(nonzero_sheaf(random.Random(73), PAR2, F5)))
+        assert any(row.dim_overlap.any() for row in rows)
 
     @pytest.mark.parametrize("field, p", [(F5, 5), (QQ, None)], ids=["F5", "QQ"])
     def test_every_par2_pair_matches_the_oracle(self, field, p):

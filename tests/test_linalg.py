@@ -8,7 +8,9 @@ cones, for a small, a medium and the largest common word-size prime.  Over
 Q the product is checked on both sides of its integer crossover, and the
 elimination routines on sparse inputs of up to 40 rows and on a dense one
 with large denominators; both product regimes and the elimination also on
-entries read from numpy integers beyond int64 products.
+entries read from numpy integers beyond int64 products.  The stacked
+product and rank, shared by every backend, are checked matrix by matrix on
+zero-padded stacks over F_2, F_101, F_(2^31 - 1) and Q.
 """
 
 from fractions import Fraction
@@ -422,3 +424,85 @@ def test_rationals_rref_is_exact_on_numpy_integers():
     reduced, pivots = QQ.rref(QQ.matrix(list(ints)))
     expected, expected_pivots = expected_rref_q(QQ.matrix(ints.tolist()))
     assert pivots == expected_pivots and QQ.equal(reduced, expected)
+
+
+# -- stacks of matrices ----------------------------------------------------------
+
+STACK_FIELDS = [PrimeField(2), PrimeField(101), PrimeField(2**31 - 1), QQ]
+STACK_IDS = ["F2", "F101", "F2147483647", "Q"]
+
+
+def random_entries(rng, field, rows, cols, density):
+    if field is QQ:
+        return random_q(rng, rows, cols, density)
+    return random_mod(rng, field.p, rows, cols, density)
+
+
+def padded_stack(rng, field, count, rows, cols):
+    """count random blocks of at most rows x cols, each zero-padded to
+    rows x cols; in every third block of three or more rows the last row
+    repeats a combination of the first two, so its rank falls short."""
+    stack = field.zeros(count * rows, cols).reshape(count, rows, cols)
+    for s in range(count):
+        r, c = int(rng.integers(0, rows + 1)), int(rng.integers(0, cols + 1))
+        block = random_entries(rng, field, r, c, float(rng.choice([0.3, 0.6, 1.0])))
+        if s % 3 == 0 and r >= 3:
+            block[-1] = field.reduce(block[0] * 2 + block[1])
+        stack[s, :r, :c] = block
+    return stack
+
+
+def oracle_rank(field, matrix):
+    rows = matrix.tolist()
+    return len(oracle_rref_fraction(rows)[1] if field is QQ else oracle_rref_mod(rows, field.p)[1])
+
+
+def oracle_product(field, a, b):
+    if field is QQ:
+        return oracle_matmul_fraction(a.tolist(), b.tolist(), b.shape[1])
+    return oracle_matmul_mod(a.tolist(), b.tolist(), field.p, b.shape[1])
+
+
+@pytest.mark.parametrize("field", STACK_FIELDS, ids=STACK_IDS)
+def test_stacked_rank_matches_oracle(field):
+    rng = np.random.default_rng(23)
+    for count, rows, cols in [(40, 3, 6), (30, 5, 5), (20, 6, 3), (8, 1, 4), (8, 4, 1)]:
+        stack = padded_stack(rng, field, count, rows, cols)
+        before = stack.copy()
+        ranks = field.stacked_rank(stack)
+        assert ranks.tolist() == [oracle_rank(field, matrix) for matrix in stack]
+        assert np.array_equal(stack, before)
+
+
+@pytest.mark.parametrize("field", STACK_FIELDS, ids=STACK_IDS)
+def test_stacked_matmul_matches_oracle(field):
+    rng = np.random.default_rng(29)
+    for count, m, k, n in [(30, 3, 3, 3), (20, 2, 5, 4), (10, 4, 1, 2)]:
+        a, b = padded_stack(rng, field, count, m, k), padded_stack(rng, field, count, k, n)
+        product = field.stacked_matmul(a, b)
+        assert product.shape == (count, m, n)
+        assert [matrix.tolist() for matrix in product] == [
+            oracle_product(field, a[s], b[s]) for s in range(count)]
+
+
+@pytest.mark.parametrize("field", STACK_FIELDS, ids=STACK_IDS)
+@pytest.mark.parametrize("shape", [(0, 3, 4), (0, 0, 0), (4, 0, 3), (4, 3, 0)])
+def test_stacked_routines_on_empty_shapes(field, shape):
+    count, rows, cols = shape
+    stack = field.zeros(count * rows, cols).reshape(shape)
+    assert field.stacked_rank(stack).tolist() == [0] * count
+    for n in (2, 0):
+        product = field.stacked_matmul(stack, field.zeros(count * cols, n).reshape(count, cols, n))
+        assert product.shape == (count, rows, n) and not product.any()
+
+
+def test_stacked_product_is_exact_where_int64_would_overflow():
+    """At p = 2^31 - 1 a sum of three products (p - 1)^2 passes 2^63: the
+    int64 product wraps to p - 1, the stacked product gives 3."""
+    p = 2**31 - 1
+    field = PrimeField(p)
+    full = np.full((2, 3, 3), p - 1, dtype=np.int64)
+    assert 3 * (p - 1) ** 2 >= 2**63
+    assert np.array_equal(np.matmul(full, full) % p, np.full((2, 3, 3), p - 1))
+    product = field.stacked_matmul(full, full)
+    assert product.dtype == np.int64 and np.array_equal(product, np.full((2, 3, 3), 3))

@@ -9,6 +9,7 @@ import dataclasses
 import functools
 import inspect
 import random
+import textwrap
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -324,6 +325,68 @@ def test_arithmetic_skipped_at_one_dimensional_overlaps_is_caught(monkeypatch):
     exec(source.replace(shortcut, "np.flatnonzero(dim_overlap > 1)"), namespace)
     monkeypatch.setattr(consheaf, "gluing_rows", namespace["gluing_rows"])
     assert row_gluing_failures(1)
+
+
+def source_mutant(monkeypatch, owner, name, old, new):
+    """``owner.name`` rebuilt from its own source, in a copy of its module's
+    namespace taken now, with ``old``, which must occur once, replaced by
+    ``new``; returns that namespace."""
+    original = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(original))
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(original)))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+    return namespace
+
+
+def test_stacked_elimination_without_its_row_swap_is_caught(monkeypatch):
+    """``Field.stacked_rank`` without its row swap.  The first column's
+    pivot sits in the second row, so the first row, zero there, is taken
+    for the pivot row, and the third row is scaled by its zero lead: the
+    rank comes out 2, not 3.  On the valid sheaves tried, ``gluing_rows``
+    reported no failing pair under this mutant, so the check is the oracle
+    rank."""
+    source_mutant(monkeypatch, _linalg.Field, "stacked_rank",
+                  "mat[live, top], mat[live, pivot] = mat[live, pivot], mat[live, top]\n", "\n")
+    field = PrimeField(101)
+    stack = field.matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]).reshape(1, 3, 3)
+    assert field.stacked_rank(stack).tolist() != [len(oracle_rref_mod(stack[0].tolist(), 101)[1])]
+
+
+def double_restrictions(monkeypatch):
+    """restriction_matrix returning twice the coordinates: every shape,
+    dimension and rank stays right over F_5."""
+    compute = consheaf.restriction_matrix
+    monkeypatch.setattr(consheaf, "restriction_matrix",
+                        lambda sheaf, big, small: sheaf.field.reduce(2 * compute(sheaf, big, small)))
+
+
+def rows_flag_restrictions_alone():
+    """Whether ``gluing_rows`` reports, on a valid sheaf over Par(2), a pair
+    whose restrictions disagree though its dimensions are right."""
+    sheaf = nonzero_sheaf(random.Random(53), Parasimplex(2), PrimeField(5))
+    return any(not row.restrictions_agree[k] and row.dim_union[k] == row.dim_fiber_product[k]
+               for row in consheaf.gluing_rows(sheaf) for k in range(len(row.passed)))
+
+
+def test_doubled_restrictions_are_caught_by_the_rows(monkeypatch):
+    double_restrictions(monkeypatch)
+    assert rows_flag_restrictions_alone()
+
+
+def test_composites_compared_only_with_each_other_are_caught(monkeypatch):
+    """``gluing_rows`` comparing the two composite restrictions with each
+    other but not with the direct one.  Under doubled restrictions both
+    composites are four times the true one and the direct one twice, so
+    the check of ``test_doubled_restrictions_are_caught_by_the_rows`` goes
+    red.  The restrictions are doubled first, so that the mutant's
+    namespace reads the doubled ones."""
+    double_restrictions(monkeypatch)
+    namespace = source_mutant(monkeypatch, consheaf, "gluing_rows",
+                              "(via_left == r_ut) & (via_right == r_ut)", "via_left == via_right")
+    assert namespace["restriction_matrix"] is consheaf.restriction_matrix
+    assert not rows_flag_restrictions_alone()
 
 
 def enumerate_upsets_any_face(base):
