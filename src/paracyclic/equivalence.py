@@ -10,10 +10,14 @@ corner space of any preorder, stratum by stratum through the quotient
 parasimplices.  A compatible family of such sheaves over many preorders,
 together with comparison isomorphisms along preorder maps, is a
 ``SheafSystem``; ``recover_rep`` extracts the representation back from the
-system, exactly.  ``build_conv_tilde`` and
-``check_localization_adjunction`` verify that collapsing the marked
-(Cartesian) edges of the stratum-pair category is the surjection
-subcategory, through the adjunction with fully faithful right adjoint.
+system, exactly.  Everything in a realization that does not depend on the
+representation (the morphisms, the distinct comparison maps, numbered once,
+and the kernel relations of the surjections) is a ``RealizationPlan``, built
+once per truncation on first use (``realization_plan``).
+``build_conv_tilde`` and ``check_localization_adjunction`` verify that
+collapsing the marked (Cartesian) edges of the stratum-pair category is
+the surjection subcategory, through the adjunction with fully faithful
+right adjoint.
 The conv-tilde numbers its objects and Cartesian edges once, as int arrays
 (``ConvTilde.numbering``), so that closure of the marked edges under
 composition is one chunked gather over all composable pairs and one
@@ -220,20 +224,24 @@ def realize_sheaf(rep: ParaRep, base: ParaPreorder) -> StratSheaf:
     """The constructible sheaf with stalk V_{n(E)} at stratum E.
 
     The map along a covering edge is the representation applied to the
-    induced surjection of quotient parasimplices.
+    induced surjection of quotient parasimplices (``covering_quotients``).
     """
     if base.k > rep.N:
         raise TruncationExceeded(
             f"quotients of {base.sizes} reach Par({base.k}) > Par({rep.N})"
         )
-    poset = strata(base)
-    dims = {key: rep.dims[len(key) - 1] for key in poset.keys}
-    ident = base.identity()
-    maps = {}
-    for src, dst in poset.edges:
-        q = induced_on_quotients(ident, poset.relation[src], poset.relation[dst])
-        maps[(src, dst)] = rep.evaluate(q)
+    dims = {key: rep.dims[len(key) - 1] for key in strata(base).keys}
+    maps = {edge: rep.evaluate(q) for edge, q in covering_quotients(base).items()}
     return validate_sheaf(base, rep.field, dims, maps)
+
+
+@functools.cache
+def covering_quotients(base: ParaPreorder) -> Mapping[Tuple[GapKey, GapKey], ParaMap]:
+    """The induced surjection of quotient parasimplices along each covering
+    edge of the stratum poset of ``base``; memoized per base."""
+    poset, ident = strata(base), base.identity()
+    return {(src, dst): induced_on_quotients(ident, poset.relation[src], poset.relation[dst])
+            for src, dst in poset.edges}
 
 
 def _quotient_class_representatives(rel: ConvexRelation) -> List[int]:
@@ -254,9 +262,8 @@ def comparison_iso(rep: ParaRep, r: ParaMap, rel: ConvexRelation) -> np.ndarray:
     return rep.evaluate(comparison_map(r, rel))
 
 
-@functools.cache
 def comparison_map(r: ParaMap, rel: ConvexRelation) -> ParaMap:
-    """The iso I'/pullback(rel) -> I/rel of quotient parasimplices, memoized."""
+    """The iso I'/pullback(rel) -> I/rel of quotient parasimplices."""
     return induced_on_quotients(r, pullback_relation(r, rel), rel)
 
 
@@ -281,65 +288,125 @@ class SheafSystem:
             raise IncompleteSystem(f"no sheaf over {base.sizes}") from None
 
     def comparison(self, r: ParaMap, rel: ConvexRelation) -> np.ndarray:
+        """The comparison of r at rel; raises BaseMismatch for a relation
+        off the target of r, IncompleteSystem for missing data."""
         if r not in self.comparisons:
             raise IncompleteSystem(f"no comparison data for morphism {r}")
-        return self.comparisons[r][gap_key(rel)]
+        if rel.base != r.tgt:
+            raise BaseMismatch("relation does not live over the target of r")
+        try:
+            return self.comparisons[r][gap_key(rel)]
+        except KeyError:
+            raise IncompleteSystem(
+                f"no comparison for morphism {r} at stratum {gap_key(rel)}") from None
 
 
-def realize_system(rep: ParaRep) -> SheafSystem:
-    """The sheaf system realized by a representation over the parasimplex
-    preorders Par(0..N), with all canonical surjection representatives, their
-    shifts by one, and the shift automorphisms between them.
+@dataclass(frozen=True, eq=False)
+class RealizationPlan:
+    """The part of a realization over Par(0..N) that does not depend on the
+    representation; ``realization_plan(N)`` builds it once.
+
+    The morphisms are the keys of ``comparisons``: the shift automorphisms,
+    the canonical surjection representatives and their shifts by one.
+    ``maps`` numbers the distinct comparison maps, in order of first use,
+    and ``comparisons[r][gap key of E]`` is the number of
+    ``comparison_map(r, E)``.  ``kernels[(m, n)]`` holds, per canonical
+    surjection c: Par(m) -> Par(n) in ``enumerate_hom`` order, its values,
+    its representative and the gap key of its kernel relation, the
+    pullback of the least relation of Par(n).
     """
-    objects = [Parasimplex(n) for n in range(rep.N + 1)]
+
+    N: int
+    objects: Tuple[ParaPreorder, ...]
+    maps: Tuple[ParaMap, ...]
+    comparisons: Mapping[ParaMap, Mapping[GapKey, int]]
+    kernels: Mapping[Tuple[int, int], Tuple[Tuple[Tuple[int, ...], ParaMap, GapKey], ...]]
+
+
+@functools.cache
+def realization_plan(N: int) -> RealizationPlan:
+    """The realization plan of the truncation N; built on first use and
+    memoized (at N = 3: 98 morphisms, 470 comparisons, 23 distinct maps)."""
+    objects = tuple(Parasimplex(n) for n in range(N + 1))
     morphisms = []
     for tgt in objects:
         morphisms.append(tgt.shift_map())
         for src in objects:
             for c in enumerate_hom(src.k, tgt.k, "surj"):
                 morphisms += [c.rep, shift_action(c.rep, 1)]
-    sheaves = {base: realize_sheaf(rep, base) for base in objects}
+    number: Dict[ParaMap, int] = {}
+    # the shift automorphism of Par(n) is also the identity shifted by one
     comparisons = {
-        r: {key: comparison_iso(rep, r, rel) for key, rel in strata(r.tgt).relation.items()}
-        for r in morphisms
+        r: {key: number.setdefault(comparison_map(r, rel), len(number))
+            for key, rel in strata(r.tgt).relation.items()}
+        for r in dict.fromkeys(morphisms)
     }
+    least = [least_relation(base) for base in objects]
+    kernels = {
+        (m, n): tuple((c.values, c.rep, gap_key(pullback_relation(c.rep, least[n])))
+                      for c in enumerate_hom(m, n, "surj"))
+        for m, n in itertools.product(range(N + 1), repeat=2)
+    }
+    return RealizationPlan(N, objects, tuple(number), comparisons, kernels)
+
+
+def realize_system(rep: ParaRep) -> SheafSystem:
+    """The sheaf system realized by a representation over the parasimplex
+    preorders Par(0..N), with all canonical surjection representatives, their
+    shifts by one, and the shift automorphisms between them.
+
+    The morphisms and comparison maps come from ``realization_plan(N)``:
+    each distinct comparison map is evaluated once, and the comparisons
+    are filled in by its number (so comparisons with one map share one
+    matrix).
+    """
+    plan = realization_plan(rep.N)
+    mats = [rep.evaluate(q) for q in plan.maps]
+    sheaves = {base: realize_sheaf(rep, base) for base in plan.objects}
+    comparisons = {r: {key: mats[i] for key, i in numbers.items()}
+                   for r, numbers in plan.comparisons.items()}
     return SheafSystem(rep.field, sheaves, comparisons)
 
 
 def validate_system(system: SheafSystem) -> dict:
-    """Check comparison squares and the cocycle law on composable pairs."""
+    """Check comparison squares and the cocycle law on composable pairs.
+
+    Each relation is pulled back along each morphism once.  The pairs r2
+    then r are visited r2 by r2, each with the morphisms leaving its
+    target, both in ``comparisons`` order.
+    """
     violations = []
     fld = system.field
+    pulled: Dict[ParaMap, Dict[GapKey, ConvexRelation]] = {}
     for r in system.comparisons:
         sheaf_src = system.sheaf_over(r.src)
         sheaf_tgt = system.sheaf_over(r.tgt)
         poset = strata(r.tgt)
+        back = pulled[r] = {key: pullback_relation(r, rel) for key, rel in poset.relation.items()}
         for rel in poset.relation.values():
             if not fld.is_invertible(system.comparison(r, rel)):
                 violations.append(("comparison-not-iso", r))
         for src_key, dst_key in poset.edges:
-            rel_src, rel_dst = poset.relation[src_key], poset.relation[dst_key]
-            back_src = gap_key(pullback_relation(r, rel_src))
-            back_dst = gap_key(pullback_relation(r, rel_dst))
-            one = fld.matmul(system.comparison(r, rel_dst),
-                             sheaf_src.edge_map(back_src, back_dst))
+            one = fld.matmul(system.comparison(r, poset.relation[dst_key]),
+                             sheaf_src.edge_map(back[src_key], back[dst_key]))
             two = fld.matmul(sheaf_tgt.maps[(src_key, dst_key)],
-                             system.comparison(r, rel_src))
+                             system.comparison(r, poset.relation[src_key]))
             if not fld.equal(one, two):
                 violations.append(("comparison-square", r, src_key))
+    leaving: Dict[ParaPreorder, List[ParaMap]] = {}
+    for r in system.comparisons:
+        leaving.setdefault(r.src, []).append(r)
     for r2 in system.comparisons:
-        for r in system.comparisons:
-            if r2.tgt != r.src:
-                continue
+        for r in leaving.get(r2.tgt, ()):
             composite = compose(r, r2)
             if composite not in system.comparisons:
                 continue
-            for rel in enumerate_conv(r.tgt):
+            for key, rel in strata(r.tgt).relation.items():
                 lhs = system.comparison(composite, rel)
                 rhs = fld.matmul(system.comparison(r, rel),
-                                 system.comparison(r2, pullback_relation(r, rel)))
+                                 system.comparison(r2, pulled[r][key]))
                 if not fld.equal(lhs, rhs):
-                    violations.append(("cocycle", r2, r, gap_key(rel)))
+                    violations.append(("cocycle", r2, r, key))
     return {"passed": not violations, "violations": violations}
 
 
@@ -350,25 +417,25 @@ def recover_rep(system: SheafSystem, N: int) -> ParaRep:
     matrix of a canonical surjection q is the structure map of the source
     sheaf from its least stratum to the kernel relation of q, composed with
     the comparison; the shift matrix is the comparison of the shift
-    automorphism at the least stratum.
+    automorphism at the least stratum.  The surjections and their kernel
+    relations are read from ``realization_plan(N)``; every matrix is read
+    from ``system``, which need not be one that ``realize_system`` built.
     """
-    bases = [Parasimplex(n) for n in range(N + 1)]
-    sheaves = [system.sheaf_over(base) for base in bases]
-    least = [least_relation(base) for base in bases]
+    plan = realization_plan(N)
+    sheaves = [system.sheaf_over(base) for base in plan.objects]
+    least = [least_relation(base) for base in plan.objects]
     fld = system.field
     dims = tuple(sheaf.dims[gap_key(rel)] for sheaf, rel in zip(sheaves, least))
     gen: Dict[Tuple[int, int], Dict[Tuple[int, ...], np.ndarray]] = {}
-    for m, n in itertools.product(range(N + 1), repeat=2):
-        table = {}
-        for c in enumerate_hom(m, n, "surj"):
-            r = c.rep
-            kernel = pullback_relation(r, least[n])
-            structure = sheaves[m].edge_map(gap_key(least[m]), gap_key(kernel))
-            table[c.values] = fld.matmul(system.comparison(r, least[n]), structure)
-        if table:
-            gen[(m, n)] = table
+    for (m, n), surjections in plan.kernels.items():
+        if surjections:
+            gen[(m, n)] = {
+                values: fld.matmul(system.comparison(r, least[n]),
+                                   sheaves[m].edge_map(least[m], kernel))
+                for values, r, kernel in surjections
+            }
     shifts = tuple(system.comparison(base.shift_map(), rel)
-                   for base, rel in zip(bases, least))
+                   for base, rel in zip(plan.objects, least))
     return ParaRep(N, fld, dims, gen, shifts)
 
 

@@ -21,6 +21,7 @@ from paracyclic.equivalence import (
     conjugate_rep,
     constant_rep,
     direct_sum,
+    induced_on_quotients,
     random_rep,
     realize_sheaf,
     realize_system,
@@ -28,14 +29,16 @@ from paracyclic.equivalence import (
     validate_rep,
     validate_system,
 )
-from paracyclic.errors import TruncationExceeded
-from paracyclic.paracat import Parasimplex, enumerate_hom
+from paracyclic.errors import BaseMismatch, IncompleteSystem, TruncationExceeded
+from paracyclic.paracat import Parasimplex, compose, enumerate_hom, shift_action
 from paracyclic.preord import (
     ConvexRelation,
     ParaPreorder,
     enumerate_conv,
     enumerate_preord_maps,
     least_relation,
+    preorders_up_to,
+    pullback_relation,
 )
 
 from oracles import (
@@ -182,6 +185,19 @@ class TestRealizeSheaf:
         for rel in enumerate_conv(base):
             assert stalk(sheaf, rel).dim == rep.dims[len(rel.gaps) - 1]
 
+    @pytest.mark.parametrize("field", [F101, QQ])
+    def test_edge_maps_match_the_induced_quotients(self, field):
+        """Every covering edge of every base of period <= 4 against the
+        representation applied to the induced quotient map, computed here."""
+        rep = random_rep(random.Random(12), field, 3)
+        for base in preorders_up_to(4):
+            sheaf = realize_sheaf(rep, base)
+            for fine, coarse in itertools.product(enumerate_conv(base), repeat=2):
+                if len(coarse.gaps) + 1 != len(fine.gaps) or not coarse.gaps <= fine.gaps:
+                    continue
+                expected = rep.evaluate(induced_on_quotients(base.identity(), fine, coarse))
+                assert field.equal(sheaf.maps[(gap_key(fine), gap_key(coarse))], expected)
+
     def test_output_is_validated(self):
         rng = random.Random(5)
         rep = random_rep(rng, F101, 2)
@@ -201,6 +217,100 @@ class TestSystemAndRoundTrip:
         system = realize_system(rep)
         report = validate_system(system)
         assert report["passed"], report["violations"][:3]
+
+    def test_realized_system_validates_at_N3(self):
+        rep = random_rep(random.Random(13), F101, 3)
+        report = validate_system(realize_system(rep))
+        assert report["passed"], report["violations"][:3]
+
+    @pytest.mark.parametrize("field", [F101, QQ])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_numbered_comparisons_match_comparison_iso(self, field, N):
+        """The morphisms listed here, and at each of their strata the
+        comparison computed afresh by ``comparison_iso``."""
+        rep = random_rep(random.Random(14 + N), field, N)
+        system = realize_system(rep)
+        bases = [Parasimplex(n) for n in range(N + 1)]
+        morphisms = {base.shift_map() for base in bases}
+        for m, n in itertools.product(range(N + 1), repeat=2):
+            for c in enumerate_hom(m, n, "surj"):
+                morphisms |= {c.rep, shift_action(c.rep, 1)}
+        assert set(system.comparisons) == morphisms
+        for r in morphisms:
+            assert set(system.comparisons[r]) == {gap_key(rel) for rel in enumerate_conv(r.tgt)}
+            for rel in enumerate_conv(r.tgt):
+                assert field.equal(system.comparison(r, rel), comparison_iso(rep, r, rel))
+
+    def test_nothing_is_planned_at_import(self):
+        script = (
+            "import paracyclic\n"
+            "from paracyclic import equivalence\n"
+            "print(equivalence.realization_plan.cache_info().currsize,\n"
+            "      equivalence.covering_quotients.cache_info().currsize)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split() == ["0", "0"]
+
+    def test_comparison_off_the_target_is_refused(self):
+        """A relation over Par(2) asked of a morphism into Par(1): its gap
+        key (0, 1) is a key of the morphism too, so a lookup by key alone
+        would read the comparison of another relation."""
+        system = realize_system(random_rep(random.Random(15), F101, 2))
+        r = Parasimplex(1).shift_map()
+        rel = ConvexRelation(Parasimplex(2), frozenset({0, 1}))
+        assert gap_key(rel) in system.comparisons[r]
+        with pytest.raises(BaseMismatch):
+            system.comparison(r, rel)
+
+    def test_missing_comparison_is_incomplete(self):
+        system = realize_system(random_rep(random.Random(16), F101, 2))
+        r = Parasimplex(2).shift_map()
+        least = least_relation(r.tgt)
+        comparisons = {s: dict(table) for s, table in system.comparisons.items()}
+        del comparisons[r][gap_key(least)]
+        broken = SheafSystem(system.field, system.sheaves, comparisons)
+        with pytest.raises(IncompleteSystem):
+            broken.comparison(r, least)
+        with pytest.raises(IncompleteSystem):
+            recover_rep(broken, 2)
+
+    def test_cocycle_violations_match_the_all_pairs_scan(self):
+        """A system with one comparison doubled: the cocycle violations, in
+        order, as a scan over every ordered pair of morphisms finds them."""
+        system = realize_system(random_rep(random.Random(17), F101, 2))
+        victim = next(r for r in system.comparisons if r.src.k == 2 and r.tgt.k == 1)
+        comparisons = {r: dict(table) for r, table in system.comparisons.items()}
+        for key, mat in comparisons[victim].items():
+            comparisons[victim][key] = (2 * mat) % 101
+        broken = SheafSystem(system.field, system.sheaves, comparisons)
+        expected = []
+        for r2, r in itertools.product(comparisons, repeat=2):
+            if r2.tgt != r.src or compose(r, r2) not in comparisons:
+                continue
+            for rel in enumerate_conv(r.tgt):
+                rhs = F101.matmul(broken.comparison(r, rel),
+                                  broken.comparison(r2, pullback_relation(r, rel)))
+                if not F101.equal(broken.comparison(compose(r, r2), rel), rhs):
+                    expected.append(("cocycle", r2, r, gap_key(rel)))
+        violations = validate_system(broken)["violations"]
+        assert expected
+        assert [v for v in violations if v[0] == "cocycle"] == expected
+
+    def test_criterion_7_cold_within_two_seconds(self):
+        """Criterion 7 from a fresh interpreter, the realization plan and
+        every check included, in under 2 s (about 0.2 s on a 2-vCPU VM);
+        the import is not timed."""
+        script = (
+            "import time\n"
+            "from paracyclic import selftest\n"
+            "start = time.perf_counter()\n"
+            "assert selftest.CRITERIA[7](0)['passed']\n"
+            "print(time.perf_counter() - start)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert float(out.stdout) < 2.0
 
     def test_round_trip_small(self):
         rng = random.Random(7)

@@ -125,7 +125,12 @@ def test_boundary_counted_at_its_own_class_is_caught(monkeypatch):
 
 
 def test_comparison_memo_keyed_on_relation_alone_is_caught(monkeypatch):
-    compute = equivalence.comparison_map.__wrapped__
+    """comparison_map memoized on the relation alone, so that every morphism
+    into a base reads the comparison of the first one.  The realization
+    plan reads comparison_map once per truncation, so the plan is rebuilt
+    here under the mutant, in a memo of its own: the mutant is reached
+    whatever ran before, and the shared plan is left as it was."""
+    compute = equivalence.comparison_map
     memo = {}
 
     def mutant(r, rel):
@@ -134,6 +139,8 @@ def test_comparison_memo_keyed_on_relation_alone_is_caught(monkeypatch):
         return memo[rel]
 
     monkeypatch.setattr(equivalence, "comparison_map", mutant)
+    monkeypatch.setattr(equivalence, "realization_plan",
+                        functools.cache(equivalence.realization_plan.__wrapped__))
     field = PrimeField(101)
     # a surjection cell: the automorphisms of Par(n) act on it faithfully,
     # so comparisons along different morphisms differ
@@ -143,6 +150,44 @@ def test_comparison_memo_keyed_on_relation_alone_is_caught(monkeypatch):
         not field.equal(mat, recovered.gen[key][values])
         for key, table in rep.gen.items() for values, mat in table.items()
     ) or any(not field.equal(s, t) for s, t in zip(rep.shifts, recovered.shifts))
+
+
+def test_comparison_read_from_the_neighbouring_map_is_caught(monkeypatch):
+    """Every comparison of the realization plan numbered as the next
+    distinct comparison map of the same parasimplex, cyclically (so the
+    shapes still fit): criterion 7's round trip goes red."""
+    plan = equivalence.realization_plan.__wrapped__(3)
+    by_size = {}
+    for i, q in enumerate(plan.maps):
+        by_size.setdefault(q.src, []).append(i)
+    neighbour = {group[j]: group[(j + 1) % len(group)]
+                 for group in by_size.values() for j in range(len(group))}
+    assert all(neighbour[i] != i for i in neighbour)
+    comparisons = {r: {key: neighbour[i] for key, i in numbers.items()}
+                   for r, numbers in plan.comparisons.items()}
+    mutant = dataclasses.replace(plan, comparisons=comparisons)
+    monkeypatch.setattr(equivalence, "realization_plan", lambda N: mutant)
+    report = selftest.criterion_7(0)
+    assert not report["passed"]
+    assert any(failure[2] in ("generator", "shift") for failure in report["details"]["failures"])
+
+
+def test_kernel_of_the_neighbouring_surjection_is_caught(monkeypatch):
+    """Every surjection of the realization plan given the kernel relation
+    of the next surjection in its hom-set, cyclically: recover_rep reads the
+    wrong structure maps, and the round trip goes red."""
+    plan = equivalence.realization_plan.__wrapped__(2)
+    kernels = {key: tuple((values, r, rows[(j + 1) % len(rows)][2])
+                          for j, (values, r, _) in enumerate(rows))
+               for key, rows in plan.kernels.items()}
+    assert kernels != plan.kernels
+    mutant = dataclasses.replace(plan, kernels=kernels)
+    monkeypatch.setattr(equivalence, "realization_plan", lambda N: mutant)
+    field = PrimeField(101)
+    rep = random_rep(random.Random(0), field, 2)
+    recovered = recover_rep(realize_system(rep), 2)
+    assert any(not field.equal(mat, recovered.gen[key][values])
+               for key, table in rep.gen.items() for values, mat in table.items())
 
 
 def dualize_map_min(f: ParaMap) -> ParaMap:
