@@ -10,16 +10,21 @@ around the diamonds of the poset.
 ``strata(base)`` is the one derivation of that poset: it numbers the strata
 and gives each one's relation, faces and covering edges, once per base.
 
-Sections over an open union of strata (an upward closed set) are computed
-as the kernel of the block matrix of compatibility constraints; bases are
-returned in reduced echelon form so repeated runs agree exactly.
+Each sheaf owns one matrix of compatibility constraints in whole-space
+coordinates, the coordinates of all its strata in ``strata(base).keys``
+order, built on first use.  Sections over an open union of strata (an
+upward closed set) are the kernel of the rows and columns of that matrix
+which the up-set's mask selects; bases are returned in reduced echelon
+form so repeated runs agree exactly.
 
 Gluing compares the sections over a union U1 u U2 with the fiber product
 of the sections over U1 and U2 over their intersection.  ``gluing_check``
 checks one pair, and can share a cache across pairs.  ``gluing_rows``
-checks every pair of a sheaf, a row of pairs at a time, with the section
-dimensions in arrays indexed by up-set position; only pairs whose overlap
-has sections reach arithmetic, and those of a row in one batch, by one
+checks every pair of a sheaf, a row of pairs at a time, with every
+section basis embedded once in whole-space coordinates: each restriction
+is a gather of the bigger basis at the smaller one's free columns, the
+restrictions of a row are verified by one stacked product, and only pairs
+whose overlap has sections reach arithmetic, those of a row by one
 stacked product and one stacked elimination.  Both give the same reports.
 """
 
@@ -95,6 +100,24 @@ class FinVect:
     dim: int
 
 
+class ConstraintSystem(NamedTuple):
+    """The compatibility constraints of a sheaf in whole-space coordinates.
+
+    The columns are those of every stratum, in ``strata(base).keys`` order;
+    the rows come in one block per covering edge (src, dst), in
+    ``strata(base).edges`` order, holding the edge's matrix in the columns
+    of src and minus the identity in those of dst.  ``row_ends[r]`` is the
+    pair of positions in ``keys`` of the ends of row r's edge, and
+    ``column_stratum[c]`` the position of column c's stratum.  The
+    constraints over an up-set are the rows whose two ends it holds, in the
+    columns of its strata.
+    """
+
+    matrix: np.ndarray
+    row_ends: np.ndarray
+    column_stratum: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class StratSheaf:
     """A functor from the convex-relation poset to matrices over a field.
@@ -102,12 +125,32 @@ class StratSheaf:
     ``dims`` assigns a dimension to every stratum (keyed by the sorted gap
     tuple); ``maps`` holds one matrix per covering edge, keyed by
     (finer key, coarser key) where the coarser key drops exactly one gap.
+    ``constraints`` is built on first use, by ``sections``.
     """
 
     base: ParaPreorder
     field: Field
     dims: Mapping[GapKey, int]
     maps: Mapping[Tuple[GapKey, GapKey], np.ndarray]
+
+    @functools.cached_property
+    def constraints(self) -> ConstraintSystem:
+        """The constraint matrix over the whole space; see ``ConstraintSystem``."""
+        poset = strata(self.base)
+        sizes = [self.dims[key] for key in poset.keys]
+        offsets = np.cumsum([0] + sizes)
+        position = {key: s for s, key in enumerate(poset.keys)}
+        fld = self.field
+        matrix = fld.zeros(sum(self.dims[dst] for _, dst in poset.edges), int(offsets[-1]))
+        row_ends = []
+        for src, dst in poset.edges:
+            s, t = position[src], position[dst]
+            rows = slice(len(row_ends), len(row_ends) + self.dims[dst])
+            matrix[rows, offsets[s]:offsets[s + 1]] = self.maps[(src, dst)]
+            matrix[rows, offsets[t]:offsets[t + 1]] = fld.neg(fld.identity(self.dims[dst]))
+            row_ends += [(s, t)] * self.dims[dst]
+        return ConstraintSystem(matrix, np.array(row_ends, dtype=np.int64).reshape(-1, 2),
+                                np.repeat(np.arange(len(sizes)), sizes))
 
     def value(self, stratum) -> FinVect:
         return FinVect(self.field, self.dims[gap_key(stratum)])
@@ -336,32 +379,22 @@ class SectionSpace:
 
 
 def sections(sheaf: StratSheaf, open_set: UpSet) -> SectionSpace:
-    """The limit of the sheaf over an up-set, as an explicit kernel."""
+    """The limit of the sheaf over an up-set, as an explicit kernel: the
+    right kernel of the rows and columns of ``sheaf.constraints`` that
+    belong to the up-set."""
     if open_set.base != sheaf.base:
         raise BaseMismatch("up-set lives over a different base")
-    poset = strata(sheaf.base)
-    layout = tuple(key for key in poset.keys if key in open_set.members)
+    keys = strata(sheaf.base).keys
+    inside = np.array([open_set.mask >> s & 1 for s in range(len(keys))], dtype=bool)
+    layout = tuple(itertools.compress(keys, inside))
     offsets = [0]
     for key in layout:
         offsets.append(offsets[-1] + sheaf.dims[key])
-    total = offsets[-1]
-    fld = sheaf.field
-    rows = []
-    for src, dst in poset.edges:
-        if src not in open_set.members or dst not in open_set.members:
-            continue
-        block = fld.zeros(sheaf.dims[dst], total)
-        i, j = layout.index(src), layout.index(dst)
-        mat = sheaf.maps[(src, dst)]
-        block[:, offsets[i]:offsets[i] + sheaf.dims[src]] = mat
-        sub = fld.neg(fld.identity(sheaf.dims[dst]))
-        block[:, offsets[j]:offsets[j] + sheaf.dims[dst]] = sub
-        rows.append(block)
-    if rows:
-        system = np.concatenate(rows, axis=0)
-    else:
-        system = fld.zeros(0, total)
-    return SectionSpace(fld, layout, tuple(offsets), fld.right_kernel(system))
+    system = sheaf.constraints
+    rows = inside[system.row_ends].all(axis=1)
+    columns = inside[system.column_stratum]
+    basis = sheaf.field.right_kernel(system.matrix[rows][:, columns])
+    return SectionSpace(sheaf.field, layout, tuple(offsets), basis)
 
 
 def restriction_matrix(sheaf: StratSheaf, big: SectionSpace, small: SectionSpace) -> np.ndarray:
@@ -536,14 +569,6 @@ class GluingRow(NamedTuple):
         }
 
 
-def _support(bit: Mapping[GapKey, int], space: SectionSpace) -> int:
-    """The mask of the strata on whose coordinates some basis vector of
-    ``space`` is nonzero."""
-    nonzero = (space.basis != 0).any(axis=0)
-    return sum(bit[key] for key, start, stop in zip(space.layout, space.offsets, space.offsets[1:])
-               if nonzero[start:stop].any())
-
-
 def _row_positions(masks: np.ndarray, i: int) -> Tuple[np.ndarray, np.ndarray]:
     """Positions in the ascending ``masks`` of the unions and of the
     intersections of up-set i with the up-sets i, i + 1, ..."""
@@ -557,84 +582,92 @@ def gluing_rows(sheaf: StratSheaf) -> Iterator[GluingRow]:
     Yields one ``GluingRow`` per up-set position i, in ``enumerate_upsets``
     order, over the columns j >= i; ``row.report(k)`` equals
     ``gluing_check(sheaf, U_i, U_{i+k})``.  The section space of every
-    up-set is computed once per call, and its dimension and support (the
-    strata where its basis is not zero) are kept in arrays indexed by
-    position.  Each row finds its unions and intersections with one
-    ``np.searchsorted`` over the ascending masks.
+    up-set is computed once per call, and kept in whole-space coordinates,
+    the T columns of ``sheaf.constraints``: one array of shape
+    (up-sets, w, T + 1) holds each basis, padded with zero rows to the
+    largest section dimension w, in the columns of its up-set's strata;
+    column T lies in no up-set and is zero.  Beside it each up-set's free
+    columns, the last nonzero entry of each basis row (as
+    ``restriction_matrix`` reads them), are kept in whole-space numbering,
+    padded with T.  The restriction from U to V is then the gather of U's
+    basis at V's free columns, a (w, w) matrix padded with zeros, which
+    changes no product and no rank.  Each row finds its unions and
+    intersections with one ``np.searchsorted`` over the ascending masks.
 
     Every restriction that ``gluing_check`` reads is checked to be a
-    section, and ``NotFunctorial`` is raised where it raises.  Onto an
-    up-set without sections the check is that the support misses its
-    strata, which is what ``restriction_matrix`` checks there; otherwise
-    it is ``restriction_matrix`` itself, once per position pair for the
-    call.  The verified matrices are kept in one stack, each padded with
-    zeros to the largest section dimension w, which changes no product
-    and no rank; slot 0 holds the zero matrix, which is every restriction
-    from or onto an up-set without sections.
+    section, and ``NotFunctorial`` is raised where it raises: the distinct
+    restrictions of a row from up-sets with sections are checked by one
+    ``Field.stacked_matmul``, which rebuilds from their coordinates the
+    bigger basis on the smaller up-set's columns.  Onto an up-set without
+    sections the rebuilt basis is zero, so the check is that the bigger
+    basis vanishes there, as in ``restriction_matrix``.
 
     A pair whose overlap has no sections is decided by the arrays: its
     fiber product is the direct sum.  The other pairs of a row are checked
-    in one batch, with their five restrictions gathered from the stack:
+    in one batch, with their five restrictions gathered from the row's:
     both composites from the union to the overlap come from one
     ``Field.stacked_matmul`` and are compared with the direct restriction,
     and the fiber product dimensions from one ``Field.stacked_rank`` of
     the (w, 2w) matrices [R_1^T | -R_2^T] of the restrictions R_1 and R_2
-    from U1 and U2 onto the overlap.  Over a prime field the product stays
-    in int64 while w (p - 1)^2 < 2^63 and goes through Python ints above
+    from U1 and U2 onto the overlap.  Over a prime field the products stay
+    in int64 while w (p - 1)^2 < 2^63 and go through Python ints above
     that; the elimination stays in int64 for every accepted prime (see
-    ``_linalg``).  Nothing outlives the call, and only one row of arrays
-    is held at a time besides the stack.
+    ``_linalg``).  Nothing outlives the call, and of each row only its
+    ``GluingRow`` outlives it.
     """
     upsets = enumerate_upsets(sheaf.base)
-    bit = strata(sheaf.base).bit
     spaces = [sections(sheaf, up) for up in upsets]
     n = len(spaces)
     dims = np.array([space.dim for space in spaces], dtype=np.int64)
     masks = np.array([up.mask for up in upsets], dtype=np.int64)
-    support = np.array([_support(bit, space) for space in spaces], dtype=np.int64)
     fld = sheaf.field
     width = int(dims.max())
-    stack = fld.zeros(width, width).reshape(1, width, width)
-    slots: Dict[int, int] = {}
-
+    column_stratum = sheaf.constraints.column_stratum
+    total = len(column_stratum)
+    columns = np.zeros((n, total + 1), dtype=bool)
+    columns[:, :total] = masks[:, None] >> column_stratum & 1
+    basis = fld.zeros(n * width, total + 1).reshape(n, width, total + 1)
+    for u, space in enumerate(spaces):
+        basis[u][:space.dim, columns[u]] = space.basis
+    free = total - np.argmax((basis != 0)[:, :, ::-1], axis=2)
     for i in range(n):
-        union, inter = _row_positions(masks, i)
-        right = np.arange(i, n)
-        left = np.full(n - i, i)
-        # the five (big, small) restrictions that each pair of the row reads
-        big = np.concatenate([union, union, union, left, right])
-        small = np.concatenate([left, right, inter, inter, inter])
-        empty = dims[small] == 0
-        if (masks[small[empty]] & support[big[empty]]).any():
+        yield _glue_row(fld, masks, dims, columns, basis, free, i)
+
+
+def _glue_row(fld: Field, masks, dims, columns, basis, free, i: int) -> GluingRow:
+    """Row i of ``gluing_rows``, from its whole-space arrays; the row's
+    restrictions and products die with the call, so between rows only the
+    yielded reports are held."""
+    n, width = basis.shape[:2]
+    union, inter = _row_positions(masks, i)
+    right = np.arange(i, n)
+    left = np.full(n - i, i)
+    # the five (big, small) restrictions that each pair of the row reads
+    big = np.concatenate([union, union, union, left, right])
+    small = np.concatenate([left, right, inter, inter, inter])
+    pairs, index = np.unique(big * n + small, return_inverse=True)
+    b, s = np.divmod(pairs, n)
+    coords = basis[b[:, None, None], np.arange(width)[:, None], free[s][:, None, :]]
+    live = dims[b] > 0
+    if live.any():
+        b, s = b[live], s[live]
+        rebuilt = fld.stacked_matmul(coords[live], basis[s])
+        if not np.array_equal(rebuilt, np.where(columns[s][:, None, :], basis[b], 0)):
             raise NotFunctorial("restriction of a section is not a section")
-        keys = big * n + small
-        both = ~empty & (dims[big] > 0)
-        new = [key for key in np.unique(keys[both]).tolist() if key not in slots]
-        needed = len(slots) + 1 + len(new)
-        if needed > len(stack):
-            grown = fld.zeros(2 * needed * width, width).reshape(2 * needed, width, width)
-            grown[:len(stack)] = stack
-            stack = grown
-        for key in new:
-            b, s = divmod(key, n)
-            slots[key] = slot = len(slots) + 1
-            stack[slot, :dims[b], :dims[s]] = restriction_matrix(sheaf, spaces[b], spaces[s])
-        dim_union, dim_left, dim_right, dim_overlap = dims[union], dims[left], dims[i:], dims[inter]
-        fp_dim = dim_left + dim_right
-        agree = np.ones(n - i, dtype=bool)
-        arithmetic = np.flatnonzero(dim_overlap)
-        if arithmetic.size:
-            wanted, index = np.unique(keys.reshape(5, -1)[:, arithmetic], return_inverse=True)
-            slot = np.array([slots.get(key, 0) for key in wanted.tolist()])[index]
-            r_ui, r_uj, r_ut, r_it, r_jt = stack[slot.reshape(5, -1)]
-            via_left, via_right = np.split(
-                fld.stacked_matmul(np.concatenate([r_ui, r_uj]), np.concatenate([r_it, r_jt])), 2)
-            agree[arithmetic] = ((via_left == r_ut) & (via_right == r_ut)).all(axis=(1, 2))
-            constraints = np.concatenate([r_it.transpose(0, 2, 1),
-                                          fld.neg(r_jt.transpose(0, 2, 1))], axis=2)
-            fp_dim[arithmetic] -= fld.stacked_rank(constraints)
-        yield GluingRow(i, dim_union, dim_left, dim_right, dim_overlap, fp_dim, agree,
-                        (dim_union == fp_dim) & agree)
+    dim_union, dim_left, dim_right, dim_overlap = dims[union], dims[left], dims[i:], dims[inter]
+    fp_dim = dim_left + dim_right
+    agree = np.ones(n - i, dtype=bool)
+    arithmetic = np.flatnonzero(dim_overlap)
+    if arithmetic.size:
+        r_ui, r_uj, r_ut, r_it, r_jt = coords[index.reshape(5, -1)[:, arithmetic]]
+        via_left, via_right = np.split(
+            fld.stacked_matmul(np.concatenate([r_ui, r_uj]), np.concatenate([r_it, r_jt])), 2)
+        agree[arithmetic] = ((via_left == r_ut) & (via_right == r_ut)).all(axis=(1, 2))
+        constraints = np.concatenate([r_it.transpose(0, 2, 1),
+                                      fld.neg(r_jt.transpose(0, 2, 1))], axis=2)
+        fp_dim[arithmetic] -= fld.stacked_rank(constraints)
+    return GluingRow(i, dim_union, dim_left, dim_right, dim_overlap, fp_dim, agree,
+                     (dim_union == fp_dim) & agree)
 
 
 # ---------------------------------------------------------------------------

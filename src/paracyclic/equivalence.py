@@ -358,10 +358,13 @@ def realize_system(rep: ParaRep) -> SheafSystem:
     The morphisms and comparison maps come from ``realization_plan(N)``:
     each distinct comparison map is evaluated once, and the comparisons
     are filled in by its number (so comparisons with one map share one
-    matrix).
+    matrix).  Each matrix is handed out as a read-only view, since one may
+    be the rep's own ``gen`` matrix and is shared by many comparisons.
     """
     plan = realization_plan(rep.N)
-    mats = [rep.evaluate(q) for q in plan.maps]
+    mats = [rep.evaluate(q).view() for q in plan.maps]
+    for mat in mats:
+        mat.setflags(write=False)
     sheaves = {base: realize_sheaf(rep, base) for base in plan.objects}
     comparisons = {r: {key: mats[i] for key, i in numbers.items()}
                    for r, numbers in plan.comparisons.items()}

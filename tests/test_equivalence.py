@@ -275,6 +275,24 @@ class TestSystemAndRoundTrip:
         with pytest.raises(IncompleteSystem):
             recover_rep(broken, 2)
 
+    def test_comparisons_are_read_only(self):
+        """At N = 2 the comparisons share matrices with one another and with
+        the rep's ``gen``: an in-place write to any of them raises and
+        changes neither the system nor the rep."""
+        rep = random_rep(random.Random(0), F101, 2)
+        gen = {key: {values: mat.copy() for values, mat in table.items()}
+               for key, table in rep.gen.items()}
+        system = realize_system(rep)
+        mats = [mat for table in system.comparisons.values() for mat in table.values()]
+        assert len({id(mat.base) for mat in mats}) < len(mats)
+        for mat in mats:
+            with pytest.raises(ValueError):
+                mat += 1
+        assert all(F101.equal(mat, gen[key][values])
+                   for key, table in rep.gen.items() for values, mat in table.items())
+        assert all(mat.flags.writeable for table in rep.gen.values() for mat in table.values())
+        assert validate_system(system)["passed"]
+
     def test_cocycle_violations_match_the_all_pairs_scan(self):
         """A system with one comparison doubled: the cocycle violations, in
         order, as a scan over every ordered pair of morphisms finds them."""

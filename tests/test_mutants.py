@@ -55,7 +55,7 @@ from oracles import (
     oracle_rref_mod,
     oracle_upsets_by_mask,
 )
-from test_consheaf import mask_mismatches, nonzero_sheaf, strata_mismatches
+from test_consheaf import mask_mismatches, nonzero_sheaf, section_mismatches, strata_mismatches
 from test_preord import relation_oracle_mismatches
 from test_sdot import fingerprint_mismatches
 
@@ -329,18 +329,13 @@ def row_gluing_failures(n):
     return sum(int((~row.passed).sum()) for row in consheaf.gluing_rows(sheaf))
 
 
-def test_support_read_from_the_next_stratum_is_caught(monkeypatch):
-    """Each stratum's support bit read from the columns of the next stratum
-    of the layout.  On a valid sheaf over Par(1) a restriction onto an
-    up-set without sections then seems to keep a nonzero section, and the
-    row gluing raises."""
-    def mutant(bit, space):
-        nonzero = (space.basis != 0).any(axis=0)
-        blocks = list(zip(space.offsets, space.offsets[1:]))
-        return sum(bit[key] for t, key in enumerate(space.layout)
-                   if nonzero[slice(*blocks[(t + 1) % len(blocks)])].any())
-
-    monkeypatch.setattr(consheaf, "_support", mutant)
+def test_free_columns_read_one_column_on_are_caught(monkeypatch):
+    """Each restriction's coordinates read from the column after each free
+    column of the smaller up-set (column T, which is zero, after the
+    last).  On a valid sheaf over Par(1) the coordinates then rebuild no
+    section, and the row gluing raises."""
+    source_mutant(monkeypatch, consheaf, "_glue_row",
+                  ("free[s][:, None, :]", "np.minimum(free[s] + 1, basis.shape[2] - 1)[:, None, :]"))
     with pytest.raises(NotFunctorial):
         row_gluing_failures(1)
 
@@ -361,26 +356,28 @@ def test_intersection_positions_off_by_one_are_caught(monkeypatch):
 def test_arithmetic_skipped_at_one_dimensional_overlaps_is_caught(monkeypatch):
     """The row gluing taking the direct sum as the fiber product wherever
     the overlap has at most one dimension of sections, not only none.
-    The mutant is ``gluing_rows``'s own source with that one condition
-    changed; pairs over Par(1) then fail."""
-    source = inspect.getsource(consheaf.gluing_rows)
+    The mutant is ``_glue_row``'s own source, the row of ``gluing_rows``,
+    with that one condition changed; pairs over Par(1) then fail."""
+    source = inspect.getsource(consheaf._glue_row)
     shortcut = "np.flatnonzero(dim_overlap)"
     assert source.count(shortcut) == 1
     namespace = dict(vars(consheaf))
     exec(source.replace(shortcut, "np.flatnonzero(dim_overlap > 1)"), namespace)
-    monkeypatch.setattr(consheaf, "gluing_rows", namespace["gluing_rows"])
+    monkeypatch.setattr(consheaf, "_glue_row", namespace["_glue_row"])
     assert row_gluing_failures(1)
 
 
-def source_mutant(monkeypatch, owner, name, old, new):
+def source_mutant(monkeypatch, owner, name, *edits):
     """``owner.name`` rebuilt from its own source, in a copy of its module's
-    namespace taken now, with ``old``, which must occur once, replaced by
-    ``new``; returns that namespace."""
+    namespace taken now, with each (old, new) of ``edits`` applied: ``old``,
+    which must occur once, replaced by ``new``; returns that namespace."""
     original = getattr(owner, name)
     source = textwrap.dedent(inspect.getsource(original))
-    assert source.count(old) == 1
+    for old, new in edits:
+        assert source.count(old) == 1
+        source = source.replace(old, new)
     namespace = dict(vars(inspect.getmodule(original)))
-    exec(source.replace(old, new), namespace)
+    exec(source, namespace)
     monkeypatch.setattr(owner, name, namespace[name])
     return namespace
 
@@ -393,18 +390,17 @@ def test_stacked_elimination_without_its_row_swap_is_caught(monkeypatch):
     reported no failing pair under this mutant, so the check is the oracle
     rank."""
     source_mutant(monkeypatch, _linalg.Field, "stacked_rank",
-                  "mat[live, top], mat[live, pivot] = mat[live, pivot], mat[live, top]\n", "\n")
+                  ("mat[live, top], mat[live, pivot] = mat[live, pivot], mat[live, top]\n", "\n"))
     field = PrimeField(101)
     stack = field.matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]).reshape(1, 3, 3)
     assert field.stacked_rank(stack).tolist() != [len(oracle_rref_mod(stack[0].tolist(), 101)[1])]
 
 
-def double_restrictions(monkeypatch):
-    """restriction_matrix returning twice the coordinates: every shape,
-    dimension and rank stays right over F_5."""
-    compute = consheaf.restriction_matrix
-    monkeypatch.setattr(consheaf, "restriction_matrix",
-                        lambda sheaf, big, small: sheaf.field.reduce(2 * compute(sheaf, big, small)))
+# The five restrictions of each arithmetic pair gathered as twice their
+# coordinates, after they were checked to be sections: every shape,
+# dimension and rank stays right over F_5.
+DOUBLED_GATHER = ("coords[index.reshape(5, -1)[:, arithmetic]]",
+                  "fld.reduce(2 * coords[index.reshape(5, -1)[:, arithmetic]])")
 
 
 def rows_flag_restrictions_alone():
@@ -415,23 +411,38 @@ def rows_flag_restrictions_alone():
                for row in consheaf.gluing_rows(sheaf) for k in range(len(row.passed)))
 
 
-def test_doubled_restrictions_are_caught_by_the_rows(monkeypatch):
-    double_restrictions(monkeypatch)
+def test_doubled_gathers_are_caught_by_the_rows(monkeypatch):
+    source_mutant(monkeypatch, consheaf, "_glue_row", DOUBLED_GATHER)
     assert rows_flag_restrictions_alone()
 
 
 def test_composites_compared_only_with_each_other_are_caught(monkeypatch):
     """``gluing_rows`` comparing the two composite restrictions with each
-    other but not with the direct one.  Under doubled restrictions both
+    other but not with the direct one.  Under doubled gathers both
     composites are four times the true one and the direct one twice, so
-    the check of ``test_doubled_restrictions_are_caught_by_the_rows`` goes
-    red.  The restrictions are doubled first, so that the mutant's
-    namespace reads the doubled ones."""
-    double_restrictions(monkeypatch)
-    namespace = source_mutant(monkeypatch, consheaf, "gluing_rows",
-                              "(via_left == r_ut) & (via_right == r_ut)", "via_left == via_right")
-    assert namespace["restriction_matrix"] is consheaf.restriction_matrix
+    the check of ``test_doubled_gathers_are_caught_by_the_rows`` goes red."""
+    source_mutant(monkeypatch, consheaf, "_glue_row", DOUBLED_GATHER,
+                  ("(via_left == r_ut) & (via_right == r_ut)", "via_left == via_right"))
     assert not rows_flag_restrictions_alone()
+
+
+def test_constraint_rows_with_one_end_inside_are_caught(monkeypatch):
+    """``sections`` taking the constraint rows of every edge with one end in
+    the up-set, not both: the other end's columns are dropped, so the row
+    asks the kept end alone to vanish.  Sections over Par(2) then differ
+    from the list-built constraints."""
+    source_mutant(monkeypatch, consheaf, "sections",
+                  ("inside[system.row_ends].all(axis=1)", "inside[system.row_ends].any(axis=1)"))
+    assert section_mismatches(nonzero_sheaf(random.Random(53), Parasimplex(2), PrimeField(5)), 5)
+
+
+def test_column_mask_shifted_by_one_stratum_is_caught(monkeypatch):
+    """``sections`` taking the columns of each stratum when the stratum
+    before it in ``strata(base).keys`` is in the up-set.  Sections over
+    Par(2) then differ from the list-built constraints."""
+    source_mutant(monkeypatch, consheaf, "sections",
+                  ("inside[system.column_stratum]", "inside[system.column_stratum - 1]"))
+    assert section_mismatches(nonzero_sheaf(random.Random(53), Parasimplex(2), PrimeField(5)), 5)
 
 
 def enumerate_upsets_any_face(base):

@@ -7,6 +7,7 @@ the test suite installs the tracer.
 """
 
 import os
+import random
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -14,7 +15,9 @@ sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
 
 import paracyclic.cli  # noqa: E402,F401  loads every module the tracer patches, as run.py does
 import tracing  # noqa: E402
+from paracyclic import consheaf  # noqa: E402
 from paracyclic._linalg import QQ, Field, PrimeField, Rationals  # noqa: E402
+from paracyclic.paracat import Parasimplex  # noqa: E402
 
 
 def bindings() -> dict:
@@ -42,3 +45,18 @@ def test_linalg_targets_count_calls_and_are_restored():
     after = bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_gluing_rows_reaches_the_traced_sections():
+    """Criterion 8's gluing reads each up-set's sections through the
+    ``consheaf.sections`` binding that the tracer wraps: 19 up-sets over
+    Par(2), 19 calls."""
+    sheaf = consheaf.random_sheaf(random.Random(3), Parasimplex(2), PrimeField(101))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for _ in consheaf.gluing_rows(sheaf):
+            pass
+        assert tracer.stats["consheaf.sections"][0] == len(consheaf.enumerate_upsets(sheaf.base)) == 19
+    finally:
+        tracer.uninstall()
