@@ -18,10 +18,11 @@ once per truncation on first use (``realization_plan``).
 collapsing the marked (Cartesian) edges of the stratum-pair category is
 the surjection subcategory, through the adjunction with fully faithful
 right adjoint.
-The conv-tilde numbers its objects and Cartesian edges once, as int arrays
-(``ConvTilde.numbering``), so that closure of the marked edges under
-composition is one chunked gather over all composable pairs and one
-membership test among integer codes.  One pass checks both variants: the
+The conv-tilde numbers its objects and edges once, as int arrays
+(``ConvTilde.numbering``): each edge has an integer code and a Cartesian
+flag.  Closure of the marked edges under composition is one chunked
+``paracat.compose_rows`` gather over all composable pairs and one membership
+test among the codes, and full faithfulness an equality of code sets.  The
 cyclic verdict is the paracyclic one without its shift clause
 (``cyclic_report``).
 """
@@ -49,8 +50,10 @@ from .paracat import (
     Parasimplex,
     classify,
     compose,
+    compose_rows,
     composition_table,
     enumerate_hom,
+    row_codes,
     shift_action,
 )
 from .preord import (
@@ -107,24 +110,6 @@ class ParaRep:
         if f.shift == 0:
             return base
         return self.field.matmul(self.shift_power(n, f.shift), base)
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "field": self.field.name,
-            "spaces": {str(n): self.dims[n] for n in range(self.N + 1)},
-            "gen_maps": [
-                {
-                    "m": m,
-                    "n": n,
-                    "values": list(values),
-                    "matrix": self.field.mat_to_json(mat),
-                }
-                for (m, n), table in sorted(self.gen.items())
-                for values, mat in sorted(table.items())
-            ],
-            "shifts": [self.field.mat_to_json(t) for t in self.shifts],
-        }
 
 
 def _block_matrix(blocks: np.ndarray) -> np.ndarray:
@@ -429,12 +414,15 @@ def recover_rep(system: SheafSystem, N: int) -> ParaRep:
     least = [least_relation(base) for base in plan.objects]
     fld = system.field
     dims = tuple(sheaf.dims[gap_key(rel)] for sheaf, rel in zip(sheaves, least))
+    # each structure map once: 26 (level, kernel) pairs for 49 surjections at N = 3
+    kernels = dict.fromkeys((m, kernel) for (m, _), surjections in plan.kernels.items()
+                            for _, _, kernel in surjections)
+    structure = {(m, kernel): sheaves[m].edge_map(least[m], kernel) for m, kernel in kernels}
     gen: Dict[Tuple[int, int], Dict[Tuple[int, ...], np.ndarray]] = {}
     for (m, n), surjections in plan.kernels.items():
         if surjections:
             gen[(m, n)] = {
-                values: fld.matmul(system.comparison(r, least[n]),
-                                   sheaves[m].edge_map(least[m], kernel))
+                values: fld.matmul(system.comparison(r, least[n]), structure[(m, kernel)])
                 for values, r, kernel in surjections
             }
     shifts = tuple(system.comparison(base.shift_map(), rel)
@@ -469,63 +457,69 @@ class ConvTildeEdge:
 
 @dataclass(frozen=True, eq=False)
 class EdgeNumbering:
-    """The Cartesian edges of a ``ConvTilde`` as int arrays, numbered in
-    edge order, with the objects numbered by their position in ``objects``.
-
-    ``values`` holds each edge's map values padded with zeros to the
-    largest period; ``out[run_start[i]:run_start[i] + run_len[i]]`` is the
-    run of edges leaving object i, in edge order.
+    """The edges of a ``ConvTilde`` as int arrays; object i is
+    ``objects[i]``, of period ``period[i]``.  ``codes`` (``_edge_codes``) and
+    ``cartesian`` run over every edge, in edge order; the rest over the
+    Cartesian edges, numbered in edge order: their ends, their values
+    padded with zeros to the largest period, and the run of those leaving
+    object i, ``out[run_start[i]:run_start[i] + run_len[i]]``.
     """
 
     object_id: Mapping[ConvexRelation, int]
+    period: np.ndarray
+    codes: np.ndarray
+    cartesian: np.ndarray
     src: np.ndarray
     tgt: np.ndarray
-    src_period: np.ndarray
-    tgt_period: np.ndarray
     values: np.ndarray
     out: np.ndarray
     run_start: np.ndarray
     run_len: np.ndarray
 
 
+def _edge_codes(objects: int, src, tgt, values: np.ndarray) -> np.ndarray:
+    """The ``paracat.row_codes`` of the rows (src, tgt, values), values padded
+    with zeros to the largest period w, in the radix (objects, objects,
+    2w, ..., 2w): code // (2w) ** w is src * objects + tgt."""
+    width = values.shape[1]
+    rows = np.empty((len(values), 2 + width), dtype=np.int64)
+    rows[:, 0], rows[:, 1], rows[:, 2:] = src, tgt, values
+    return row_codes(rows, (objects, objects) + (2 * width,) * width)
+
+
 @dataclass(frozen=True)
 class ConvTilde:
     """Objects (preorder, relation), held as relations over their preorders,
-    and morphisms compatible with relations.
-
-    Morphisms are listed by canonical representative; in the paracyclic
-    variant the full hom-sets are representatives times the shift action,
-    in the cyclic variant the representatives are the orbits themselves.
-    Both variants share the edges.  An edge is marked Cartesian exactly when
-    the induced map of quotient parasimplices is an isomorphism.
+    and morphisms compatible with relations, listed by canonical
+    representative: in the paracyclic variant the full hom-sets are
+    representatives times the shift action, in the cyclic variant the
+    representatives are the orbits themselves.  Both variants share the
+    edges.  An edge is marked Cartesian exactly when the induced map of
+    quotient parasimplices is an isomorphism; ``numbering`` holds every
+    edge's integer code and Cartesian flag.
     """
 
     N: int
     objects: Tuple[ConvexRelation, ...]
     edges: Tuple[ConvTildeEdge, ...]
 
-    @property
-    def marked(self) -> frozenset:
-        """The (src, tgt, map values) key of every Cartesian edge."""
-        return frozenset((e.src, e.tgt, e.map.values) for e in self.edges if e.cartesian)
-
     @functools.cached_property
     def numbering(self) -> EdgeNumbering:
-        """The Cartesian edges as int arrays; built on first use, once per
-        instance (so once per memoized ``build_conv_tilde(N)``)."""
+        """The edges as int arrays; built on first use, once per instance
+        (so once per memoized ``build_conv_tilde(N)``)."""
         object_id = {rel: i for i, rel in enumerate(self.objects)}
-        cartesian = [e for e in self.edges if e.cartesian]
-        width = max((rel.base.period for rel in self.objects), default=0)
-        values = np.zeros((len(cartesian), width), dtype=np.int64)
-        for row, e in zip(values, cartesian):
-            row[:len(e.map.values)] = e.map.values
-        src = np.array([object_id[e.src] for e in cartesian], dtype=np.int64)
-        tgt = np.array([object_id[e.tgt] for e in cartesian], dtype=np.int64)
-        periods = np.array([rel.base.period for rel in self.objects], dtype=np.int64)
+        period = np.array([rel.base.period for rel in self.objects], dtype=np.int64)
+        width = int(period.max(initial=0))
+        ends = np.array([(object_id[e.src], object_id[e.tgt]) for e in self.edges],
+                        dtype=np.int64).reshape(len(self.edges), 2)
+        values = np.array([e.map.values + (0,) * (width - len(e.map.values)) for e in self.edges],
+                          dtype=np.int64).reshape(len(self.edges), width)
+        cartesian = np.array([e.cartesian for e in self.edges], dtype=bool)
+        src, tgt = ends[cartesian].T
         out = np.argsort(src, kind="stable")
         run_len = np.bincount(src, minlength=len(self.objects))
-        arrays = (src, tgt, periods[src], periods[tgt], values, out,
-                  np.cumsum(run_len) - run_len, run_len)
+        arrays = (period, _edge_codes(len(self.objects), *ends.T, values), cartesian, src, tgt,
+                  values[cartesian], out, np.cumsum(run_len) - run_len, run_len)
         for array in arrays:
             array.setflags(write=False)
         return EdgeNumbering(object_id, *arrays)
@@ -579,28 +573,20 @@ def build_conv_tilde(N: int) -> ConvTilde:
 
 def _missing_marked_composites(tilde: ConvTilde) -> list:
     """A ``marked-composite-missing`` failure for every composable pair of
-    Cartesian edges, e then e2, whose composite is not a key of
-    ``tilde.marked``; e runs in edge order, and e2 through the run of
-    edges leaving e's target.
-
-    No ``ParaMap`` is built.  Per chunk of about ``COMPOSITE_CHUNK`` pairs,
-    e2 after e : P_a -> P_b -> P_c, canonical maps with values v and v2,
-    is the gather v2[v mod P_b] + (v div P_b) P_c, less its lead period.
-    Each composite and each marked key is read as one integer code,
-    (source, target, values padded with zeros), and looked up with
-    ``np.isin``.  Composites and membership are computed on every call.
+    Cartesian edges, e then e2, whose composite is not a Cartesian edge;
+    e runs in edge order, and e2 through the run of edges leaving e's
+    target.  No ``ParaMap`` is built: per chunk of about
+    ``COMPOSITE_CHUNK`` pairs, one ``paracat.compose_rows`` gather, and the
+    composites' ``_edge_codes`` looked up among the Cartesian edges' codes
+    with ``np.isin``, on every call.
     """
-    num = tilde.numbering
-    objects, width = tilde.objects, num.values.shape[1]
-    dims = (len(objects), len(objects)) + (2 * width,) * width
-    keys = [(num.object_id[src], num.object_id[tgt]) + values + (0,) * (width - len(values))
-            for src, tgt, values in tilde.marked]
-    marked = np.ravel_multi_index(np.array(keys, dtype=np.int64).reshape(-1, width + 2).T, dims)
+    num, objects = tilde.numbering, tilde.objects
+    marked = num.codes[num.cartesian]
     # the partners of e: the run of edges leaving its target
     counts, starts = num.run_len[num.tgt], num.run_start[num.tgt]
     ends = np.cumsum(counts)
     before = ends - counts
-    columns = np.arange(width)
+    columns = np.arange(num.values.shape[1])
     failures = []
     lo = 0
     while lo < len(counts):
@@ -608,15 +594,11 @@ def _missing_marked_composites(tilde: ConvTilde) -> list:
         e = np.repeat(np.arange(lo, hi), counts[lo:hi])
         within = np.arange(len(e)) - np.repeat(before[lo:hi] - before[lo], counts[lo:hi])
         e2 = num.out[np.repeat(starts[lo:hi], counts[lo:hi]) + within]
-        v, p_b, p_c = num.values[e], num.tgt_period[e, None], num.tgt_period[e2, None]
-        raw = num.values[e2[:, None], v % p_b] + (v // p_b) * p_c
-        raw -= raw[:, :1] // p_c * p_c
-        raw[columns >= num.src_period[e, None]] = 0
-        # values outside [0, 2 * width) are no edge's: such a composite is
-        # missing without a code
-        coded = ((raw >= 0) & (raw < 2 * width)).all(axis=1)
-        codes = np.ravel_multi_index((num.src[e], num.tgt[e2], *raw.T), dims, mode="clip")
-        missing = ~coded | np.isin(codes, marked, invert=True)
+        values, _ = compose_rows(num.values[e2], num.values[e], num.period[num.tgt[e], None],
+                                 num.period[num.tgt[e2], None])
+        values[columns >= num.period[num.src[e], None]] = 0
+        codes = _edge_codes(len(objects), num.src[e], num.tgt[e2], values)
+        missing = np.isin(codes, marked, invert=True)
         failures += [("marked-composite-missing", _named(objects[a]), _named(objects[b]))
                      for a, b in zip(num.src[e[missing]], num.tgt[e2[missing]])]
         lo = hi
@@ -674,16 +656,18 @@ def check_localization_adjunction(N: int, variant: str = "para") -> dict:
             if proj != rel.base.identity():
                 failures.append(("triangle-R", _named(rel)))
 
-    homs: Dict[Tuple[ConvexRelation, ConvexRelation], set] = {}
-    for e in tilde.edges:
-        homs.setdefault((e.src, e.tgt), set()).add(e.map.values)
-
-    # (b) full faithfulness of J -> (J, least)
+    # (b) full faithfulness of J -> (J, least): the codes of the edges
+    # between the images (read off their leading digits) are the surjections'
+    num, objects = tilde.numbering, len(tilde.objects)
+    width = num.values.shape[1]
+    pairs = num.codes // (2 * width) ** width
     parasimplices = [b for b in preorders_up_to(N) if b.is_parasimplex]
     for j_obj, j_prime in itertools.product(parasimplices, repeat=2):
-        conv_homs = homs.get((least_relation(j_obj), least_relation(j_prime)), set())
-        surj_homs = {c.values for c in enumerate_hom(j_obj.k, j_prime.k, "surj")}
-        if conv_homs != surj_homs:
+        s, t = num.object_id[least_relation(j_obj)], num.object_id[least_relation(j_prime)]
+        surj = [c.values + (0,) * (width - j_obj.period)
+                for c in enumerate_hom(j_obj.k, j_prime.k, "surj")]
+        expected = _edge_codes(objects, s, t, np.array(surj, dtype=np.int64).reshape(-1, width))
+        if not np.array_equal(np.sort(num.codes[pairs == s * objects + t]), np.sort(expected)):
             failures.append(("not-fully-faithful", j_obj.sizes, j_prime.sizes))
 
     # (c) Cartesian edges: marked iff inverted by L; closed under composition
@@ -696,10 +680,12 @@ def check_localization_adjunction(N: int, variant: str = "para") -> dict:
         if bar_shifted != shift_action(bar, 1):
             failures.append(("shift-equivariance", _named(e.src), _named(e.tgt),
                              e.map.values))
-    marked = tilde.marked
-    for rel in tilde.objects:
-        if (rel, rel, rel.base.identity().values) not in marked:
-            failures.append(("identity-not-marked", _named(rel)))
+    ids, columns = np.arange(objects), np.arange(width)
+    identities = _edge_codes(objects, ids, ids, np.where(columns < num.period[:, None], columns, 0))
+    # distinct edges have distinct codes
+    unmarked = np.isin(identities, num.codes[num.cartesian], assume_unique=True, invert=True)
+    failures += [("identity-not-marked", _named(tilde.objects[i]))
+                 for i in np.flatnonzero(unmarked)]
     failures += _missing_marked_composites(tilde)
 
     report = {

@@ -26,14 +26,18 @@ which exchanges injections and surjections and retracts injections.  Its
 square is conjugation by the successor automorphism (not the identity), so
 its 2(n + 1)-th power is the identity on the endomorphisms of Par(n).
 
-``composition_table(a, b, c, kind)`` compiles composition of canonical
-representatives to integer arrays over ``enumerate_hom`` order, one numpy
-gather per triple, built on first use and memoized.  Shift offsets enter
-composition additively, (g + k) o (f + l) = (g o f) + k + l, so the table's
-wrap column covers every offset at once.  Criterion 2 of the self test reads
-these tables for its unit and associativity identities, exhaustively on
-objects <= Par(3); its scalar ``compose`` calls, exhaustive on objects
-<= Par(2) and a seeded sample at Par(3), are each compared with the table.
+``compose_rows`` (one broadcast gather composing value rows and splitting
+off the wrap) and ``row_codes`` (the integer code of a value row) own the
+format of a canonical map as an integer row, for the tables here and the
+conv-tilde numbering of ``equivalence``.  ``composition_table(a, b, c, kind)``
+is composition of canonical representatives as integer arrays over
+``enumerate_hom`` order: one gather and one code lookup per triple, built on
+first use and memoized.  Shift offsets enter composition additively,
+(g + k) o (f + l) = (g o f) + k + l, so the table's wrap column covers every
+offset at once.  Criterion 2 reads these tables for its unit and
+associativity identities on objects <= Par(3), and compares its scalar
+``compose`` calls (all on objects <= Par(2), a seeded sample at Par(3))
+with them.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, prod
 from typing import Literal, Sequence, Tuple, get_args
 
 import numpy as np
@@ -356,26 +360,34 @@ def _value_rows(m: int, n: int, kind: Kind) -> np.ndarray:
     return np.array(values, dtype=np.int64).reshape(len(values), m + 1)
 
 
-def _compose_rows(g_rows: np.ndarray, f_rows: np.ndarray, b: int, c: int):
-    """Every composite g o f of canonical maps Par(a) -> Par(b) -> Par(c) at
-    once: values of shape (len(g_rows), len(f_rows), a + 1), canonical,
-    and the wrap, the power of the shift split off each."""
-    raw = g_rows[:, f_rows % (b + 1)] + (f_rows // (b + 1)) * (c + 1)
-    wrap = raw[..., 0] // (c + 1)
-    return raw - wrap[..., None] * (c + 1), wrap
+def compose_rows(g: np.ndarray, f: np.ndarray, p_b, p_c) -> Tuple[np.ndarray, np.ndarray]:
+    """The composites g o f of canonical maps Par(a) -> Par(b) -> Par(c), as
+    value rows broadcast over the leading axes (and the periods p_b, p_c):
+    g[f mod p_b] + (f div p_b) p_c less its lead period, and that wrap."""
+    raw = np.take_along_axis(g, f % p_b, -1) + (f // p_b) * p_c
+    wrap = raw[..., :1] // p_c
+    return raw - wrap * p_c, wrap[..., 0]
+
+
+def row_codes(rows: np.ndarray, radix) -> np.ndarray:
+    """Each row of the 2-D ``rows`` as one integer, its digits most
+    significant first in ``radix`` (one base, or one per column); -1 for a
+    digit outside [0, its base).  Base 2(c + 1) codes the canonical maps
+    into Par(c) one to one.  Python ints past int64."""
+    radix = [int(r) for r in np.broadcast_to(radix, rows.shape[1])]
+    weights = [prod(radix[k + 1:]) for k in range(len(radix))]
+    dtype = np.int64 if prod(radix) < 2**63 else object
+    codes = rows.astype(dtype, copy=False) @ np.array(weights, dtype=dtype)
+    inside = np.logical_and.reduce([(col >= 0) & (col < r) for col, r in zip(rows.T, radix)])
+    return np.where(inside, codes, -1)
 
 
 def _positions(rows: np.ndarray, queries: np.ndarray, c: int) -> np.ndarray:
-    """The position in ``rows`` of each query row, by one searchsorted over
-    integer codes (the rows read as digits base 2(c + 1), which bounds the
-    canonical values of maps into Par(c)); raises if one is missing."""
-    base, width = 2 * (c + 1), rows.shape[1]
-    dtype = np.int64 if base ** width < 2**63 else object
-    weights = np.array([base ** k for k in range(width - 1, -1, -1)], dtype=dtype)
-    codes = rows.astype(dtype) @ weights
-    wanted = queries.astype(dtype) @ weights
+    """The position in ``rows`` of each query row, maps into Par(c), by one
+    searchsorted over their ``row_codes``; raises if one is missing."""
+    codes, wanted = row_codes(rows, 2 * (c + 1)), row_codes(queries, 2 * (c + 1))
     order = np.argsort(codes, kind="stable")
-    ranked = np.append(codes[order], -1)    # -1 is no code: a miss lands on it
+    ranked = np.append(codes[order], -2)    # -2 is no code: a miss lands on it
     at = np.searchsorted(ranked[:-1], wanted)
     if (ranked[at] != wanted).any():
         raise NotFunctorial("a composite lies outside the target hom-set")
@@ -402,7 +414,8 @@ def composition_table(a: int, b: int, c: int, kind: Kind = "all") -> Tuple[np.nd
     if cells > DEFAULT_TABLE_CELL_CAP:
         raise ResourceBound(f"composition table has {cells} cells, "
                             f"cap is {DEFAULT_TABLE_CELL_CAP}")
-    values, wrap = _compose_rows(_value_rows(b, c, kind), _value_rows(a, b, kind), b, c)
+    values, wrap = compose_rows(_value_rows(b, c, kind)[:, None], _value_rows(a, b, kind)[None],
+                                b + 1, c + 1)
     idx = _positions(_value_rows(a, c, kind), values.reshape(-1, a + 1), c)
     # hom-sets are capped below 2**31 maps, and a canonical composite's wrap
     # is 0 or 1; the narrow types halve the gathers that read the tables

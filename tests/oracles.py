@@ -363,13 +363,19 @@ def class_oracle_mismatches(bases) -> list:
     return out
 
 
+def marked_keys(tilde) -> frozenset:
+    """The (src, tgt, map values) key of every Cartesian edge of a
+    ``ConvTilde``."""
+    return frozenset((e.src, e.tgt, e.map.values) for e in tilde.edges if e.cartesian)
+
+
 def oracle_missing_marked_composites(tilde) -> list:
     """The ``marked-composite-missing`` failures of
     ``equivalence.check_localization_adjunction`` by the per-pair loop it
     used to run: for every Cartesian edge e in edge order, and every
     Cartesian edge e2 leaving e's target in edge order, the composite built
-    by the library's scalar ``compose`` and looked up among the keys of
-    ``tilde.marked``.  Unlike the oracles above, it composes with the
+    by the library's scalar ``compose`` and looked up among the
+    ``marked_keys``.  Unlike the oracles above, it composes with the
     library: it is the scalar reference for the gather that replaced it."""
     from paracyclic.consheaf import gap_key
     from paracyclic.paracat import compose
@@ -380,7 +386,7 @@ def oracle_missing_marked_composites(tilde) -> list:
     by_src = {}
     for e in tilde.edges:
         by_src.setdefault(e.src, []).append(e)
-    marked = tilde.marked
+    marked = marked_keys(tilde)
     failures = []
     for e in tilde.edges:
         if not e.cartesian:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -201,6 +202,17 @@ class TestChecks:
         report = json.loads(path.read_text())
         assert report["passed"] and report["reports"][0]["id"] == 1
         assert "seconds" not in report["reports"][0]
+
+
+class TestGoldenReport:
+    def test_selftest_seed_0_report_is_pinned(self, tmp_path, capsys):
+        """The ``selftest --seed 0 --out`` report, byte for byte, by its md5.
+        A change that alters the report on purpose (a criterion's verdict
+        law, its details or its field) moves this pin and says why in
+        CHANGES.md."""
+        path = tmp_path / "report.json"
+        run_cli(["selftest", "--seed", "0", "--out", str(path)], capsys)
+        assert hashlib.md5(path.read_bytes()).hexdigest() == "7bd0e0269058076297448e255baffd46"
 
 
 class TestSchemaRoundTrips:

@@ -9,7 +9,7 @@ import pytest
 
 from paracyclic import equivalence, selftest
 from paracyclic._linalg import PrimeField, QQ
-from paracyclic.consheaf import gap_key, stalk, pullback_sheaf, validate_sheaf
+from paracyclic.consheaf import StratSheaf, gap_key, stalk, pullback_sheaf, validate_sheaf
 from paracyclic.equivalence import (
     ParaRep,
     SheafSystem,
@@ -24,8 +24,10 @@ from paracyclic.equivalence import (
     induced_on_quotients,
     random_rep,
     realize_sheaf,
+    realization_plan,
     realize_system,
     recover_rep,
+    rep_mismatches,
     validate_rep,
     validate_system,
 )
@@ -337,6 +339,22 @@ class TestSystemAndRoundTrip:
             recovered = recover_rep(realize_system(rep), 2)
             assert reps_equal(rep, recovered)
 
+    def test_structure_maps_are_read_once_per_level_and_kernel(self, monkeypatch):
+        """At N = 3 the 49 canonical surjections have 26 distinct (source
+        level, kernel) pairs: ``recover_rep`` reads each structure map once
+        and still recovers the rep exactly."""
+        rep = random_rep(random.Random(7), F101, 3)
+        system = realize_system(rep)
+        pairs = {(m, kernel) for (m, _), surjections in realization_plan(3).kernels.items()
+                 for _, _, kernel in surjections}
+        calls = []
+        edge_map = StratSheaf.edge_map
+        monkeypatch.setattr(StratSheaf, "edge_map", lambda sheaf, fine, coarse: (
+            calls.append((fine, coarse)) or edge_map(sheaf, fine, coarse)))
+        recovered = recover_rep(system, 3)
+        assert (len(calls), len(pairs)) == (26, 26)
+        assert rep_mismatches(rep, recovered) == []
+
     def test_round_trip_cyclic(self):
         rng = random.Random(8)
         rep = random_rep(rng, F101, 2, cyclic=True)
@@ -556,6 +574,21 @@ def unmarked(tilde, count):
     return dataclasses.replace(tilde, edges=tuple(
         dataclasses.replace(e, cartesian=False) if i in chosen else e
         for i, e in enumerate(tilde.edges)))
+
+
+class TestEdgeNumbering:
+    def test_codes_are_distinct_and_flag_every_edge(self):
+        tilde = build_conv_tilde(3)
+        num = tilde.numbering
+        assert len(set(num.codes.tolist())) == len(tilde.edges) == 1499
+        assert num.codes.min() >= 0
+        assert num.cartesian.tolist() == [e.cartesian for e in tilde.edges]
+
+    def test_codes_lead_with_the_ends(self):
+        tilde = build_conv_tilde(3)
+        num = tilde.numbering
+        ends = [num.object_id[e.src] * 19 + num.object_id[e.tgt] for e in tilde.edges]
+        assert (num.codes // 6**3).tolist() == ends
 
 
 class TestMarkedComposites:

@@ -56,6 +56,7 @@ from oracles import (
     oracle_upsets_by_mask,
 )
 from test_consheaf import mask_mismatches, nonzero_sheaf, section_mismatches, strata_mismatches
+from test_paracat import code_collisions
 from test_preord import relation_oracle_mismatches
 from test_sdot import fingerprint_mismatches
 
@@ -65,39 +66,48 @@ def failure_kinds(report):
 
 
 def test_dropped_marked_key_is_caught(monkeypatch):
-    marked = ConvTilde.marked.fget
+    """The conv-tilde numbering with the Cartesian flag of its last
+    Cartesian edge cleared and its runs left alone: that edge's code drops
+    out of the marked codes, so its composite with an identity is missing."""
+    numbering = ConvTilde.numbering.func
 
     def mutant(self):
-        keys = marked(self)
-        return keys - {min(keys, key=repr)}
+        num = numbering(self)
+        cartesian = num.cartesian.copy()
+        cartesian[np.flatnonzero(cartesian)[-1]] = False
+        return dataclasses.replace(num, cartesian=cartesian)
 
-    monkeypatch.setattr(ConvTilde, "marked", property(mutant))
+    monkeypatch.setattr(ConvTilde, "numbering", property(mutant))
     report = check_localization_adjunction(3, "para")
     assert "marked-composite-missing" in failure_kinds(report)
 
 
-def marked_composites_mutant(monkeypatch, old, new):
-    """``_missing_marked_composites`` from its own source with ``old``, which
-    must occur once, replaced by ``new``."""
-    source = inspect.getsource(equivalence._missing_marked_composites)
-    assert source.count(old) == 1
-    namespace = dict(vars(equivalence))
-    exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(equivalence, "_missing_marked_composites",
-                        namespace["_missing_marked_composites"])
-
-
-def test_composites_without_their_lead_normalization_are_caught(monkeypatch):
-    marked_composites_mutant(monkeypatch, "raw -= raw[:, :1] // p_c * p_c\n", "\n")
+def test_composites_without_their_lead_normalization_are_caught(monkeypatch, patch_tables):
+    """``paracat.compose_rows`` keeping the lead period of each composite:
+    a composite whose first value passes its target's period codes no
+    edge, in the conv-tilde's closure of the marked edges."""
+    namespace = source_mutant(monkeypatch, paracat, "compose_rows", ("raw - wrap * p_c,", "raw,"))
+    patch_tables("compose_rows", namespace["compose_rows"])
     report = check_localization_adjunction(3, "para")
     assert "marked-composite-missing" in failure_kinds(report)
 
 
 def test_second_edges_from_the_run_of_the_source_are_caught(monkeypatch):
-    marked_composites_mutant(monkeypatch, "num.run_len[num.tgt], num.run_start[num.tgt]",
-                             "num.run_len[num.src], num.run_start[num.src]")
+    source_mutant(monkeypatch, equivalence, "_missing_marked_composites",
+                  ("num.run_len[num.tgt], num.run_start[num.tgt]",
+                   "num.run_len[num.src], num.run_start[num.src]"))
     report = check_localization_adjunction(3, "para")
     assert "marked-composite-missing" in failure_kinds(report)
+
+
+def test_full_faithfulness_read_with_its_ends_swapped_is_caught(monkeypatch):
+    """Clause (b) reading the codes of the edges from (Par(j'), least) to
+    (Par(j), least) for the pair (j, j'): between distinct levels they are
+    the surjections the other way, so the code sets differ."""
+    source_mutant(monkeypatch, equivalence, "check_localization_adjunction",
+                  ("pairs == s * objects + t", "pairs == t * objects + s"))
+    report = equivalence.check_localization_adjunction(2, "para")
+    assert failure_kinds(report) == {"not-fully-faithful"}
 
 
 def test_shifted_class_table_is_caught(monkeypatch):
@@ -638,11 +648,14 @@ def test_homology_representatives_not_reduced_modulo_boundaries_are_caught(monke
 
 @pytest.fixture
 def patch_tables(monkeypatch):
-    """Patch a composition-table helper of ``paracat`` and empty the table
-    memo, so that the tables are built under the mutant; the memo is emptied
-    again afterwards, so that none of them is left behind."""
+    """Patch a helper of ``paracat``, there and in ``equivalence`` where it
+    is imported, and empty the table memo, so that the tables are built
+    under the mutant; the memo is emptied again afterwards, so that none of
+    them is left behind."""
     def patch(name, mutant):
         monkeypatch.setattr(paracat, name, mutant)
+        if hasattr(equivalence, name):
+            monkeypatch.setattr(equivalence, name, mutant)
         paracat.composition_table.cache_clear()
 
     yield patch
@@ -651,19 +664,28 @@ def patch_tables(monkeypatch):
 
 
 def test_composition_tables_without_their_wrap_are_caught(patch_tables):
-    """Tables whose wrap is always 0.  Units and associativity hold for them
-    (every wrap reads 0 on both sides); criterion 2's comparison of each
-    scalar composite's shift with wrap + the offsets goes red."""
-    rows = paracat._compose_rows
+    """Composites whose wrap is always 0.  Units and associativity hold for
+    the tables (every wrap reads 0 on both sides); criterion 2's comparison
+    of each scalar composite's shift with wrap + the offsets goes red."""
+    rows = paracat.compose_rows
 
-    def mutant(g_rows, f_rows, b, c):
-        values, wrap = rows(g_rows, f_rows, b, c)
+    def mutant(g, f, p_b, p_c):
+        values, wrap = rows(g, f, p_b, p_c)
         return values, np.zeros_like(wrap)
 
-    patch_tables("_compose_rows", mutant)
+    patch_tables("compose_rows", mutant)
     report = selftest.criterion_2(0)
     assert not report["passed"]
     assert failure_kinds(report["details"]) == {"table"}
+
+
+def test_codes_summing_their_digits_are_caught(monkeypatch, patch_tables):
+    """``paracat.row_codes`` with every digit weighted 1: distinct value
+    rows of one hom-set share a code."""
+    namespace = source_mutant(monkeypatch, paracat, "row_codes",
+                              ("[prod(radix[k + 1:]) for", "[1 for"))
+    patch_tables("row_codes", namespace["row_codes"])
+    assert code_collisions()
 
 
 def test_rank_lookup_off_by_one_is_caught(patch_tables):

@@ -298,6 +298,51 @@ class TestCompositionTable:
         assert float(out.stdout) < 1.0
 
 
+def code_collisions() -> list:
+    """The (m, n, kind) of each hom-set with objects <= Par(3) whose value
+    rows do not get distinct, nonnegative ``paracat.row_codes`` base
+    2(n + 1)."""
+    out = []
+    for kind in ("all", "inj", "surj"):
+        for m, n in itertools.product(range(4), repeat=2):
+            codes = paracat.row_codes(paracat._value_rows(m, n, kind), 2 * (n + 1)).tolist()
+            if len(set(codes)) != len(codes) or min(codes, default=0) < 0:
+                out.append((m, n, kind))
+    return out
+
+
+class TestSharedRows:
+    """``compose_rows`` and ``row_codes``, the row format of canonical maps
+    that the composition tables and the conv-tilde numbering share."""
+
+    def test_gather_is_scalar_compose_on_every_pair_to_par3(self):
+        checked = 0
+        for a, b, c in itertools.product(range(4), repeat=3):
+            fs, gs = all_maps(a, b), all_maps(b, c)
+            g_rows, f_rows = paracat._value_rows(b, c, "all"), paracat._value_rows(a, b, "all")
+            values, wrap = paracat.compose_rows(g_rows[:, None], f_rows[None], b + 1, c + 1)
+            composites = [[compose(g, f) for f in fs] for g in gs]
+            assert values.tolist() == [[list(h.values) for h in row] for row in composites]
+            assert wrap.tolist() == [[h.shift for h in row] for row in composites]
+            checked += len(fs) * len(gs)
+        assert checked == 62901
+
+    def test_codes_are_distinct_on_every_hom_set_to_par3(self):
+        assert code_collisions() == []
+
+    def test_rows_out_of_range_code_minus_one(self):
+        rows = np.array([[0, 1], [3, 0], [-1, 0], [0, 4]])
+        assert paracat.row_codes(rows, 4).tolist() == [1, 12, -1, -1]
+
+    def test_codes_take_one_base_per_column(self):
+        rows = np.array([[1, 0, 5], [0, 2, 5], [0, 3, 0], [0, 0, 6]])
+        assert paracat.row_codes(rows, (2, 3, 6)).tolist() == [23, 17, -1, -1]
+
+    def test_codes_past_int64_are_python_ints(self):
+        codes = paracat.row_codes(np.array([[3] * 32, [0] * 31 + [1]]), 4)
+        assert codes.dtype == object and codes.tolist() == [4**32 - 1, 1]
+
+
 class TestShiftActionAndCyc:
     def test_zero_is_identity(self):
         f = all_maps(1, 1)[2]
