@@ -90,9 +90,9 @@ Q_INT_MIN_MULTS = 12
 # 0.45-0.7x at 33-64 rows and 0.3-0.5x from 65 rows; on 20 cone matrices of
 # 500-750 rows it took 0.54 s against 3.5 s.  The rationals eliminate by a
 # loop of their own (see the module docstring).
-# `selftest --seed 0` makes 11,447 rref calls, all over prime fields, 159 of
-# them with 32 or more rows; on the other 11,288 the update took 0.27-0.35 s
-# against the loop's 0.19-0.22 s.
+# `selftest --seed 0` makes 2,463 rref calls, all over prime fields, 56 of
+# them with 32 or more rows; on the other 2,407 the update took 0.10-0.12 s
+# against the loop's 0.06-0.08 s.
 VECTOR_MIN_ROWS = 32
 
 _FLOAT64_EXACT = 2 ** 53
@@ -172,15 +172,20 @@ class Field:
         pivots: List[int] = []
         rank = 0
         for col in range(cols):
-            pivot = next((r for r in range(rank, rows) if mat[r, col] != 0), None)
+            # the column read once as Python scalars: on matrices of a few
+            # rows, reading mat[r, col] entry by entry cost more than the
+            # row updates
+            column = mat[:, col].tolist()
+            pivot = next((r for r in range(rank, rows) if column[r]), None)
             if pivot is None:
                 continue
             if pivot != rank:
                 mat[[rank, pivot]] = mat[[pivot, rank]]
-            mat[rank] = self.reduce(mat[rank] * self._inv_scalar(mat[rank, col]))
+                column[rank], column[pivot] = column[pivot], column[rank]
+            mat[rank] = self.reduce(mat[rank] * self._inv_scalar(column[rank]))
             for r in range(rows):
-                if r != rank and mat[r, col] != 0:
-                    mat[r] = self.reduce(mat[r] - mat[r, col] * mat[rank])
+                if r != rank and column[r]:
+                    mat[r] = self.reduce(mat[r] - column[r] * mat[rank])
             pivots.append(col)
             rank += 1
             if rank == rows:
@@ -269,14 +274,24 @@ class Field:
             return self.zeros(0, 0)
         if rows == 0:
             return self.identity(cols)
-        reduced, pivots = self.rref(a)
+        return self.kernel_of_rref(*self.rref(a))[0]
+
+    def kernel_of_rref(self, reduced: np.ndarray,
+                       pivots: List[int]) -> Tuple[np.ndarray, List[int]]:
+        """The canonical reduced kernel basis of a matrix, as rows, and its
+        free columns, read off the matrix's reduced echelon form and pivot
+        columns.  The row of free column c holds 1 at c, 0 at every other
+        free column and -reduced[r, c] at the r-th pivot, so a kernel
+        vector's coordinates in this basis are its entries at the free
+        columns."""
+        cols = reduced.shape[1]
         pivot_set = set(pivots)
+        free = [c for c in range(cols) if c not in pivot_set]
         # the identity with its pivot rows replaced by the negated reduced
-        # rows; its free columns hold 1 at their own index and -reduced[r, c]
-        # at the r-th pivot
+        # rows, read by columns
         square = self.identity(cols)
         square[pivots] = self.neg(reduced[:len(pivots)])
-        return square.T[[c for c in range(cols) if c not in pivot_set]]
+        return square.T[free], free
 
     def is_invertible(self, a: np.ndarray) -> bool:
         return a.shape[0] == a.shape[1] and self.rank(a) == a.shape[0]
@@ -405,8 +420,9 @@ class Rationals(Field):
 
     def identity(self, n):
         out = self.zeros(n, n)
+        one = Fraction(1)
         for i in range(n):
-            out[i, i] = Fraction(1)
+            out[i, i] = one
         return out
 
     def matmul(self, a, b):

@@ -10,10 +10,15 @@ the shifted first step.  Face 0 and the rotation share one construction,
 the quotients by the first step with the maps between them; the rotation
 appends the shifted first step.  Iterating the rotation n + 1 times
 returns the original filtration up to quasi-isomorphism, which the
-homology fingerprint certifies degree by degree: each step is reduced once
-to representatives of its homology, each map induces a small matrix on
-them, and the homology of the cone of every composite follows from the
-ranks of the induced products by the long exact sequence.
+homology fingerprint certifies degree by degree.  Each step is reduced
+once: each differential is eliminated once, and its rref gives both its
+kernel, in a basis that is the identity on the free columns, and the
+columns of it that span its image.  A degree's boundaries, read at its
+kernel's free columns, are one narrow echelon away from representatives
+of its homology, and need none when they are as many as the cycles.  Each
+map induces a small matrix on the representatives, and the homology of
+the cone of every composite follows from the ranks of the induced
+products by the long exact sequence.
 """
 
 from __future__ import annotations
@@ -356,42 +361,61 @@ def rotate(filtration: FilteredObject) -> FilteredObject:
 
 
 class _DegreeHomology(NamedTuple):
-    """H_i = Z_i / B_i of one degree, reduced once: the echelon rows of
-    B_i = im d_{i+1} with their pivots, and representatives of H_i, echelon
-    rows whose pivots avoid B_i's."""
+    """H_i = Z_i / B_i of one degree in kernel coordinates.  The kernel
+    basis of Z_i read off the rref of d_i is the identity on its free
+    columns, so a cycle's coordinates in it are its entries there, and B_i
+    is an echelon basis of r_i rows in those coordinates.  H_i is
+    represented by the kernel basis vectors at the coordinates that are not
+    B_i's pivots: ``reps`` holds them as rows, ``free`` their columns of
+    V_i, ``pivots`` the columns of V_i at B_i's pivots and ``clear`` B_i's
+    echelon rows read at the representatives."""
 
-    boundaries: np.ndarray
-    boundary_pivots: List[int]
     reps: np.ndarray
-    rep_pivots: List[int]
+    free: List[int]
+    pivots: List[int]
+    clear: np.ndarray
 
     def coordinates(self, field: Field, cycles: np.ndarray) -> np.ndarray:
-        """The H_i coordinates of the rows of cycles: clear B_i's pivot
-        columns, then read the entries at the representatives' pivots."""
-        return _clear(field, cycles, self.boundaries, self.boundary_pivots)[:, self.rep_pivots]
+        """The H_i coordinates of the rows of cycles: their entries at the
+        representatives' columns, less the combination of B_i that clears
+        its pivots."""
+        at_reps = cycles[:, self.free]
+        if not self.pivots:
+            return at_reps
+        return field.reduce(at_reps - field.matmul(cycles[:, self.pivots], self.clear))
 
 
 def _echelon(field: Field, a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    """The nonzero rows of a's reduced echelon form and their pivot columns."""
-    if 0 in a.shape:
-        return field.zeros(0, a.shape[1]), []
-    reduced, pivots = field.rref(a)
-    return reduced[:len(pivots)], pivots
+    """a's reduced echelon form and pivot columns; an empty a is its own."""
+    return field.rref(a) if a.size else (a, [])
 
 
-def _clear(field: Field, rows: np.ndarray, basis: np.ndarray, pivots: List[int]) -> np.ndarray:
-    """rows minus the combination of the echelon basis that zeroes its pivot columns."""
-    if not pivots:
-        return rows
-    return field.reduce(rows - field.matmul(rows[:, pivots], basis))
+def _degree_homology(field: Field, kernel: np.ndarray, free: List[int],
+                     d_in: np.ndarray, in_pivots: List[int]) -> _DegreeHomology:
+    """The degree whose cycles are spanned by the rows of kernel, the basis
+    with free columns free, and whose boundaries by the columns of d_in at
+    its pivot columns in_pivots.  The boundaries' kernel coordinates, an
+    r x z matrix, are reduced to echelon form; the coordinates that are not
+    its pivots give the representatives.  When r = z the boundaries fill
+    the cycles, H = 0, and no echelon is needed."""
+    boundaries = d_in[np.ix_(free, in_pivots)].T
+    if len(in_pivots) < len(free):
+        reduced, pivots = _echelon(field, boundaries)
+    else:
+        reduced, pivots = boundaries, list(range(len(free)))
+    pivot_set = set(pivots)
+    homology = [c for c in range(len(free)) if c not in pivot_set]
+    return _DegreeHomology(kernel[homology], [free[c] for c in homology],
+                           [free[c] for c in pivots], reduced[:len(pivots), homology])
 
 
-def _degree_homology(field: Field, d_out: np.ndarray, d_in: np.ndarray) -> _DegreeHomology:
-    """The degree left by d_out and entered by d_in: B = im d_in, Z = ker d_out,
-    and the rows of Z with B's pivot columns cleared, reduced to echelon form."""
-    boundaries, boundary_pivots = _echelon(field, d_in.T)
-    cycles = _clear(field, field.right_kernel(d_out), boundaries, boundary_pivots)
-    return _DegreeHomology(boundaries, boundary_pivots, *_echelon(field, cycles))
+def _step_homology(field: Field, x: TwoPeriodicComplex) -> Tuple[_DegreeHomology, _DegreeHomology]:
+    """Both degrees of a step from one elimination of each differential:
+    its kernel gives one degree's cycles, and its columns at its pivots
+    span the other degree's boundaries."""
+    (reduced0, pivots0), (reduced1, pivots1) = _echelon(field, x.d0), _echelon(field, x.d1)
+    return (_degree_homology(field, *field.kernel_of_rref(reduced0, pivots0), x.d1, pivots1),
+            _degree_homology(field, *field.kernel_of_rref(reduced1, pivots1), x.d0, pivots0))
 
 
 def _cone_homology(src: Dims, tgt: Dims, ranks: Dims) -> Dims:
@@ -405,15 +429,16 @@ def _cone_homology(src: Dims, tgt: Dims, ranks: Dims) -> Dims:
 def fingerprint(filtration: FilteredObject) -> tuple:
     """Homology dimensions of every step and of every composite's cone.
 
-    Each step is reduced once per degree (``_degree_homology``); each map
-    induces a small matrix on homology, the coordinates of its images of the
-    source's representatives; the map a composite induces is the product of
-    these, and the cone's homology follows from its ranks by the long exact
+    Each step's two differentials are eliminated once each
+    (``_step_homology``), and each degree's boundaries once more in kernel
+    coordinates, unless they fill the cycles; each map induces a small
+    matrix on homology, the coordinates of its images of the source's
+    representatives; the map a composite induces is the product of these,
+    and the cone's homology follows from its ranks by the long exact
     sequence.  No cone is built."""
     fld = filtration.field
-    reduced = [(_degree_homology(fld, x.d0, x.d1), _degree_homology(fld, x.d1, x.d0))
-               for x in filtration.objects]
-    steps = tuple((len(h0.rep_pivots), len(h1.rep_pivots)) for h0, h1 in reduced)
+    reduced = [_step_homology(fld, x) for x in filtration.objects]
+    steps = tuple((len(h0.free), len(h1.free)) for h0, h1 in reduced)
     induced = [
         [tgt.coordinates(fld, fld.matmul(src.reps, f.T))
          for src, tgt, f in zip(reduced[k], reduced[k + 1], (m.f0, m.f1))]

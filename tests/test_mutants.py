@@ -634,15 +634,24 @@ def test_long_exact_sequence_without_the_degree_swap_is_caught(monkeypatch):
 
 
 def test_homology_representatives_not_reduced_modulo_boundaries_are_caught(monkeypatch):
-    """Representatives of H taken from an echelon basis of Z itself, without
-    clearing B's pivot columns: the steps then count dim Z.  The cone oracle
-    comparison ``TestFingerprint::test_matches_the_cone_oracle`` goes red."""
-    def mutant(field, d_out, d_in):
-        boundaries, boundary_pivots = sdot._echelon(field, d_in.T)
-        return sdot._DegreeHomology(boundaries, boundary_pivots,
-                                    *sdot._echelon(field, field.right_kernel(d_out)))
+    """Every kernel coordinate taken as a representative of H, the
+    boundaries' echelon skipped: wherever B is smaller than Z the steps
+    then count dim Z.  The cone oracle comparison
+    ``TestFingerprint::test_matches_the_cone_oracle`` goes red."""
+    source_mutant(monkeypatch, sdot, "_degree_homology",
+                  ("_echelon(field, boundaries)", "(boundaries[:0], [])"))
+    assert fingerprint_mismatches(PrimeField(101))
 
-    monkeypatch.setattr(sdot, "_degree_homology", mutant)
+
+def test_boundaries_read_at_the_pivot_columns_are_caught(monkeypatch):
+    """The boundaries' kernel coordinates read at the pivot column of each
+    kernel basis row, its first nonzero entry, instead of its free column,
+    its last; the two differ wherever a row has an entry at a pivot of the
+    differential.  The cone oracle comparison
+    ``TestFingerprint::test_matches_the_cone_oracle`` goes red."""
+    source_mutant(monkeypatch, sdot, "_degree_homology",
+                  ("np.ix_(free, in_pivots)",
+                   "np.ix_([int(np.flatnonzero(row)[0]) for row in kernel], in_pivots)"))
     assert fingerprint_mismatches(PrimeField(101))
 
 

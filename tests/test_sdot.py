@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from paracyclic import sdot
-from paracyclic._linalg import PrimeField, QQ
+from paracyclic._linalg import VECTOR_MIN_ROWS, Field, PrimeField, QQ
 from paracyclic.errors import IndexOutOfRange, NotAComplex, ResourceBound
 from paracyclic.sdot import (
     ComplexMap,
@@ -91,18 +91,21 @@ def edge_case_filtrations(field):
     ] + [degeneracy(seeded, i) for i in range(seeded.length + 1)]
 
 
-def f101_steps_of_dims_three(length):
-    """A length-n filtration over F_101 with (3, 3) steps, the first with
-    zero differentials so that the fingerprint carries nonzero homology."""
-    rng = random.Random(36)
-    objects = [TwoPeriodicComplex.from_dims(F101, 3, 3)]
+def steps_of_dims_three(field, length, seed, zero_first):
+    """A length-n filtration with (3, 3) steps, each drawn by
+    ``random_complex`` until its dimensions are (3, 3), as the rotation
+    benchmark draws them.  With zero_first the first step has zero
+    differentials instead, so that the fingerprint carries nonzero
+    homology."""
+    rng = random.Random(seed)
+    objects = [TwoPeriodicComplex.from_dims(field, 3, 3)] if zero_first else []
     while len(objects) < length:
-        x = random_complex(rng, F101, 3)
+        x = random_complex(rng, field, 3)
         if x.dims == (3, 3):
             objects.append(x)
-    maps = tuple(random_chain_map(rng, F101, objects[i], objects[i + 1])
+    maps = tuple(random_chain_map(rng, field, objects[i], objects[i + 1])
                  for i in range(length - 1))
-    return FilteredObject(F101, tuple(objects), maps)
+    return FilteredObject(field, tuple(objects), maps)
 
 
 class TestComplexes:
@@ -375,7 +378,7 @@ class TestRotate:
         fingerprint carries nonzero homology.  Bound: 30 s (0.5-0.7 s on a
         2-vCPU VM; 1.9 s while the fingerprint built the cone of every
         composite, 42 s before the vectorized prime-field kernels)."""
-        filt = f101_steps_of_dims_three(6)
+        filt = steps_of_dims_three(F101, 6, 36, zero_first=True)
         start = time.perf_counter()
         report = rotation_periodicity_check(filt)
         elapsed = time.perf_counter() - start
@@ -387,7 +390,7 @@ class TestRotate:
         """Length 7 with (3, 3) steps, seeded as at length 6: the 8 rotations
         reach total dimension 9,186.  Bound: 30 s (about 2.4 s on a 2-vCPU
         VM; 12.6 s while the fingerprint built the cone of every composite)."""
-        filt = f101_steps_of_dims_three(7)
+        filt = steps_of_dims_three(F101, 7, 36, zero_first=True)
         assert rotated_total_dim(filt) == 9186
         start = time.perf_counter()
         report = rotation_periodicity_check(filt)
@@ -456,6 +459,21 @@ class TestFingerprint:
                 assert fingerprint(g) == oracle_fingerprint(g), k
             assert rotation_periodicity_check(filt)["passed"], k
 
+    @pytest.mark.parametrize("field, length", [(F2, 3), (F2, 4), (F101, 3), (F101, 4), (QQ, 3)],
+                             ids=["F2-3", "F2-4", "F101-3", "F101-4", "Q-3"])
+    def test_rotated_steps_of_dims_three_match_the_cone_oracle(self, field, length):
+        """Fully rotated filtrations with (3, 3) steps, drawn as the rotation
+        benchmark draws them, and again with a first step of zero
+        differentials.  Their steps reach 39 rows at length 3 and 87 at
+        length 4, past ``VECTOR_MIN_ROWS``, so over a prime field the
+        differentials go through the broadcast elimination, which the
+        seeded filtrations above never reach.  The length-4 oracle takes
+        about 0.4 s, the length-3 one over Q about 1.1 s."""
+        for zero_first in (False, True):
+            turned = fully_rotated(steps_of_dims_three(field, length, 45, zero_first))
+            assert max(max(x.dims) for x in turned.objects) >= VECTOR_MIN_ROWS
+            assert fingerprint(turned) == oracle_fingerprint(turned), zero_first
+
     def test_steps_are_the_homology_dims(self):
         rng = random.Random(43)
         for field in (F2, F101, QQ):
@@ -473,6 +491,37 @@ class TestFingerprint:
         monkeypatch.setattr(sdot, "cone", refuse)
         monkeypatch.setattr(sdot, "compose_chain_maps", refuse)
         assert [fingerprint(filt), fingerprint(turned)] == expected
+
+    def test_eliminates_each_differential_once(self, monkeypatch):
+        """``Field.rref`` runs on each differential once, on each degree's
+        boundaries once in kernel coordinates, an r x z matrix, and on each
+        degree of each induced composite once: 4n + n(n - 1) calls on a
+        length-n filtration none of whose matrices is empty and every one of
+        whose degrees has homology.  Each step is k^3 in both degrees with
+        d0 and d1 of rank 1, so its boundaries are 1 x 2 and its homology is
+        (1, 1).  On a fully rotated random filtration, where empty matrices
+        and the boundaries of degrees without homology are skipped, the
+        count stays within that bound."""
+        n = 4
+        x = TwoPeriodicComplex(F101, F101.matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+                               F101.matrix([[0, 0, 0], [0, 1, 0], [0, 0, 0]]))
+        rng = random.Random(46)
+        filt = FilteredObject(F101, (x,) * n,
+                              tuple(random_chain_map(rng, F101, x, x) for _ in range(n - 1)))
+        turned = fully_rotated(random_filtration(random.Random(42), F101, n, max_dim=3))
+        shapes = []
+        rref = Field.rref
+
+        def counting(self, a):
+            shapes.append(a.shape)
+            return rref(self, a)
+
+        monkeypatch.setattr(Field, "rref", counting)
+        assert fingerprint(filt)[0] == ((1, 1),) * n
+        assert shapes == [(3, 3), (3, 3), (1, 2), (1, 2)] * n + [(1, 1)] * (n * (n - 1))
+        shapes.clear()
+        fingerprint(turned)
+        assert 0 < len(shapes) <= 4 * n + n * (n - 1)
 
 
 class TestRotationCap:
