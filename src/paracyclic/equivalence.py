@@ -235,18 +235,6 @@ def _quotient_class_representatives(rel: ConvexRelation) -> List[int]:
     return [classes.index(c) for c in range(rel.num_quotient_classes)]
 
 
-def comparison_iso(rep: ParaRep, r: ParaMap, rel: ConvexRelation) -> np.ndarray:
-    """The matrix identifying the pulled-back stalk with the stalk at rel.
-
-    For r: I' -> I and rel on I, the induced map of quotient parasimplices
-    I'/pullback(rel) -> I/rel is an isomorphism; its image under the
-    representation is the comparison.
-    """
-    if rel.base != r.tgt:
-        raise BaseMismatch("relation does not live over the target of r")
-    return rep.evaluate(comparison_map(r, rel))
-
-
 def comparison_map(r: ParaMap, rel: ConvexRelation) -> ParaMap:
     """The iso I'/pullback(rel) -> I/rel of quotient parasimplices."""
     return induced_on_quotients(r, pullback_relation(r, rel), rel)

@@ -124,11 +124,17 @@ def criterion_2(seed: int = 0) -> dict:
     arbitrary shift offsets reduces to associativity of the tables because
     offsets enter composition additively; the unit and associativity
     identities below are therefore exhaustive over all offsets at once.
+    Associativity packs each cell into one int16 code, 4 * position + wrap.
+    A wrap is 0 or 1 and a side sums two, so the code stays one to one; a
+    table with a position outside its hom-set or a wrap outside {0, 1} is
+    reported ``"unpackable"``, not packed.  Each side of each quadruple of objects is then one gather and
+    one add, and the two sides one comparison.
     The scalar ``compose`` checks each composite it forms against the
-    table's prediction (values = table row, shift = wrap + the offsets):
-    offset associativity exhaustively on objects <= Par(1) with offsets
-    |k| <= 2, independence of cyclic representatives exhaustively on
-    objects <= Par(2), and 2,000 seeded triples at full size.
+    table's prediction (values = table row, shift = wrap + the offsets),
+    through the idx rows, wrap rows and target value tuples bound once per
+    triple: offset associativity exhaustively on objects <= Par(1) with
+    offsets |k| <= 2, independence of cyclic representatives exhaustively
+    on objects <= Par(2), and 2,000 seeded triples at full size.
     """
     rng = random.Random(seed)
     objs = range(4)
@@ -143,23 +149,24 @@ def criterion_2(seed: int = 0) -> dict:
             index[(a, b)] = {f.values: i for i, f in enumerate(reps[(a, b)])}
             shifted[(a, b)] = {k: [shift_action(f, k) for f in reps[(a, b)]]
                                for k in range(-2, 3)}
-    idx_tab, wrap_tab, idx_rows, wrap_rows = {}, {}, {}, {}
+    # per triple: the table, and its idx rows, wrap rows and target values as lists
+    tables, rows = {}, {}
     for a, b, c in itertools.product(objs, repeat=3):
-        idx_tab[(a, b, c)], wrap_tab[(a, b, c)] = composition_table(a, b, c)
-        idx_rows[(a, b, c)] = idx_tab[(a, b, c)].tolist()
-        wrap_rows[(a, b, c)] = wrap_tab[(a, b, c)].tolist()
+        idx, wrap = tables[(a, b, c)] = composition_table(a, b, c)
+        rows[(a, b, c)] = (idx.tolist(), wrap.tolist(), [h.values for h in reps[(a, c)]])
 
     failures = []
 
-    def composite(a, b, c, i, j, g, f):
+    def composite(key, i, j, g, f):
         """compose(g, f) for g the i-th map of H(b, c) and f the j-th of
-        H(a, b), each with any shift, checked against the table; returns
-        the position of its canonical map in H(a, c) and the composite."""
-        k = idx_rows[(a, b, c)][i][j]
+        H(a, b), key = (a, b, c), each with any shift, checked against the
+        table; returns the position of its canonical map in H(a, c) and
+        the composite."""
+        idx, wrap, values = rows[key]
+        k = idx[i][j]
         h = compose(g, f)
-        if (h.values != reps[(a, c)][k].values
-                or h.shift != wrap_rows[(a, b, c)][i][j] + g.shift + f.shift):
-            failures.append(("table", a, b, c))
+        if h.values != values[k] or h.shift != wrap[i][j] + g.shift + f.shift:
+            failures.append(("table",) + key)
         return k, h
 
     # units
@@ -167,28 +174,38 @@ def criterion_2(seed: int = 0) -> dict:
         ident_a = index[(a, a)][Parasimplex(a).identity().values]
         ident_b = index[(b, b)][Parasimplex(b).identity().values]
         n_ab = len(reps[(a, b)])
-        if not (idx_tab[(a, a, b)][:, ident_a] == np.arange(n_ab)).all():
+        (right_idx, right_wrap), (left_idx, left_wrap) = tables[(a, a, b)], tables[(a, b, b)]
+        if not (right_idx[:, ident_a] == np.arange(n_ab)).all():
             failures.append(("unit-right", a, b))
-        if not (idx_tab[(a, b, b)][ident_b, :] == np.arange(n_ab)).all():
+        if not (left_idx[ident_b, :] == np.arange(n_ab)).all():
             failures.append(("unit-left", a, b))
-        if wrap_tab[(a, a, b)][:, ident_a].any() or wrap_tab[(a, b, b)][ident_b, :].any():
+        if right_wrap[:, ident_a].any() or left_wrap[ident_b, :].any():
             failures.append(("unit-wrap", a, b))
     # associativity, vectorized over all triples: entry (h, g, f) of each
-    # side is the position and the wrap of h(gf), resp. (hg)f
+    # side is the code of h(gf), resp. (hg)f
+    codes = {}
+    for (a, b, c), (idx, wrap) in tables.items():
+        n_ac = len(reps[(a, c)])
+        if (4 * n_ac <= np.iinfo(np.int16).max and ((idx >= 0) & (idx < n_ac)).all()
+                and ((wrap == 0) | (wrap == 1)).all()):
+            codes[(a, b, c)] = (4 * idx + wrap).astype(np.int16)
+        else:
+            failures.append(("unpackable", a, b, c))
     for a, b, c, d in itertools.product(objs, repeat=4):
-        gf_idx, gf_wrap = idx_tab[(a, b, c)], wrap_tab[(a, b, c)]     # (n_bc, n_ab)
-        hg_idx, hg_wrap = idx_tab[(b, c, d)], wrap_tab[(b, c, d)]     # (n_cd, n_bc)
-        left_idx = idx_tab[(a, c, d)][:, gf_idx]                      # (n_cd, n_bc, n_ab)
-        left_wrap = wrap_tab[(a, c, d)][:, gf_idx] + gf_wrap
-        right_idx = idx_tab[(a, b, d)][hg_idx]
-        right_wrap = wrap_tab[(a, b, d)][hg_idx] + hg_wrap[:, :, None]
-        if not (np.array_equal(left_idx, right_idx) and np.array_equal(left_wrap, right_wrap)):
+        sides = ((a, b, c), (b, c, d), (a, c, d), (a, b, d))
+        if not all(key in codes for key in sides):
+            continue
+        (gf_idx, gf_wrap), (hg_idx, hg_wrap) = tables[(a, b, c)], tables[(b, c, d)]
+        left = codes[(a, c, d)][:, gf_idx] + gf_wrap                  # (n_cd, n_bc, n_ab)
+        right = codes[(a, b, d)][hg_idx] + hg_wrap[:, :, None]
+        if not np.array_equal(left, right):
             failures.append(("associativity", a, b, c, d))
 
     def associates(a, b, c, d, i_h, i_g, i_f, h, g, f):
-        k_gf, gf = composite(a, b, c, i_g, i_f, g, f)
-        k_hg, hg = composite(b, c, d, i_h, i_g, h, g)
-        return composite(a, c, d, i_h, k_gf, h, gf)[1] == composite(a, b, d, k_hg, i_f, hg, f)[1]
+        k_gf, gf = composite((a, b, c), i_g, i_f, g, f)
+        k_hg, hg = composite((b, c, d), i_h, i_g, h, g)
+        return (composite((a, c, d), i_h, k_gf, h, gf)[1]
+                == composite((a, b, d), k_hg, i_f, hg, f)[1])
 
     # object-level composition with explicit offsets: exhaustive on Par(<=1)
     small = [0, 1]
@@ -212,12 +229,13 @@ def criterion_2(seed: int = 0) -> dict:
         if not associates(a, b, c, d, i_h, i_g, i_f, h, g, f):
             failures.append(("sampled-associativity", a, b, c, d))
     # cyclic composition is independent of representatives (objects <= 2)
-    for a, b, c in itertools.product(range(3), repeat=3):
+    for key in itertools.product(range(3), repeat=3):
+        a, b, c = key
         for (i_g, g), (i_f, f) in itertools.product(enumerate(reps[(b, c)]),
                                                     enumerate(reps[(a, b)])):
-            expected = composite(a, b, c, i_g, i_f, g, f)[1].values
+            expected = composite(key, i_g, i_f, g, f)[1].values
             for kf, kg in itertools.product((-2, -1, 1, 2), repeat=2):
-                got = composite(a, b, c, i_g, i_f, shifted[(b, c)][kg][i_g],
+                got = composite(key, i_g, i_f, shifted[(b, c)][kg][i_g],
                                 shifted[(a, b)][kf][i_f])
                 if got[1].values != expected:
                     failures.append(("cyc-representative", a, b, c))

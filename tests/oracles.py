@@ -60,6 +60,15 @@ def oracle_compose_values(
     return tuple(v - lead * (p + 1) for v in raw), lead
 
 
+def is_injective(f) -> bool:
+    """Whether the ``ParaMap`` f is injective, read off its values: strictly
+    increasing over one period, the last below the first plus the target's
+    period."""
+    values = f.values
+    return (all(x < y for x, y in zip(values, values[1:]))
+            and values[-1] < values[0] + f.tgt.period)
+
+
 def oracle_composition_violations(rep) -> list:
     """The ``composition`` violations of ``equivalence.validate_rep`` by the
     per-pair loop it used to run: for every composable pair of canonical
@@ -85,6 +94,16 @@ def oracle_composition_violations(rep) -> list:
                 if not fld.equal(fld.matmul(rep.gen[(n, p)][g], rep.gen[(m, n)][f]), rhs):
                     violations.append(("composition", (m, n, p), f, g))
     return violations
+
+
+def comparison_iso(rep, r, rel):
+    """The comparison of ``rep``'s realized system along r at rel, computed
+    afresh: the representation applied to the iso I'/pullback(rel) -> I/rel
+    of quotient parasimplices, the reference for the realization plan's
+    numbered comparisons."""
+    from paracyclic.equivalence import comparison_map
+
+    return rep.evaluate(comparison_map(r, rel))
 
 
 def oracle_kernel_dim_by_enumeration(rows: list[list[int]], width: int, p: int) -> int:

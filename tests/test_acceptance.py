@@ -20,6 +20,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from paracyclic import selftest
@@ -45,6 +46,28 @@ def test_criterion_1_hom_count_table():
 def test_criterion_2_category_axioms():
     report = _run(2, bound=60)
     assert report["passed"], report["details"]["failures"]
+
+
+def test_criterion_2_does_a_fixed_amount_of_work(monkeypatch):
+    """73,309 scalar composites and 256 associativity quadruples covering
+    10,672,510 triples, counted through patched ``compose`` and
+    ``np.array_equal``: a faster criterion 2 checks no less."""
+    compose, array_equal = selftest.compose, np.array_equal
+    composites, sides = [0], []
+
+    def counting_compose(g, f):
+        composites[0] += 1
+        return compose(g, f)
+
+    def counting_array_equal(left, right):
+        sides.append(left.size)
+        return array_equal(left, right)
+
+    monkeypatch.setattr(selftest, "compose", counting_compose)
+    monkeypatch.setattr(np, "array_equal", counting_array_equal)
+    assert selftest.criterion_2(0)["passed"]
+    assert composites[0] == 73309
+    assert len(sides) == 256 and sum(sides) == 10672510
 
 
 def test_criterion_3_duality_involution():

@@ -17,7 +17,6 @@ from paracyclic.equivalence import (
     cell_rep,
     character_rep,
     check_localization_adjunction,
-    comparison_iso,
     conjugate_rep,
     constant_rep,
     direct_sum,
@@ -44,6 +43,7 @@ from paracyclic.preord import (
 )
 
 from oracles import (
+    comparison_iso,
     oracle_composition_violations,
     oracle_missing_marked_composites,
     oracle_related,

@@ -688,6 +688,68 @@ def test_composition_tables_without_their_wrap_are_caught(patch_tables):
     assert failure_kinds(report["details"]) == {"table"}
 
 
+def criterion_2_with_one_cell(monkeypatch, key, edit):
+    """``selftest.criterion_2(0)`` with the composition table of the triple
+    ``key`` replaced by a copy that ``edit(idx, wrap)`` changes; the memo
+    keeps the table as built."""
+    table = selftest.composition_table
+
+    def mutant(a, b, c, kind="all"):
+        idx, wrap = table(a, b, c, kind)
+        if (a, b, c) == key:
+            idx, wrap = idx.copy(), wrap.copy()
+            edit(idx, wrap)
+        return idx, wrap
+
+    monkeypatch.setattr(selftest, "composition_table", mutant)
+    report = selftest.criterion_2(0)
+    assert not report["passed"]
+    return failure_kinds(report["details"])
+
+
+def test_a_composite_re_pointed_to_another_map_is_caught(monkeypatch):
+    """One cell of the table of Par(3) -> Par(3) -> Par(3) names the next
+    map of H(3, 3).  Only the seeded scalar draws reach that table, after
+    the exhaustive associativity check has reported it."""
+    def edit(idx, wrap):
+        idx[0, 0] = (idx[0, 0] + 1) % idx.shape[1]
+
+    assert criterion_2_with_one_cell(monkeypatch, (3, 3, 3), edit) == {"associativity"}
+
+
+def test_a_flipped_wrap_is_caught(monkeypatch):
+    """One cell's wrap flipped between 0 and 1: its packed code moves to
+    the other wrap of the same map, and associativity goes red."""
+    def edit(idx, wrap):
+        wrap[0, 0] ^= 1
+
+    assert criterion_2_with_one_cell(monkeypatch, (1, 2, 3), edit) == {"associativity"}
+
+
+def test_a_cell_repacked_to_its_own_code_is_caught(monkeypatch):
+    """One cell moved one position on and its wrap 4 down, which leaves its
+    packed code, 4 * position + wrap, as it was.  The wrap is outside
+    {0, 1}, so the table is reported unpackable and no quadruple reading
+    it is packed."""
+    def edit(idx, wrap):
+        idx[0, 0] += 1
+        wrap[0, 0] -= 4
+
+    assert criterion_2_with_one_cell(monkeypatch, (3, 3, 3), edit) == {"unpackable"}
+
+
+def test_compose_without_the_inner_shift_is_caught(monkeypatch):
+    """The scalar ``compose`` dropping f.shift from the composite's shift:
+    each composite with a shifted inner factor disagrees with the table's
+    wrap + the offsets."""
+    namespace = source_mutant(monkeypatch, paracat, "compose",
+                              ("lead + g.shift + f.shift", "lead + g.shift"))
+    monkeypatch.setattr(selftest, "compose", namespace["compose"])
+    report = selftest.criterion_2(0)
+    assert not report["passed"]
+    assert failure_kinds(report["details"]) == {"table"}
+
+
 def test_codes_summing_their_digits_are_caught(monkeypatch, patch_tables):
     """``paracat.row_codes`` with every digit weighted 1: distinct value
     rows of one hom-set share a code."""

@@ -22,11 +22,10 @@ from paracyclic.paracat import (
     embed_simplex,
     enumerate_hom,
     hom_count,
-    is_injective,
     shift_action,
 )
 
-from oracles import oracle_compose_values, oracle_hom_count, oracle_hom_values
+from oracles import is_injective, oracle_compose_values, oracle_hom_count, oracle_hom_values
 
 
 def all_maps(m, n, kind="all"):

@@ -9,7 +9,7 @@ from paracyclic.errors import (
     NotMonotone,
     ResourceBound,
 )
-from paracyclic.paracat import ParaMap, Parasimplex
+from paracyclic.paracat import ParaMap, Parasimplex, shift_action
 from paracyclic.preord import (
     CONV_CLASS_CAP,
     ConvexRelation,
@@ -320,12 +320,18 @@ class TestComposePreord:
         assert two.canonical() == PAR1.identity() and two.shift == 2
 
     def test_pointwise(self):
-        src = ParaPreorder((2, 1))
-        for f in all_preord_maps(src, PAR1):
-            for g in all_preord_maps(PAR1, PAR0):
-                gf = compose_preord(g, f)
-                for el in range(-3, 6):
-                    assert gf(el) == g(f(el))
+        """g o f agrees with g after f on three periods of the source, for
+        every composable pair of maps between the small preorders, each
+        factor with offsets -1, 0 and 2."""
+        objs = small_preorders()
+        maps = {(a, b): all_preord_maps(a, b) for a, b in itertools.product(objs, repeat=2)}
+        for a, b, c in itertools.product(objs, repeat=3):
+            for f, g in itertools.product(maps[(a, b)], maps[(b, c)]):
+                for kf, kg in itertools.product((-1, 0, 2), repeat=2):
+                    fk, gk = shift_action(f, kf), shift_action(g, kg)
+                    gf = compose_preord(gk, fk)
+                    for el in range(-a.period, 2 * a.period):
+                        assert gf(el) == gk(fk(el))
 
 
 class TestCrossModuleConsistency:
