@@ -71,7 +71,6 @@ from .paracat import (
     composition_table,
     cyc_canonicalize,
     dualize_map,
-    embed_simplex,
     enumerate_hom,
     shift_action,
 )

@@ -18,14 +18,15 @@ which the up-set's mask selects; bases are returned in reduced echelon
 form so repeated runs agree exactly.
 
 Gluing compares the sections over a union U1 u U2 with the fiber product
-of the sections over U1 and U2 over their intersection.  ``gluing_check``
-checks one pair, and can share a cache across pairs.  ``gluing_rows``
-checks every pair of a sheaf, a row of pairs at a time, with every
-section basis embedded once in whole-space coordinates: each restriction
-is a gather of the bigger basis at the smaller one's free columns, the
-restrictions of a row are verified by one stacked product, and only pairs
-whose overlap has sections reach arithmetic, those of a row by one
-stacked product and one stacked elimination.  Both give the same reports.
+of the sections over U1 and U2 over their intersection.  Each sheaf owns
+one ``SectionTable``, built on its first gluing: every up-set's section
+basis embedded in whole-space coordinates, so that each restriction is a
+gather of the bigger basis at the smaller one's free columns, and every
+restriction verified once, by one stacked product over the covering pairs
+of the up-set lattice.  ``gluing_check`` checks one pair from it.
+``gluing_rows`` checks every pair, a row of pairs at a time; only pairs
+whose overlap has sections reach arithmetic, those of a row by one stacked
+product and one stacked elimination.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
@@ -125,7 +126,8 @@ class StratSheaf:
     ``dims`` assigns a dimension to every stratum (keyed by the sorted gap
     tuple); ``maps`` holds one matrix per covering edge, keyed by
     (finer key, coarser key) where the coarser key drops exactly one gap.
-    ``constraints`` is built on first use, by ``sections``.
+    ``constraints`` is built on first use, by ``sections``, and
+    ``section_table`` on the first gluing.
     """
 
     base: ParaPreorder
@@ -151,6 +153,11 @@ class StratSheaf:
             row_ends += [(s, t)] * self.dims[dst]
         return ConstraintSystem(matrix, np.array(row_ends, dtype=np.int64).reshape(-1, 2),
                                 np.repeat(np.arange(len(sizes)), sizes))
+
+    @functools.cached_property
+    def section_table(self) -> "SectionTable":
+        """The sections over every up-set, verified; see ``_section_table``."""
+        return _section_table(self)
 
     def value(self, stratum) -> FinVect:
         return FinVect(self.field, self.dims[gap_key(stratum)])
@@ -263,8 +270,8 @@ class UpSet:
 
     ``mask`` numbers the up-set among those of its base: it is the sum of
     its members' bits in ``strata(base)``.  Meets and joins of masks are
-    ``&`` and ``|`` of integers, which is how ``gluing_check`` forms them
-    and keys its section cache.
+    ``&`` and ``|`` of integers, which is how gluing forms them and finds
+    them among the ascending masks of a ``SectionTable``.
     """
 
     base: ParaPreorder
@@ -333,12 +340,12 @@ def whole_space(base: ParaPreorder) -> UpSet:
 
 
 @functools.cache
-def _upsets_by_mask(base: ParaPreorder) -> Dict[int, UpSet]:
-    """Every up-set of ``base``, keyed by its mask in ascending order;
-    memoized.  Up-sets are generated directly, adding the strata by
-    increasing number of gaps and a stratum only when all its one-gap-smaller
-    faces are members, so the cost grows with the number of up-sets (7,580
-    at Par(4)), not with the 2^(number of strata) subsets."""
+def _upsets_by_mask(base: ParaPreorder) -> Tuple[UpSet, ...]:
+    """Every up-set of ``base``, in ascending order of masks; memoized.
+    Up-sets are generated directly, adding the strata by increasing number
+    of gaps and a stratum only when all its one-gap-smaller faces are
+    members, so the cost grows with the number of up-sets (7,580 at
+    Par(4)), not with the 2^(number of strata) subsets."""
     if base.num_classes > UPSET_CLASS_CAP:
         raise ResourceBound(
             f"{base.num_classes} classes exceed the cap of {UPSET_CLASS_CAP} for up-sets")
@@ -348,15 +355,15 @@ def _upsets_by_mask(base: ParaPreorder) -> Dict[int, UpSet]:
     for key in sorted(poset.keys, key=len):
         faces = sum(bit[face] for face in poset.faces[key].values())
         masks += [m | bit[key] for m in masks if m & faces == faces]
-    return {m: UpSet._closed(base, frozenset(k for k in poset.keys if m & bit[k]), m)
-            for m in sorted(masks)}
+    return tuple(UpSet._closed(base, frozenset(k for k in poset.keys if m & bit[k]), m)
+                 for m in sorted(masks))
 
 
 def enumerate_upsets(base: ParaPreorder) -> List[UpSet]:
     """Every upward closed set of strata, the empty one included, in mask
     order: masks ascend (see ``UpSet``).  The up-sets are built once per
     base and shared between calls."""
-    return list(_upsets_by_mask(base).values())
+    return list(_upsets_by_mask(base))
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,33 +404,78 @@ def sections(sheaf: StratSheaf, open_set: UpSet) -> SectionSpace:
     return SectionSpace(sheaf.field, layout, tuple(offsets), basis)
 
 
-def restriction_matrix(sheaf: StratSheaf, big: SectionSpace, small: SectionSpace) -> np.ndarray:
-    """Coordinates of restricted basis vectors in the smaller section basis.
+class SectionTable(NamedTuple):
+    """The sections over every up-set of a sheaf in whole-space coordinates,
+    the T columns of ``sheaf.constraints``.
 
-    The smaller basis comes from ``right_kernel``: each row has a 1 in its
-    own free column, its last nonzero entry, and every other row has a 0
-    there.  So the coordinates of a vector in its span are the vector's
-    entries at those columns, and one product checks that they rebuild
-    every restricted vector.
+    Up-sets are numbered by their position in ``enumerate_upsets``, whose
+    ``masks`` ascend, and ``dims`` holds their section dimensions.  One
+    array of shape (up-sets, w, T + 1) holds each ``basis``, padded with
+    zero rows to the largest section dimension w, in the columns of its
+    up-set's strata; column T lies in no up-set and is zero.  ``free``
+    holds the free column of each basis row, its last nonzero entry, where
+    ``right_kernel`` puts a 1 that every other row has a 0 at; padding rows
+    read T.
     """
+
+    masks: np.ndarray
+    dims: np.ndarray
+    basis: np.ndarray
+    free: np.ndarray
+
+    def restrictions(self, big: np.ndarray, small: np.ndarray) -> np.ndarray:
+        """The restrictions from the up-sets at positions ``big`` onto those
+        at positions ``small``, as a stack of (w, w) matrices: the gather of
+        each bigger basis at the smaller one's free columns, the coordinates
+        of the restricted basis in the smaller one.  The padding is zero,
+        which changes no product and no rank."""
+        rows = np.arange(self.basis.shape[1])[:, None]
+        return self.basis[big[:, None, None], rows, self.free[small][:, None, :]]
+
+
+def _section_table(sheaf: StratSheaf) -> SectionTable:
+    """Every up-set's sections, through this module's ``sections``, embedded
+    once in whole-space coordinates, with every restriction verified.
+
+    A restriction from U onto an up-set V inside it is a section when its
+    gathered coordinates rebuild U's basis on V's columns from V's basis,
+    and one ``Field.stacked_matmul`` checks this for each U that has
+    sections onto U itself (the coordinates are the identity) and onto each
+    V that U covers, U with one stratum removed.  That verifies every
+    restriction between up-sets: if U onto W and W onto V rebuild, so does
+    U onto V, with the product of their coordinates, which V's own check
+    makes equal to the gather; and a basis that vanishes on W vanishes on
+    V.  Raises ``NotFunctorial`` if a check fails.
+    """
+    upsets = enumerate_upsets(sheaf.base)
+    spaces = [sections(sheaf, up) for up in upsets]
+    n = len(spaces)
+    dims = np.array([space.dim for space in spaces], dtype=np.int64)
+    masks = np.array([up.mask for up in upsets], dtype=np.int64)
     fld = sheaf.field
-    if big.dim == 0:
-        return fld.zeros(0, small.dim)
-    columns: List[int] = []
-    for key in small.layout:
-        i = big.layout.index(key)
-        columns += range(big.offsets[i], big.offsets[i + 1])
-    restricted = big.basis[:, columns]
-    if small.dim == 0:
-        agree = not restricted.any()
-        coords = fld.zeros(big.dim, 0)
-    else:
-        free = [np.flatnonzero(row)[-1] for row in small.basis != 0]
-        coords = restricted[:, free]
-        agree = fld.equal(fld.matmul(coords, small.basis), restricted)
-    if not agree:
-        raise NotFunctorial("restriction of a section is not a section")
-    return coords
+    width = int(dims.max())
+    column_stratum = sheaf.constraints.column_stratum
+    total = len(column_stratum)
+    columns = np.zeros((n, total + 1), dtype=bool)
+    columns[:, :total] = masks[:, None] >> column_stratum & 1
+    basis = fld.zeros(n * width, total + 1).reshape(n, width, total + 1)
+    for u, space in enumerate(spaces):
+        basis[u][:space.dim, columns[u]] = space.basis
+    free = total - np.argmax((basis != 0)[:, :, ::-1], axis=2)
+    table = SectionTable(masks, dims, basis, free)
+    bits = 1 << np.arange(len(strata(sheaf.base).keys), dtype=np.int64)
+    smaller = masks[:, None] ^ bits
+    below = np.minimum(np.searchsorted(masks, smaller), n - 1)
+    covers = (masks[:, None] & bits != 0) & (masks[below] == smaller)
+    big = np.concatenate([np.arange(n), np.nonzero(covers)[0]])
+    small = np.concatenate([np.arange(n), below[covers]])
+    live = dims[big] > 0
+    if live.any():
+        big, small = big[live], small[live]
+        rebuilt = fld.stacked_matmul(table.restrictions(big, small), basis[small])
+        if not np.array_equal(rebuilt, np.where(columns[small][:, None, :], basis[big], 0)):
+            raise NotFunctorial("restriction of a section is not a section")
+    return table
 
 
 def pullback_sheaf(r: ParaMap, sheaf: StratSheaf) -> StratSheaf:
@@ -448,67 +500,35 @@ def gluing_check(sheaf: StratSheaf, u1: UpSet, u2: UpSet,
 
     The comparison map is a coordinate projection, hence injective; the
     check is exact equality of dimensions plus explicit restriction
-    compatibility of bases.  Pass a dict as ``section_cache`` to reuse work
-    across many pairs over the same sheaf: it holds the section space of
-    each up-set, keyed by its mask, and the restriction matrix of each
-    (bigger, smaller) pair of up-sets, keyed by the pair of masks.  The
-    union and the intersection are formed as ``|`` and ``&`` of the masks;
-    an ``UpSet`` is looked up for a mask only when its section space is
-    missing.  One dict serves one sheaf.
+    compatibility of bases.  The union and the intersection are formed as
+    ``|`` and ``&`` of the masks, and the four section dimensions and the
+    five restrictions are read from ``sheaf.section_table``, which the
+    sheaf's first gluing builds and verifies.  An overlap without sections
+    makes the fiber product the direct sum; every other pair is checked by
+    elimination and matrix products (``_fiber_product``).
 
-    The five restrictions must have the shapes that the four section
-    dimensions give them; if any does not, ``restrictions_agree`` is False
-    and ``dim_fiber_product`` is None.  When the overlap or the union has
-    no sections, both composites of restrictions are empty, so agreeing
-    shapes are all there is to compare, and an overlap without sections
-    makes the fiber product the direct sum.  Every other pair is checked
-    by elimination and matrix products (``_fiber_product``).
+    ``section_cache`` is accepted and unused: the rational benchmark
+    workload passes it, and ROADMAP item 6 removes it with that call.
 
     This is the single-pair path.  To check every pair of up-sets of a
     sheaf, ``gluing_rows`` gives the same reports a row at a time.
     """
-    cache = {} if section_cache is None else section_cache
     base = u1._same_base(u2)
     if base is not sheaf.base and base != sheaf.base:
         raise BaseMismatch("up-sets live over a different base than the sheaf")
-    upsets = _upsets_by_mask(base)
-
-    def cached_sections(mask: int) -> SectionSpace:
-        space = cache.get(mask)
-        if space is None:
-            space = cache[mask] = sections(sheaf, upsets[mask])
-        return space
-
-    def restriction(big: int, small: int) -> np.ndarray:
-        key = (big, small)
-        matrix = cache.get(key)
-        if matrix is None:
-            matrix = cache[key] = restriction_matrix(sheaf, cache[big], cache[small])
-        return matrix
-
+    table = sheaf.section_table
     m1, m2 = u1.mask, u2.mask
-    union, inter = m1 | m2, m1 & m2
-    dim_union = cached_sections(union).dim
-    dim_left = cached_sections(m1).dim
-    dim_right = cached_sections(m2).dim
-    dim_overlap = cached_sections(inter).dim
-
-    r1 = restriction(union, m1)               # (dim union, dim U1)
-    r2 = restriction(union, m2)
-    r_inter = restriction(union, inter)
-    r1_to_inter = restriction(m1, inter)      # (dim U1, dim overlap)
-    r2_to_inter = restriction(m2, inter)
-
-    if not (r1.shape == (dim_union, dim_left) and r2.shape == (dim_union, dim_right)
-            and r_inter.shape == (dim_union, dim_overlap)
-            and r1_to_inter.shape == (dim_left, dim_overlap)
-            and r2_to_inter.shape == (dim_right, dim_overlap)):
-        fp_dim, compatible = None, False
-    elif dim_overlap == 0:
+    positions = np.searchsorted(table.masks, [m1 | m2, m1, m2, m1 & m2])
+    dim_union, dim_left, dim_right, dim_overlap = table.dims[positions].tolist()
+    if dim_overlap == 0:
         fp_dim, compatible = dim_left + dim_right, True
     else:
-        fp_dim, compatible = _fiber_product(sheaf.field, r1, r2, r_inter,
-                                            r1_to_inter, r2_to_inter)
+        union, left, right, inter = positions
+        big = np.array([union, union, union, left, right])
+        small = np.array([left, right, inter, inter, inter])
+        gathered = table.restrictions(big, small)
+        fp_dim, compatible = _fiber_product(sheaf.field, *(
+            r[:table.dims[b], :table.dims[s]] for r, b, s in zip(gathered, big, small)))
     passed = (dim_union == fp_dim) and compatible
     return {
         "passed": bool(passed),
@@ -581,30 +601,15 @@ def gluing_rows(sheaf: StratSheaf) -> Iterator[GluingRow]:
 
     Yields one ``GluingRow`` per up-set position i, in ``enumerate_upsets``
     order, over the columns j >= i; ``row.report(k)`` equals
-    ``gluing_check(sheaf, U_i, U_{i+k})``.  The section space of every
-    up-set is computed once per call, and kept in whole-space coordinates,
-    the T columns of ``sheaf.constraints``: one array of shape
-    (up-sets, w, T + 1) holds each basis, padded with zero rows to the
-    largest section dimension w, in the columns of its up-set's strata;
-    column T lies in no up-set and is zero.  Beside it each up-set's free
-    columns, the last nonzero entry of each basis row (as
-    ``restriction_matrix`` reads them), are kept in whole-space numbering,
-    padded with T.  The restriction from U to V is then the gather of U's
-    basis at V's free columns, a (w, w) matrix padded with zeros, which
-    changes no product and no rank.  Each row finds its unions and
-    intersections with one ``np.searchsorted`` over the ascending masks.
+    ``gluing_check(sheaf, U_i, U_{i+k})``.  Both read the dimensions and
+    the verified restrictions of ``sheaf.section_table``, which the first
+    gluing of the sheaf builds and keeps, so the rows verify nothing again.
+    Each row finds its unions and intersections with one
+    ``np.searchsorted`` over the ascending masks.
 
-    Every restriction that ``gluing_check`` reads is checked to be a
-    section, and ``NotFunctorial`` is raised where it raises: the distinct
-    restrictions of a row from up-sets with sections are checked by one
-    ``Field.stacked_matmul``, which rebuilds from their coordinates the
-    bigger basis on the smaller up-set's columns.  Onto an up-set without
-    sections the rebuilt basis is zero, so the check is that the bigger
-    basis vanishes there, as in ``restriction_matrix``.
-
-    A pair whose overlap has no sections is decided by the arrays: its
+    A pair whose overlap has no sections is decided by the dimensions: its
     fiber product is the direct sum.  The other pairs of a row are checked
-    in one batch, with their five restrictions gathered from the row's:
+    in one batch, with their five restrictions gathered from the table:
     both composites from the union to the overlap come from one
     ``Field.stacked_matmul`` and are compared with the direct restriction,
     and the fiber product dimensions from one ``Field.stacked_rank`` of
@@ -612,54 +617,29 @@ def gluing_rows(sheaf: StratSheaf) -> Iterator[GluingRow]:
     from U1 and U2 onto the overlap.  Over a prime field the products stay
     in int64 while w (p - 1)^2 < 2^63 and go through Python ints above
     that; the elimination stays in int64 for every accepted prime (see
-    ``_linalg``).  Nothing outlives the call, and of each row only its
-    ``GluingRow`` outlives it.
+    ``_linalg``).  Of each row only its ``GluingRow`` outlives it.
     """
-    upsets = enumerate_upsets(sheaf.base)
-    spaces = [sections(sheaf, up) for up in upsets]
-    n = len(spaces)
-    dims = np.array([space.dim for space in spaces], dtype=np.int64)
-    masks = np.array([up.mask for up in upsets], dtype=np.int64)
-    fld = sheaf.field
-    width = int(dims.max())
-    column_stratum = sheaf.constraints.column_stratum
-    total = len(column_stratum)
-    columns = np.zeros((n, total + 1), dtype=bool)
-    columns[:, :total] = masks[:, None] >> column_stratum & 1
-    basis = fld.zeros(n * width, total + 1).reshape(n, width, total + 1)
-    for u, space in enumerate(spaces):
-        basis[u][:space.dim, columns[u]] = space.basis
-    free = total - np.argmax((basis != 0)[:, :, ::-1], axis=2)
-    for i in range(n):
-        yield _glue_row(fld, masks, dims, columns, basis, free, i)
+    table = sheaf.section_table
+    for i in range(len(table.masks)):
+        yield _glue_row(sheaf.field, table, i)
 
 
-def _glue_row(fld: Field, masks, dims, columns, basis, free, i: int) -> GluingRow:
-    """Row i of ``gluing_rows``, from its whole-space arrays; the row's
-    restrictions and products die with the call, so between rows only the
-    yielded reports are held."""
-    n, width = basis.shape[:2]
-    union, inter = _row_positions(masks, i)
-    right = np.arange(i, n)
+def _glue_row(fld: Field, table: SectionTable, i: int) -> GluingRow:
+    """Row i of ``gluing_rows``; the row's restrictions and products die
+    with the call, so between rows only the yielded reports are held."""
+    dims = table.dims
+    n = len(dims)
+    union, inter = _row_positions(table.masks, i)
     left = np.full(n - i, i)
-    # the five (big, small) restrictions that each pair of the row reads
-    big = np.concatenate([union, union, union, left, right])
-    small = np.concatenate([left, right, inter, inter, inter])
-    pairs, index = np.unique(big * n + small, return_inverse=True)
-    b, s = np.divmod(pairs, n)
-    coords = basis[b[:, None, None], np.arange(width)[:, None], free[s][:, None, :]]
-    live = dims[b] > 0
-    if live.any():
-        b, s = b[live], s[live]
-        rebuilt = fld.stacked_matmul(coords[live], basis[s])
-        if not np.array_equal(rebuilt, np.where(columns[s][:, None, :], basis[b], 0)):
-            raise NotFunctorial("restriction of a section is not a section")
     dim_union, dim_left, dim_right, dim_overlap = dims[union], dims[left], dims[i:], dims[inter]
     fp_dim = dim_left + dim_right
     agree = np.ones(n - i, dtype=bool)
     arithmetic = np.flatnonzero(dim_overlap)
     if arithmetic.size:
-        r_ui, r_uj, r_ut, r_it, r_jt = coords[index.reshape(5, -1)[:, arithmetic]]
+        u, j, t, mine = union[arithmetic], arithmetic + i, inter[arithmetic], left[arithmetic]
+        gathered = table.restrictions(np.concatenate([u, u, u, mine, j]),
+                                      np.concatenate([mine, j, t, t, t]))
+        r_ui, r_uj, r_ut, r_it, r_jt = np.split(gathered, 5)
         via_left, via_right = np.split(
             fld.stacked_matmul(np.concatenate([r_ui, r_uj]), np.concatenate([r_it, r_jt])), 2)
         agree[arithmetic] = ((via_left == r_ut) & (via_right == r_ut)).all(axis=(1, 2))

@@ -447,15 +447,3 @@ def dualize_map(f: ParaMap) -> ParaMap:
         raw.append(best)
     return ParaMap.from_values(f.tgt, f.src, raw)
 
-
-def embed_simplex(slot_images: Sequence[int], n: int) -> ParaMap:
-    """Embed a weakly monotone map [m] -> [n] as a zero-period paracyclic map."""
-    m = len(slot_images) - 1
-    if m < 0:
-        raise NotMonotone("empty map data")
-    for a in range(m):
-        if slot_images[a] > slot_images[a + 1]:
-            raise NotMonotone(f"not weakly monotone at position {a}")
-    if not all(0 <= v <= n for v in slot_images):
-        raise NotMonotone(f"values must lie in [0, {n}]")
-    return ParaMap(Parasimplex(m), Parasimplex(n), tuple(slot_images))

@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from paracyclic import consheaf
@@ -20,7 +21,6 @@ from paracyclic.consheaf import (
     gluing_rows,
     pullback_sheaf,
     random_sheaf,
-    restriction_matrix,
     sections,
     stalk,
     strata,
@@ -157,18 +157,30 @@ def row_mismatches(sheaf):
     differs from ``gluing_check``'s, key order included, and the number of
     pairs compared, which must be every pair j >= i."""
     upsets = enumerate_upsets(sheaf.base)
-    cache: dict = {}
     wrong, compared = [], 0
     for row in gluing_rows(sheaf):
         for k in range(len(row.passed)):
             j = row.left + k
-            expected = gluing_check(sheaf, upsets[row.left], upsets[j], section_cache=cache)
+            expected = gluing_check(sheaf, upsets[row.left], upsets[j])
             found = row.report(k)
             if list(found.items()) != list(expected.items()):
                 wrong.append((row.left, j))
             compared += 1
     assert compared == len(upsets) * (len(upsets) + 1) // 2
     return wrong
+
+
+def restriction(sheaf, big, small):
+    """The restriction from the up-set ``big`` onto ``small`` as the sheaf's
+    section table gathers it, without its padding: (dim big, dim small)."""
+    table = sheaf.section_table
+    b, s = np.searchsorted(table.masks, [big.mask, small.mask])
+    return table.restrictions(np.array([b]), np.array([s]))[0][:table.dims[b], :table.dims[s]]
+
+
+def twin(sheaf):
+    """The same sheaf as a new object, whose section table is not built yet."""
+    return StratSheaf(sheaf.base, sheaf.field, sheaf.dims, sheaf.maps)
 
 
 def oracle_mask(base, members):
@@ -407,25 +419,25 @@ class TestSections:
         # restrictions factor: whole -> mid -> small equals whole -> small
         rng = random.Random(23)
         sheaf = random_sheaf(rng, PAR2, F5)
-        big = sections(sheaf, whole_space(PAR2))
+        whole = whole_space(PAR2)
+        big = sections(sheaf, whole)
         upsets = enumerate_upsets(PAR2)
         for mid_set in upsets[:10]:
             mid = sections(sheaf, mid_set)
-            to_mid = restriction_matrix(sheaf, big, mid)
+            to_mid = restriction(sheaf, whole, mid_set)
             assert to_mid.shape == (big.dim, mid.dim)
             for small_set in upsets:
                 if not small_set.members <= mid_set.members:
                     continue
-                small = sections(sheaf, small_set)
-                direct = restriction_matrix(sheaf, big, small)
-                via = restriction_matrix(sheaf, mid, small)
+                direct = restriction(sheaf, whole, small_set)
+                via = restriction(sheaf, mid_set, small_set)
                 assert F5.equal(F5.matmul(via.T, to_mid.T), direct.T)
 
     @pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
     def test_restriction_matches_solve_in_span(self, field):
         """Every contained pair of Par(2) up-sets on two nonzero sheaves:
-        the coordinates read at the free columns are the ones an
-        elimination per restricted vector finds."""
+        the coordinates the section table gathers at the free columns are
+        the ones an elimination per restricted vector finds."""
         rng = random.Random(41)
         upsets = enumerate_upsets(PAR2)
         for _ in range(2):
@@ -443,24 +455,29 @@ class TestSections:
                         vector = field.matrix([[x for key in small.layout
                                                 for x in big.basis[i, slice(*blocks[key])]]])
                         expected[i] = field.solve_in_span(small.basis, vector[0])
-                    assert field.equal(restriction_matrix(sheaf, big, small), expected)
+                    assert field.equal(restriction(sheaf, big_set, small_set), expected)
 
-    def test_restriction_outside_the_span_raises(self):
-        """A 'section' over the bigger set whose restriction is no section
-        over the smaller one, nor over a set without sections."""
+    def test_restriction_outside_the_span_raises(self, monkeypatch):
+        """The sections over V = {(0,), (1,)} of the constant sheaf replaced
+        by a smaller span, then by none: the section (1, 1, 1) over the
+        whole space restricts to (1, 1) on V, which neither replacement
+        holds, so building the section table raises.  Unreplaced, the
+        gather reads the restriction's coordinates (1, 1)."""
         sheaf = constant_sheaf(PAR1, F5, 1)
-        small = sections(sheaf, whole_space(PAR1))
-        layout = small.layout
-        offsets = tuple(range(len(layout) + 1))
-        bad = F5.zeros(1, len(layout))
-        bad[0, 0] = 1
-        big = SectionSpace(F5, layout, offsets, bad)
-        with pytest.raises(NotFunctorial):
-            restriction_matrix(sheaf, big, small)
-        none = SectionSpace(F5, layout, offsets, F5.zeros(0, len(layout)))
-        with pytest.raises(NotFunctorial):
-            restriction_matrix(sheaf, big, none)
-        assert restriction_matrix(sheaf, none, small).shape == (0, small.dim)
+        small_set = UpSet(PAR1, frozenset({(0,), (1,)}))
+        assert restriction(sheaf, whole_space(PAR1), small_set).tolist() == [[1, 1]]
+        compute = sections
+        for replacement in ([[1, 0]], []):
+            def mutant(sheaf, open_set, replacement=replacement):
+                space = compute(sheaf, open_set)
+                if open_set.mask == small_set.mask:
+                    basis = F5.matrix(replacement).reshape(len(replacement), 2)
+                    space = SectionSpace(F5, space.layout, space.offsets, basis)
+                return space
+
+            monkeypatch.setattr(consheaf, "sections", mutant)
+            with pytest.raises(NotFunctorial):
+                twin(sheaf).section_table
 
 
 class TestStalk:
@@ -565,18 +582,22 @@ class TestGluing:
 
     @pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "QQ"])
     def test_shared_cache_gives_the_same_reports(self, field):
-        # the cache holds section spaces and restriction matrices for every
-        # pair; a cache keyed too coarsely returns matrices of another pair
+        """Every pair shares the sheaf's one section table, whichever pair
+        builds it: pairs asked in a shuffled order give the same reports,
+        key order included, as the same pairs asked in ascending order of
+        a twin sheaf."""
         rng = random.Random(53)
         upsets = enumerate_upsets(PAR2)
+        pairs = [(i, j) for i in range(len(upsets)) for j in range(i, len(upsets))]
         for _ in range(3):
             sheaf = nonzero_sheaf(rng, PAR2, field)
-            cache: dict = {}
-            for i, u1 in enumerate(upsets):
-                for u2 in upsets[i:]:
-                    shared = gluing_check(sheaf, u1, u2, section_cache=cache)
-                    assert shared == gluing_check(sheaf, u1, u2)
-                    assert shared["passed"]
+            ascending = {(i, j): list(gluing_check(sheaf, upsets[i], upsets[j]).items())
+                         for i, j in pairs}
+            other = twin(sheaf)
+            shuffled = {(i, j): list(gluing_check(other, upsets[i], upsets[j]).items())
+                        for i, j in rng.sample(pairs, len(pairs))}
+            assert shuffled == ascending
+            assert all(dict(report)["passed"] for report in ascending.values())
 
 
 class TestGluingRows:
@@ -663,48 +684,95 @@ class TestGluingRows:
         monkeypatch.setattr(consheaf, "sections", mutant)
         upsets = enumerate_upsets(PAR2)
         with pytest.raises(NotFunctorial):
-            cache: dict = {}
-            for i, u1 in enumerate(upsets):
-                for u2 in upsets[i:]:
-                    gluing_check(sheaf, u1, u2, section_cache=cache)
+            gluing_check(sheaf, upsets[0], upsets[0])
         with pytest.raises(NotFunctorial):
             list(gluing_rows(sheaf))
 
-    def test_each_call_computes_the_section_spaces(self, monkeypatch):
-        """Nothing is memoized across calls: each computes every up-set's
-        sections once."""
+
+class TestSectionTable:
+    def test_only_gluing_builds_the_table(self, monkeypatch):
+        """``random_sheaf``, ``validate_sheaf``, ``from_json`` and
+        ``sections`` never build the section table; the first gluing does."""
+        def refuse(self):
+            raise AssertionError("a section table was built")
+
+        monkeypatch.setattr(StratSheaf, "section_table", property(refuse))
+        sheaf = nonzero_sheaf(random.Random(79), PAR2, F5)
+        again = StratSheaf.from_json(validate_sheaf(PAR2, F5, sheaf.dims, sheaf.maps).to_json())
+        sections(again, whole_space(PAR2))
+        for glue in (lambda: gluing_check(again, whole_space(PAR2), whole_space(PAR2)),
+                     lambda: next(gluing_rows(again))):
+            with pytest.raises(AssertionError):
+                glue()
+
+    def test_sections_are_computed_once_per_sheaf(self, monkeypatch):
+        """The first gluing of a sheaf computes every up-set's sections
+        once; later gluings of the same sheaf compute none, and a twin
+        sheaf computes its own."""
         calls = []
         compute = sections
         monkeypatch.setattr(consheaf, "sections",
                             lambda sheaf, up: calls.append(up.mask) or compute(sheaf, up))
         sheaf = nonzero_sheaf(random.Random(73), PAR2, F5)
-        masks = [up.mask for up in enumerate_upsets(PAR2)]
-        for round_ in (1, 2):
-            list(gluing_rows(sheaf))
-            assert calls == masks * round_
+        upsets = enumerate_upsets(PAR2)
+        masks = [up.mask for up in upsets]
+        list(gluing_rows(sheaf))
+        assert calls == masks
+        list(gluing_rows(sheaf))
+        gluing_check(sheaf, upsets[3], upsets[7])
+        assert calls == masks
+        gluing_check(twin(sheaf), upsets[3], upsets[7])
+        assert calls == masks * 2
+
+    def test_restrictions_are_verified_once_per_sheaf(self, monkeypatch):
+        """One verification product per sheaf, over exactly the pairs
+        (U, U) and (U, U minus one stratum that leaves an up-set) whose U
+        has sections.  Its right factors are bases in whole-space columns,
+        T + 1 of them; the rows' composites have w.  Later gluings of the
+        same sheaf verify nothing."""
+        shapes = []
+        product = Field.stacked_matmul
+        monkeypatch.setattr(Field, "stacked_matmul",
+                            lambda self, a, b: shapes.append(b.shape) or product(self, a, b))
+        sheaf = nonzero_sheaf(random.Random(101), PAR3, F101)
+        total = sum(sheaf.dims.values())
+        upsets = enumerate_upsets(PAR3)
+        members = {up.members for up in upsets}
+        expected = sum(1 + sum(up.members - {key} in members for key in up.members)
+                       for up in upsets if sections(sheaf, up).dim)
+        assert expected
+
+        def verifications():
+            return [count for count, _, columns in shapes if columns == total + 1]
+
+        gluing_check(sheaf, upsets[40], upsets[90])
+        assert verifications() == [expected]
+        list(gluing_rows(sheaf))
+        gluing_check(sheaf, upsets[90], upsets[40])
+        assert verifications() == [expected]
+        list(gluing_rows(twin(sheaf)))
+        assert verifications() == [expected, expected]
 
 
 class TestPar4:
     def test_par4_all_sections_and_a_gluing_sample(self):
-        """Sheaves over Par(4): section dimensions over all 7,580 up-sets
-        against an independent rank, then gluing on a seeded sample of
-        2,000 of the 28.7M up-set pairs (a sample, not every pair)."""
+        """Sheaves over Par(4): the section dimensions that gluing reads,
+        over all 7,580 up-sets, against an independent rank, then gluing on
+        a seeded sample of 2,000 of the 28.7M up-set pairs (a sample, not
+        every pair)."""
         start = time.perf_counter()
         sheaf = random_sheaf(random.Random(34), PAR4, F101)
         assert sum(sheaf.dims.values()) >= 20
         upsets = enumerate_upsets(PAR4)
         assert len(upsets) == 7580
-        cache: dict = {}
-        for up in upsets:
+        for up, dim in zip(upsets, sheaf.section_table.dims.tolist(), strict=True):
             rows, width = constraint_rows(sheaf, up.members, 101)
             _, pivots = oracle_rref_mod(rows, 101)
-            space = sections(sheaf, up)
-            cache[up.mask] = space
-            assert space.dim == width - len(pivots), sorted(up.members)
+            assert dim == width - len(pivots), sorted(up.members)
         rng = random.Random(4)
         for _ in range(2000):
             u1, u2 = rng.choice(upsets), rng.choice(upsets)
-            report = gluing_check(sheaf, u1, u2, section_cache=cache)
+            report = gluing_check(sheaf, u1, u2)
             assert report["passed"], (sorted(u1.members), sorted(u2.members), report)
         elapsed = time.perf_counter() - start
         assert elapsed < 60, f"Par(4) sections and gluing sample took {elapsed:.1f}s"
@@ -742,10 +810,9 @@ class TestGluingOracle:
 
     @staticmethod
     def check_pairs(sheaf, pairs, p):
-        cache: dict = {}
         reports = []
         for u1, u2 in pairs:
-            report = gluing_check(sheaf, u1, u2, section_cache=cache)
+            report = gluing_check(sheaf, u1, u2)
             expected = {**oracle_gluing_dims(sheaf, u1, u2, p),
                         "passed": True, "restrictions_agree": True}
             assert report == expected, (sorted(u1.members), sorted(u2.members))

@@ -25,7 +25,7 @@ from paracyclic._linalg import (
     PrimeField,
     Rationals,
 )
-from paracyclic.consheaf import UpSet, gap_key, gluing_check
+from paracyclic.consheaf import UpSet, gap_key
 from paracyclic.equivalence import (
     ConvTilde,
     cell_rep,
@@ -55,6 +55,7 @@ from oracles import (
     oracle_rref_mod,
     oracle_upsets_by_mask,
 )
+import test_consheaf
 from test_consheaf import mask_mismatches, nonzero_sheaf, section_mismatches, strata_mismatches
 from test_paracat import code_collisions
 from test_preord import relation_oracle_mismatches
@@ -285,51 +286,78 @@ def test_torn_classes_are_caught(monkeypatch):
         pullback_relation(torn, ConvexRelation(tgt, frozenset({0})))
 
 
-class SmallerSetKeyedCache(dict):
-    """A section cache that keys each restriction matrix on the mask of the
-    smaller up-set alone, so that pairs sharing it share one matrix."""
-
-    @staticmethod
-    def _key(key):
-        return (None, key[1]) if isinstance(key, tuple) else key
-
-    def get(self, key, default=None):
-        return super().get(self._key(key), default)
-
-    def __getitem__(self, key):
-        return super().__getitem__(self._key(key))
-
-    def __setitem__(self, key, value):
-        super().__setitem__(self._key(key), value)
-
-
-def test_restriction_cache_keyed_on_the_smaller_set_is_caught():
-    base = ParaPreorder.from_parasimplex(2)
-    upsets = consheaf.enumerate_upsets(base)
-    sheaf = nonzero_sheaf(random.Random(53), base, PrimeField(5))
-    cache = SmallerSetKeyedCache()
-    # on this sheaf the restriction of another pair has the wrong shape;
-    # a zero sheaf would let the mutant through
-    reports = [gluing_check(sheaf, u1, u2, section_cache=cache)
-               for i, u1 in enumerate(upsets) for u2 in upsets[i:]]
-    assert any(not r["passed"] and not r["restrictions_agree"] for r in reports)
-
-
 def test_doubled_restrictions_are_caught(monkeypatch):
-    """restriction_matrix returning twice the coordinates: every shape and
-    dimension stays right, so only the comparison of the composite
-    restrictions with the direct one can catch it."""
-    compute = consheaf.restriction_matrix
-    monkeypatch.setattr(consheaf, "restriction_matrix",
-                        lambda sheaf, big, small: sheaf.field.reduce(2 * compute(sheaf, big, small)))
+    """``gluing_check`` reading twice the coordinates its restrictions
+    gather from the verified section table: every shape and dimension stays
+    right over F_5, so only the comparison of the composite restrictions
+    with the direct one (``restrictions_agree``) and the oracle's expected
+    report catch it."""
+    source_mutant(monkeypatch, consheaf, "gluing_check",
+                  ("gathered = table.restrictions(big, small)",
+                   "gathered = sheaf.field.reduce(2 * table.restrictions(big, small))"))
+    monkeypatch.setattr(test_consheaf, "gluing_check", consheaf.gluing_check)
     base = ParaPreorder.from_parasimplex(2)
     upsets = consheaf.enumerate_upsets(base)
     sheaf = nonzero_sheaf(random.Random(53), base, PrimeField(5))
-    cache: dict = {}
-    reports = [gluing_check(sheaf, u1, u2, section_cache=cache)
-               for i, u1 in enumerate(upsets) for u2 in upsets[i:]]
+    pairs = [(u1, u2) for i, u1 in enumerate(upsets) for u2 in upsets[i:]]
+    reports = [consheaf.gluing_check(sheaf, u1, u2) for u1, u2 in pairs]
     assert any(not r["restrictions_agree"] and r["dim_union"] == r["dim_fiber_product"]
                for r in reports)
+    with pytest.raises(AssertionError):
+        test_consheaf.TestGluingOracle.check_pairs(sheaf, pairs, 5)
+
+
+def test_basis_broken_off_its_own_checks_is_caught(monkeypatch):
+    """The sections (1, 1, 1) of the constant sheaf over Par(2) on
+    U = {(0, 1), (0,), (1,)} read as (2, 1, 1), which is no section.  The 2
+    sits on U's one minimal stratum, which U's covering pair onto
+    {(0,), (1,)} drops, and off U's free column, so the checks from U,
+    onto itself and onto what it covers, pass.  The restrictions onto U
+    now rebuild (2, 1, 1) where they should rebuild (1, 1, 1); among them
+    is the one from the whole space, which the gluing of (U, whole space)
+    reads and the table never checks, as it is no covering pair.  The
+    build catches it through transitivity, at the covering pair into U."""
+    base = ParaPreorder.from_parasimplex(2)
+    corrupted = consheaf.up_closure(base, [(0, 1)])
+    compute = consheaf.sections
+
+    def mutant(sheaf, open_set):
+        space = compute(sheaf, open_set)
+        if open_set.mask == corrupted.mask:
+            assert space.layout[0] == (0, 1) and space.basis.tolist() == [[1, 1, 1]]
+            basis = space.field.matrix([[2, 1, 1]])
+            space = consheaf.SectionSpace(space.field, space.layout, space.offsets, basis)
+        return space
+
+    monkeypatch.setattr(consheaf, "sections", mutant)
+    sheaf = consheaf.constant_sheaf(base, PrimeField(5), 1)
+    with pytest.raises(NotFunctorial):
+        consheaf.gluing_check(sheaf, corrupted, consheaf.whole_space(base))
+    with pytest.raises(NotFunctorial):
+        list(consheaf.gluing_rows(sheaf))
+
+
+def test_corrupted_sections_are_reported_by_criterion_8(monkeypatch):
+    """Every section basis read with its first row doubled at its own free
+    column, so no up-set with sections passes its check onto itself:
+    criterion 8 reports each sheaf with sections as a failure
+    (n, trial, message) and does not raise."""
+    compute = consheaf.sections
+
+    def mutant(sheaf, open_set):
+        space = compute(sheaf, open_set)
+        if space.dim:
+            basis = space.basis.copy()
+            basis[0, np.flatnonzero(basis[0])[-1]] *= 2
+            space = consheaf.SectionSpace(space.field, space.layout, space.offsets, basis)
+        return space
+
+    monkeypatch.setattr(consheaf, "sections", mutant)
+    report = selftest.criterion_8(0)
+    assert report["passed"] is False
+    assert report["details"]["failures"]
+    assert all(len(f) == 3 and f[2] == "restriction of a section is not a section"
+               for f in report["details"]["failures"])
 
 
 def row_gluing_failures(n):
@@ -343,9 +371,10 @@ def test_free_columns_read_one_column_on_are_caught(monkeypatch):
     """Each restriction's coordinates read from the column after each free
     column of the smaller up-set (column T, which is zero, after the
     last).  On a valid sheaf over Par(1) the coordinates then rebuild no
-    section, and the row gluing raises."""
-    source_mutant(monkeypatch, consheaf, "_glue_row",
-                  ("free[s][:, None, :]", "np.minimum(free[s] + 1, basis.shape[2] - 1)[:, None, :]"))
+    section, and the section table's build raises."""
+    source_mutant(monkeypatch, consheaf.SectionTable, "restrictions",
+                  ("self.free[small][:, None, :]",
+                   "np.minimum(self.free[small] + 1, self.basis.shape[2] - 1)[:, None, :]"))
     with pytest.raises(NotFunctorial):
         row_gluing_failures(1)
 
@@ -406,11 +435,10 @@ def test_stacked_elimination_without_its_row_swap_is_caught(monkeypatch):
     assert field.stacked_rank(stack).tolist() != [len(oracle_rref_mod(stack[0].tolist(), 101)[1])]
 
 
-# The five restrictions of each arithmetic pair gathered as twice their
-# coordinates, after they were checked to be sections: every shape,
+# The five restrictions of each arithmetic pair read as twice the
+# coordinates gathered from the verified section table: every shape,
 # dimension and rank stays right over F_5.
-DOUBLED_GATHER = ("coords[index.reshape(5, -1)[:, arithmetic]]",
-                  "fld.reduce(2 * coords[index.reshape(5, -1)[:, arithmetic]])")
+DOUBLED_GATHER = ("np.split(gathered, 5)", "np.split(fld.reduce(2 * gathered), 5)")
 
 
 def rows_flag_restrictions_alone():

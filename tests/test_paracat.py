@@ -19,7 +19,6 @@ from paracyclic.paracat import (
     composition_table,
     cyc_canonicalize,
     dualize_map,
-    embed_simplex,
     enumerate_hom,
     hom_count,
     shift_action,
@@ -503,22 +502,3 @@ class TestDualize:
         for f in all_maps(1, 1):
             assert dualize_map(shift_action(f, 2)) == shift_action(dualize_map(f), -2)
 
-
-class TestEmbedSimplex:
-    def test_identity(self):
-        assert embed_simplex([0, 1, 2], 2) == Parasimplex(2).identity()
-
-    def test_face(self):
-        f = embed_simplex([1], 1)
-        assert classify(f) == "injective"
-        assert f.values == (1,)
-
-    def test_functorial(self):
-        g = [0, 2]      # [1] -> [2]
-        h = [0, 0, 1]   # [2] -> [2]
-        composite = [h[v] for v in g]
-        assert compose(embed_simplex(h, 2), embed_simplex(g, 2)) == embed_simplex(composite, 2)
-
-    def test_rejects_non_monotone(self):
-        with pytest.raises(NotMonotone):
-            embed_simplex([1, 0], 1)

@@ -60,3 +60,23 @@ def test_gluing_rows_reaches_the_traced_sections():
         assert tracer.stats["consheaf.sections"][0] == len(consheaf.enumerate_upsets(sheaf.base)) == 19
     finally:
         tracer.uninstall()
+
+
+def test_first_gluing_check_reaches_the_traced_sections_once_per_up_set():
+    """The first ``gluing_check`` on a sheaf builds its section table through
+    the traced ``consheaf.sections``, inside the traced ``gluing_check``:
+    167 calls over Par(3), one per up-set, each counted as a miss of the
+    ``consheaf.section_cache.hit_ratio`` metric.  Later checks of the same
+    sheaf reach ``sections`` 0 times."""
+    sheaf = consheaf.random_sheaf(random.Random(5), Parasimplex(3), PrimeField(101))
+    upsets = consheaf.enumerate_upsets(sheaf.base)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        consheaf.gluing_check(sheaf, upsets[10], upsets[20])
+        assert tracer.stats["consheaf.sections"][0] == tracer.cache_misses == len(upsets) == 167
+        for u1, u2 in zip(upsets[::7], upsets[::-5]):
+            consheaf.gluing_check(sheaf, u1, u2)
+        assert tracer.stats["consheaf.sections"][0] == tracer.cache_misses == 167
+    finally:
+        tracer.uninstall()
