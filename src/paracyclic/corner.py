@@ -86,8 +86,8 @@ def alpha_eval(point: CornerPoint, i, j) -> ExtReal:
     inside one class) the value is the negated finite sum.
     """
     base = point.base
-    ti = base.period * i[0] + i[1] if not isinstance(i, int) else i
-    tj = base.period * j[0] + j[1] if not isinstance(j, int) else j
+    ti = i if isinstance(i, int) else base.abs_of(i)
+    tj = j if isinstance(j, int) else base.abs_of(j)
     if not base.leq(ti, tj):
         raise NotAnArrow("alpha is defined only on pairs i <= j")
     if ti <= tj:
@@ -233,7 +233,7 @@ def section_point(point: CornerPoint, i0) -> FiberPoint:
     right of it, truncated to the finite window around i0.
     """
     base = point.base
-    t0 = base.period * i0[0] + i0[1] if not isinstance(i0, int) else i0
+    t0 = i0 if isinstance(i0, int) else base.abs_of(i0)
     lo = t0
     while not point.gap(lo - 1).is_pos_inf:
         lo -= 1

@@ -207,7 +207,8 @@ class ParaMap:
                     shift: int = 0) -> "ParaMap":
         """Build from any one-period value list, normalizing to canonical form."""
         period = tgt.period
-        lead = raw_values[0] // period
+        # an empty list is left to the constructor's length check
+        lead = raw_values[0] // period if raw_values else 0
         return cls(src, tgt, tuple(v - lead * period for v in raw_values), shift + lead)
 
     @property

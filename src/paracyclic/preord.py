@@ -3,8 +3,10 @@
 The preorders themselves, and the one map type ``ParaMap``, live in
 ``paracat`` (``ParaPreorder`` is imported back here).  A morphism of
 paracyclic preorders is a ``ParaMap`` that is essentially surjective: it
-hits every class of the target.  ``is_valid_morphism`` checks that, and
-``enumerate_preord_maps`` lists the canonical morphisms through it.
+hits every class of the target, which ``is_valid_morphism`` checks.  On
+classes it is a surjection of the paracyclic category, so
+``enumerate_preord_maps`` lists the morphisms from the surjections of
+``paracat.enumerate_hom``.
 
 A convex shift-equivariant equivalence relation containing the class
 relation is stored by its set of surviving class boundaries (``gaps``):
@@ -19,18 +21,14 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import prod
 from typing import List, Sequence, Tuple
 
-from .errors import (
-    BaseMismatch,
-    MalformedInput,
-    NotEssentiallySurjective,
-    NotMonotone,
-    ResourceBound,
-)
-from .paracat import ParaMap, ParaPreorder, Parasimplex, compose
+from .errors import BaseMismatch, MalformedInput, NotEssentiallySurjective, ResourceBound
+from .paracat import ParaMap, ParaPreorder, Parasimplex, compose, enumerate_hom
 
-# Beyond this many canonical morphisms enumerate_preord_maps raises ResourceBound.
+# Beyond this many canonical morphisms enumerate_preord_maps raises
+# ResourceBound before any map is built.
 PREORD_MAP_CAP = 10**5
 
 # Beyond this many classes enumerate_conv raises ResourceBound before any
@@ -174,32 +172,29 @@ def pullback_relation(r: ParaMap, rel: ConvexRelation) -> ConvexRelation:
 
 @functools.cache
 def enumerate_preord_maps(src: ParaPreorder, tgt: ParaPreorder) -> Tuple[ParaMap, ...]:
-    """Canonical representatives of all morphisms src -> tgt; memoized.
+    """Canonical representatives of all morphisms src -> tgt, sorted by
+    values; memoized.
 
-    The full hom-set is this tuple times the shift action (postcomposition
-    with powers of the shift).
+    A morphism is a surjection c : Par(k) -> Par(k') of ``enumerate_hom``
+    on classes, with each element of source class j sent to some element of
+    target class c(j).  The full hom-set is this tuple times the shift
+    action (postcomposition with powers of the shift).  More than
+    ``PREORD_MAP_CAP`` morphisms raise ResourceBound before any is built.
     """
-    found: List[ParaMap] = []
-
-    def extend(prefix: Tuple[int, ...]):
-        if len(found) > PREORD_MAP_CAP:
-            raise ResourceBound(f"morphism enumeration exceeded cap {PREORD_MAP_CAP}")
-        if len(prefix) == src.period:
-            try:
-                found.append(is_valid_morphism(src, tgt, prefix))
-            except (NotMonotone, NotEssentiallySurjective):
-                pass
-            return
-        if not prefix:
-            for v in range(tgt.period):
-                extend((v,))
-            return
-        # the wrap bound is a preorder bound: inside the wrapping class the
-        # absolute code may exceed values[0] + period, so scan generously
-        # and let the constructor reject overshoots
-        for v in range(prefix[-1] - tgt.period, prefix[0] + 2 * tgt.period):
-            if tgt.leq(prefix[-1], v) and tgt.leq(v, prefix[0] + tgt.period):
-                extend(prefix + (v,))
-
-    extend(())
-    return tuple(found)
+    period, width = tgt.period, tgt.num_classes
+    starts = (0, *itertools.accumulate(tgt.sizes[:-1]))
+    choices = []
+    for c in enumerate_hom(src.k, tgt.k, "surj"):
+        ranges = []
+        for v, size in zip(c.values, src.sizes):
+            # class position v is class v mod (k' + 1) of period v div (k' + 1)
+            lead, cls = divmod(v, width)
+            first = lead * period + starts[cls]
+            ranges += [range(first, first + tgt.sizes[cls])] * size
+        choices.append(ranges)
+    count = sum(prod(map(len, ranges)) for ranges in choices)
+    if count > PREORD_MAP_CAP:
+        raise ResourceBound(f"{count} morphisms exceed the cap of {PREORD_MAP_CAP}")
+    maps = [is_valid_morphism(src, tgt, values)
+            for ranges in choices for values in itertools.product(*ranges)]
+    return tuple(sorted(maps, key=lambda f: f.values))

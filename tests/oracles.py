@@ -353,6 +353,38 @@ def oracle_preord_map_values(src_sizes: tuple[int, ...], tgt_sizes: tuple[int, .
     return out
 
 
+def oracle_preord_maps_by_search(src, tgt) -> list:
+    """Every canonical morphism src -> tgt of the ``ParaPreorder``s, in
+    order of values, by a recursive search over value prefixes that never
+    reads ``enumerate_hom``: the first value runs over period zero, each
+    next one from one target period below the last to two above the first,
+    kept while the preorder allows it, and every full tuple goes through
+    the library's ``is_valid_morphism``, which rejects overshoots past the
+    wrap and maps that miss a class."""
+    from paracyclic.errors import NotEssentiallySurjective, NotMonotone
+    from paracyclic.preord import is_valid_morphism
+
+    found = []
+
+    def extend(prefix):
+        if len(prefix) == src.period:
+            try:
+                found.append(is_valid_morphism(src, tgt, prefix))
+            except (NotMonotone, NotEssentiallySurjective):
+                pass
+            return
+        if not prefix:
+            candidates = range(tgt.period)
+        else:
+            candidates = [v for v in range(prefix[-1] - tgt.period, prefix[0] + 2 * tgt.period)
+                          if tgt.leq(prefix[-1], v) and tgt.leq(v, prefix[0] + tgt.period)]
+        for v in candidates:
+            extend(prefix + (v,))
+
+    extend(())
+    return found
+
+
 def oracle_related(sizes: tuple[int, ...], gaps, i: int, j: int) -> bool:
     """Whether elements i and j are merged by the convex relation whose
     surviving boundaries are ``gaps`` over the preorder with class sizes

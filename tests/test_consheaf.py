@@ -46,12 +46,13 @@ from paracyclic.preord import (
 from oracles import (
     oracle_kernel_basis,
     oracle_kernel_dim_by_enumeration,
+    oracle_preord_maps_by_search,
     oracle_rref_fraction,
     oracle_rref_mod,
     oracle_strata,
     oracle_upsets_by_mask,
 )
-from test_preord import all_preord_maps, small_preorders
+from test_preord import small_preorders
 
 F5 = PrimeField(5)
 F101 = PrimeField(101)
@@ -524,7 +525,7 @@ class TestPullbackSheaf:
             assert F5.equal(pulled.maps[edge], sheaf.maps[edge])
 
     def test_constant_stays_constant(self):
-        for f in all_preord_maps(PAR2, PAR1):
+        for f in oracle_preord_maps_by_search(PAR2, PAR1):
             pulled = pullback_sheaf(f, constant_sheaf(PAR2, F5, 2))
             assert set(pulled.dims.values()) == {2}
 
@@ -534,7 +535,7 @@ class TestPullbackSheaf:
         rng = random.Random(37)
         for src in small_preorders():
             for tgt in small_preorders():
-                for f in all_preord_maps(src, tgt)[:2]:
+                for f in oracle_preord_maps_by_search(src, tgt)[:2]:
                     sheaf = random_sheaf(rng, src, F5, max_intervals=2)
                     pulled = pullback_sheaf(f, sheaf)
                     for rel in enumerate_conv(tgt):
@@ -544,7 +545,7 @@ class TestPullbackSheaf:
 
     def test_preserves_validity(self):
         rng = random.Random(41)
-        for f in all_preord_maps(PAR2, PAR1)[:4]:
+        for f in oracle_preord_maps_by_search(PAR2, PAR1)[:4]:
             sheaf = random_sheaf(rng, PAR2, F5)
             pulled = pullback_sheaf(f, sheaf)
             validate_sheaf(pulled.base, pulled.field, pulled.dims, pulled.maps)

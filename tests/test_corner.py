@@ -19,6 +19,7 @@ from paracyclic.corner import (
 from paracyclic.errors import (
     BaseMismatch,
     InfiniteGapInsideClass,
+    MalformedInput,
     NoInfinityGap,
     NotAnArrow,
     UndefinedAtFixedDiagonal,
@@ -31,7 +32,8 @@ from paracyclic.preord import (
     pullback_relation,
 )
 
-from test_preord import all_preord_maps, small_preorders
+from oracles import oracle_preord_maps_by_search
+from test_preord import small_preorders
 
 PAR1 = ParaPreorder((1, 1))
 PAR2 = ParaPreorder((1, 1, 1))
@@ -94,6 +96,14 @@ class TestAlphaEval:
         with pytest.raises(NotAnArrow):
             alpha_eval(point, (0, 1), (0, 0))
 
+    @pytest.mark.parametrize("slot", [-1, 2, 5])
+    def test_slots_outside_the_period_are_refused(self, slot):
+        point = pt((1, 1), ["3/1", "inf"])
+        with pytest.raises(MalformedInput):
+            alpha_eval(point, (0, 0), (0, slot))
+        with pytest.raises(MalformedInput):
+            alpha_eval(point, (0, slot), (1, 1))
+
     def test_cocycle_identity(self):
         point = pt((2, 1), ["1/2", "3/1", "inf"])
         for i, j, k in itertools.combinations(range(-2, 6), 3):
@@ -133,7 +143,7 @@ class TestPullbackPoint:
     def test_merge_map_pullback_gaps(self):
         point = pt((1, 1), ["3/1", "inf"])
         maps = [
-            r for r in all_preord_maps(PAR2, PAR1)
+            r for r in oracle_preord_maps_by_search(PAR2, PAR1)
             if r.values == (0, 0, 1)
         ]
         assert len(maps) == 1
@@ -147,8 +157,8 @@ class TestPullbackPoint:
 
     def test_contravariant_functorial(self):
         for a, b, c in itertools.product(small_preorders(), repeat=3):
-            for f in all_preord_maps(a, b)[:3]:
-                for g in all_preord_maps(b, c)[:3]:
+            for f in oracle_preord_maps_by_search(a, b)[:3]:
+                for g in oracle_preord_maps_by_search(b, c)[:3]:
                     for rel in enumerate_conv(c):
                         point = witness_point(rel)
                         via = pullback_point(f, pullback_point(g, point))
@@ -157,7 +167,7 @@ class TestPullbackPoint:
 
     def test_commutes_with_stratum(self):
         for a, b in itertools.product(small_preorders(), repeat=2):
-            for f in all_preord_maps(a, b):
+            for f in oracle_preord_maps_by_search(a, b):
                 for rel in enumerate_conv(b):
                     point = witness_point(rel)
                     assert stratum_of(pullback_point(f, point)) == pullback_relation(
@@ -182,7 +192,7 @@ class TestFiberInvariants:
 
     def test_invariant_under_periodwise_bijection(self):
         point = pt((1, 1), ["3/1", "inf"])
-        for r in all_preord_maps(PAR1, PAR1):
+        for r in oracle_preord_maps_by_search(PAR1, PAR1):
             if len(set(v % 2 for v in r.values)) == 2:
                 assert fiber_invariants(pullback_point(r, point)) == fiber_invariants(point)
 
@@ -195,6 +205,11 @@ class TestSectionPoint:
         assert beta.coordinate(0) == ExtReal(3)     # element e_0
         assert beta.coordinate(2) == NEG_INF        # e_0 + 1, right of the window
         assert beta.coordinate(-1) == POS_INF       # left of the period's infinite gap
+
+    @pytest.mark.parametrize("slot", [-1, 2, 7])
+    def test_slots_outside_the_period_are_refused(self, slot):
+        with pytest.raises(MalformedInput):
+            section_point(pt((1, 1), ["3/1", "inf"]), (0, slot))
 
     def test_zero_at_base_point(self):
         for base in small_preorders():

@@ -35,7 +35,13 @@ from paracyclic.equivalence import (
     recover_rep,
     validate_rep,
 )
-from paracyclic.errors import MalformedInput, NotAComplex, NotFunctorial, NotMonotone
+from paracyclic.errors import (
+    MalformedInput,
+    NotAComplex,
+    NotEssentiallySurjective,
+    NotFunctorial,
+    NotMonotone,
+)
 from paracyclic.paracat import ParaMap, Parasimplex
 from paracyclic.preord import (
     ConvexRelation,
@@ -56,6 +62,7 @@ from oracles import (
     oracle_upsets_by_mask,
 )
 import test_consheaf
+import test_preord
 from test_consheaf import mask_mismatches, nonzero_sheaf, section_mismatches, strata_mismatches
 from test_paracat import code_collisions
 from test_preord import relation_oracle_mismatches
@@ -248,16 +255,30 @@ def test_quotient_classes_read_on_the_source_are_caught(monkeypatch):
         check_localization_adjunction(2, "para")
 
 
+def preord_maps_mutant(monkeypatch, *edits):
+    """``enumerate_preord_maps`` rebuilt by ``source_mutant`` with ``edits``
+    and bound in ``preord``, ``equivalence``, ``selftest`` and
+    ``test_preord``; the rebuilt function has a memo of its own."""
+    namespace = source_mutant(monkeypatch, preord, "enumerate_preord_maps", *edits)
+    for module in (equivalence, selftest, test_preord):
+        monkeypatch.setattr(module, "enumerate_preord_maps", namespace["enumerate_preord_maps"])
+
+
+ALL_CLASS_MAPS = ('enumerate_hom(src.k, tgt.k, "surj")', 'enumerate_hom(src.k, tgt.k, "all")')
+
+
 def test_morphisms_that_miss_a_class_are_caught(monkeypatch):
-    """is_valid_morphism without its essential surjectivity: every ParaMap
+    """The enumeration reading every class map of ``enumerate_hom``, with
+    ``is_valid_morphism`` without its essential surjectivity: every ParaMap
     between preorders counts as a morphism.  Between parasimplices the
     enumerated morphisms are then all maps, not just the surjections, and
     the full-faithfulness comparison of the adjunction check goes red.  The
     memos built on the enumeration are emptied before and after."""
     memos = (preord.enumerate_preord_maps, equivalence.build_conv_tilde)
-    monkeypatch.setattr(preord, "is_valid_morphism", ParaMap.from_values)
     for memo in memos:
         memo.cache_clear()
+    monkeypatch.setattr(preord, "is_valid_morphism", ParaMap.from_values)
+    preord_maps_mutant(monkeypatch, ALL_CLASS_MAPS)
     try:
         report = check_localization_adjunction(2, "para")
     finally:
@@ -265,6 +286,26 @@ def test_morphisms_that_miss_a_class_are_caught(monkeypatch):
         for memo in memos:
             memo.cache_clear()
     assert "not-fully-faithful" in failure_kinds(report)
+
+
+def test_class_maps_that_are_not_surjections_are_refused(monkeypatch):
+    """The enumeration reading every class map of ``enumerate_hom``:
+    ``is_valid_morphism`` refuses the first one that misses a class."""
+    preord_maps_mutant(monkeypatch, ALL_CLASS_MAPS)
+    with pytest.raises(NotEssentiallySurjective):
+        preord.enumerate_preord_maps(Parasimplex(1), Parasimplex(1))
+
+
+def test_maps_left_in_class_map_order_are_caught(monkeypatch):
+    """The enumeration without its final sort lists the maps of each class
+    surjection together, which is not the order of values once the first
+    element can reach more than one element of its class: 61 of the 225
+    pairs of period <= 4 come out reordered, caught by the ordered
+    comparison with the search."""
+    preord_maps_mutant(monkeypatch, ("return tuple(sorted(maps, key=lambda f: f.values))",
+                                     "return tuple(maps)"))
+    with pytest.raises(AssertionError):
+        test_preord.TestValidationByKind().test_enumeration_matches_the_search_in_order()
 
 
 def test_torn_classes_are_caught(monkeypatch):

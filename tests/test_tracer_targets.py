@@ -15,9 +15,9 @@ sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
 
 import paracyclic.cli  # noqa: E402,F401  loads every module the tracer patches, as run.py does
 import tracing  # noqa: E402
-from paracyclic import consheaf  # noqa: E402
+from paracyclic import consheaf, preord  # noqa: E402
 from paracyclic._linalg import QQ, Field, PrimeField, Rationals  # noqa: E402
-from paracyclic.paracat import Parasimplex  # noqa: E402
+from paracyclic.paracat import ParaPreorder, Parasimplex  # noqa: E402
 
 
 def bindings() -> dict:
@@ -80,3 +80,24 @@ def test_first_gluing_check_reaches_the_traced_sections_once_per_up_set():
         assert tracer.stats["consheaf.sections"][0] == tracer.cache_misses == 167
     finally:
         tracer.uninstall()
+
+
+def test_preord_maps_count_their_maps_and_reach_the_traced_hom_sets():
+    """One ``enumerate_preord_maps`` call on an emptied memo counts one call
+    and its tuple's length in ``preord.enumerate_preord_maps.maps``, and
+    reads its class surjections through the traced ``paracat.enumerate_hom``."""
+    before = bindings()
+    preord.enumerate_preord_maps.cache_clear()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        maps = preord.enumerate_preord_maps(ParaPreorder((2, 1)), ParaPreorder((1, 2)))
+        assert tracer.stats["preord.enumerate_preord_maps"][0] == 1
+        assert tracer.counts["preord.enumerate_preord_maps.maps"] == len(maps) > 0
+        assert tracer.stats["paracat.enumerate_hom"][0] == 1
+    finally:
+        tracer.uninstall()
+        preord.enumerate_preord_maps.cache_clear()
+    after = bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
