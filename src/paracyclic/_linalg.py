@@ -63,7 +63,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ResourceBound
+from .errors import MalformedInput, ResourceBound
 
 # Products with at least this many multiplications (m * k * n) go through
 # float64 BLAS.  Below it the int64 product is kept, which is faster on the
@@ -139,9 +139,10 @@ class Field:
         return out
 
     def mat_from_json(self, data: Sequence[Sequence], shape: Tuple[int, int]) -> np.ndarray:
-        if not data or not data[0]:
-            return self.zeros(*shape)
-        return self.matrix(data)
+        """``shape[0]`` rows of ``shape[1]`` entries, as ``mat_to_json`` writes them."""
+        if len(data) != shape[0] or any(len(row) != shape[1] for row in data):
+            raise MalformedInput(f"expected a {shape[0]} x {shape[1]} matrix")
+        return self.matrix(data) if data else self.zeros(*shape)
 
     def neg(self, a: np.ndarray) -> np.ndarray:
         return self.reduce(-a)

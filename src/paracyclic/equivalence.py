@@ -106,7 +106,9 @@ class ParaRep:
         m, n = f.m, f.n
         if m > self.N or n > self.N:
             raise TruncationExceeded(f"map {m}->{n} outside truncation {self.N}")
-        base = self.gen[(m, n)][f.values]
+        base = self.gen.get((m, n), {}).get(f.values)
+        if base is None:
+            raise IncompleteSystem(f"no matrix for the map {m}->{n} with values {f.values}")
         if f.shift == 0:
             return base
         return self.field.matmul(self.shift_power(n, f.shift), base)

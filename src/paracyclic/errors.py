@@ -79,7 +79,7 @@ class TruncationExceeded(PackageError):
 
 
 class IncompleteSystem(PackageError):
-    """A compatible sheaf system missing data needed for recovery."""
+    """A sheaf system, or a representation, missing data that is needed."""
 
 
 # -- filtered complexes ------------------------------------------------------

@@ -19,7 +19,8 @@ parasimplices these are the morphisms of the paracyclic category, and
 erasing the power of the shift gives the cyclic category, whose morphisms
 ``CycMap`` are the shift orbits.  The morphisms of paracyclic preorders are
 the ParaMaps that are also essentially surjective, which
-``preord.is_valid_morphism`` checks.
+``preord.is_valid_morphism`` checks.  ``enumerate_hom`` lists the canonical
+maps of one kind exactly, by that kind's rule on the steps between values.
 
 The duality ``dualize_map`` sends f to f^v(x') = max { x | f(x) <= x' },
 which exchanges injections and surjections and retracts injections.  Its
@@ -104,11 +105,6 @@ class ParaPreorder:
     @property
     def k(self) -> int:
         return len(self.sizes) - 1
-
-    def class_of_slot(self, slot: int) -> int:
-        if not 0 <= slot < self.period:
-            raise ValueError(f"slot {slot} out of range")
-        return self._class_of[slot]
 
     def class_position(self, abs_index: int) -> int:
         """Absolute class index period * (k+1) + class of the element."""
@@ -308,12 +304,9 @@ def classify(f: ParaMap) -> str:
 
 
 def hom_count(m: int, n: int, kind: Kind = "all") -> int:
-    """Closed-form size of the cyclic hom-set (canonical representatives).
-
-    Injections and surjections swap under the duality, so their counts are
-    mirror images of one another; all three forms are cross-checked against
-    the enumerator in the tests.
-    """
+    """Closed-form count of the canonical representatives of one kind, the
+    cap of ``enumerate_hom``; injections and surjections swap under the
+    duality, so their counts mirror one another."""
     if kind == "all":
         return (m + 1) * comb(m + n + 1, m + 1)
     if kind == "inj":
@@ -326,35 +319,34 @@ def hom_count(m: int, n: int, kind: Kind = "all") -> int:
 @functools.cache
 def enumerate_hom(m: int, n: int, kind: Kind = "all",
                   cap: int = DEFAULT_HOM_CAP) -> Tuple[CycMap, ...]:
-    """Duplicate-free canonical representatives of Hom(Par(m), Par(n)) /
-    shift, capped by the size of the whole hom-set; memoized.
+    """The canonical representatives of Hom(Par(m), Par(n)) / shift of one
+    kind, ascending by value tuple; memoized; refused before any is built
+    when their count ``hom_count(m, n, kind)`` passes ``cap``.
 
-    The full paracyclic hom-set is this tuple times the shift action.
+    A map is its lead v_0 in [0, n] and its m + 1 steps v_1 - v_0, ...,
+    v_0 + n + 1 - v_m, summing to n + 1: any steps for all maps, steps >= 1
+    for injections, steps in {0, 1} for surjections.
     """
     if m < 0 or n < 0:
         raise ValueError("objects need m, n >= 0")
     if kind not in get_args(Kind):
         raise ValueError(f"unknown kind {kind!r}")
-    bound = hom_count(m, n)
+    bound = hom_count(m, n, kind)
     if bound > cap:
-        raise ResourceBound(f"hom-set has {bound} representatives, cap is {cap}")
-    tgt_period = n + 1
+        raise ResourceBound(f"hom-set has {bound} {kind} representatives, cap is {cap}")
+    if kind == "surj":
+        # v_1 - v_0, ..., v_m - v_0 per choice of unit steps; reversed, they ascend
+        rises = [tuple(itertools.accumulate(k in ones for k in range(m)))
+                 for ones in reversed(list(itertools.combinations(range(m + 1), n + 1)))]
     out = []
-    for lead in range(tgt_period):
-        # remaining values live in the closed interval [lead, lead + period]
-        window = range(lead, lead + tgt_period + 1)
-        if kind == "inj":
-            tail_pool = range(lead + 1, lead + tgt_period)
-            out.extend(CycMap(m, n, (lead,) + tail)
-                       for tail in itertools.combinations(tail_pool, m))
-            continue
-        for tail in itertools.combinations_with_replacement(window, m):
-            if tail and tail[0] < lead:
-                continue
-            values = (lead,) + tail
-            if kind == "surj" and {v % tgt_period for v in values} != set(range(tgt_period)):
-                continue
-            out.append(CycMap(m, n, values))
+    for lead in range(n + 1):
+        if kind == "all":
+            tails = itertools.combinations_with_replacement(range(lead, lead + n + 2), m)
+        elif kind == "inj":
+            tails = itertools.combinations(range(lead + 1, lead + n + 1), m)
+        else:
+            tails = (tuple(lead + r for r in rise) for rise in rises)
+        out.extend(CycMap(m, n, (lead,) + tail) for tail in tails)
     return tuple(out)
 
 

@@ -29,7 +29,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from ._linalg import Field, Rationals, field_from_token
-from .errors import IndexOutOfRange, NotAComplex, ResourceBound
+from .errors import IndexOutOfRange, MalformedInput, NotAComplex, ResourceBound
 
 Dims = Tuple[int, int]
 
@@ -253,15 +253,14 @@ class FilteredObject:
     def from_json(cls, data: dict) -> "FilteredObject":
         fld = field_from_token(data["field"])
         objects = tuple(TwoPeriodicComplex.from_json(x) for x in data["objects"])
-        maps = []
-        for i, entry in enumerate(data["maps"]):
-            src, tgt = objects[i], objects[i + 1]
-            maps.append(ComplexMap(
-                src, tgt,
-                fld.mat_from_json(entry["f0"], (tgt.dims[0], src.dims[0])),
-                fld.mat_from_json(entry["f1"], (tgt.dims[1], src.dims[1])),
-            ))
-        return cls(fld, objects, tuple(maps))
+        if len(data["maps"]) != max(len(objects) - 1, 0):
+            raise MalformedInput(f"{len(objects)} objects and {len(data['maps'])} maps")
+        maps = tuple(
+            ComplexMap(src, tgt,
+                       fld.mat_from_json(entry["f0"], (tgt.dims[0], src.dims[0])),
+                       fld.mat_from_json(entry["f1"], (tgt.dims[1], src.dims[1])))
+            for entry, src, tgt in zip(data["maps"], objects, objects[1:]))
+        return cls(fld, objects, maps)
 
 
 def _quotients_by_first(

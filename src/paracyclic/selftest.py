@@ -47,7 +47,7 @@ from .equivalence import (
     rep_mismatches,
     validate_rep,
 )
-from .errors import NotFunctorial
+from .errors import NotFunctorial, PackageError
 from .extreal import ExtReal, POS_INF
 from .paracat import (
     ParaMap,
@@ -413,7 +413,8 @@ def criterion_6(seed: int = 0) -> dict:
 
 
 def criterion_7(seed: int = 0) -> dict:
-    """Round trip of representations through sheaf systems, N = 3, F_101."""
+    """Round trip of representations through sheaf systems, N = 3, F_101; a
+    trial's domain error is its failure (kind, trial, message)."""
     rng = random.Random(seed)
     field = PrimeField(101)
     failures = []
@@ -423,24 +424,26 @@ def criterion_7(seed: int = 0) -> dict:
     for kind in ("para", "cyc"):
         for trial in range(20):
             rep = random_rep(rng, field, 3, cyclic=(kind == "cyc"))
-            system = realize_system(rep)
-            recovered = recover_rep(system, 3)
-            mismatches = rep_mismatches(rep, recovered)
-            failures += [(kind, trial, *m) for m in mismatches]
-            if ("dims",) in mismatches:
-                continue
-            if not validate_rep(recovered)["passed"]:
-                failures.append((kind, trial, "recovered-invalid"))
-            if kind == "cyc" and not recovered.is_cyclic:
-                failures.append((kind, trial, "not-cyclic"))
-            # stalks of realized sheaves match the representation values
-            if trial < 3:
-                for base in stalk_bases:
-                    sheaf = realize_sheaf(rep, base)
-                    for rel in enumerate_conv(base):
-                        expected = rep.dims[len(rel.gaps) - 1]
-                        if stalk(sheaf, rel).dim != expected:
-                            failures.append((kind, trial, "stalk", base.sizes))
+            try:
+                recovered = recover_rep(realize_system(rep), 3)
+                mismatches = rep_mismatches(rep, recovered)
+                failures += [(kind, trial, *m) for m in mismatches]
+                if ("dims",) in mismatches:
+                    continue
+                if not validate_rep(recovered)["passed"]:
+                    failures.append((kind, trial, "recovered-invalid"))
+                if kind == "cyc" and not recovered.is_cyclic:
+                    failures.append((kind, trial, "not-cyclic"))
+                # stalks of realized sheaves match the representation values
+                if trial < 3:
+                    for base in stalk_bases:
+                        sheaf = realize_sheaf(rep, base)
+                        for rel in enumerate_conv(base):
+                            expected = rep.dims[len(rel.gaps) - 1]
+                            if stalk(sheaf, rel).dim != expected:
+                                failures.append((kind, trial, "stalk", base.sizes))
+            except PackageError as exc:
+                failures.append((kind, trial, str(exc)))
     return {
         "id": 7,
         "title": "representation round trip and stalks",

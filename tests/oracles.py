@@ -26,9 +26,12 @@ def oracle_hom_values(m: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def oracle_hom_count(m: int, n: int, kind: str = "all") -> int:
+def oracle_hom_values_of_kind(m: int, n: int, kind: str = "all") -> list[tuple[int, ...]]:
+    """``oracle_hom_values`` of the given kind, in their (ascending) order:
+    injections are strictly increasing and end below the first value plus
+    the period, surjections meet every residue modulo the period."""
     period = n + 1
-    count = 0
+    out = []
     for values in oracle_hom_values(m, n):
         strict = all(values[a] < values[a + 1] for a in range(m)) and (
             values[-1] < values[0] + period
@@ -38,8 +41,12 @@ def oracle_hom_count(m: int, n: int, kind: str = "all") -> int:
             continue
         if kind == "surj" and not onto:
             continue
-        count += 1
-    return count
+        out.append(values)
+    return out
+
+
+def oracle_hom_count(m: int, n: int, kind: str = "all") -> int:
+    return len(oracle_hom_values_of_kind(m, n, kind))
 
 
 def eval_raw(values: tuple[int, ...], shift: int, m: int, n: int, x: int) -> int:
@@ -78,15 +85,10 @@ def oracle_composition_violations(rep) -> list:
     ``oracle_hom_values`` filtered by the definition; products are the
     field's own."""
     fld = rep.field
-
-    def surjections(m, n):
-        return [v for v in oracle_hom_values(m, n)
-                if {x % (n + 1) for x in v} == set(range(n + 1))]
-
     violations = []
     for m, n, p in itertools.product(range(rep.N + 1), repeat=3):
-        for g in surjections(n, p):
-            for f in surjections(m, n):
+        for g in oracle_hom_values_of_kind(n, p, "surj"):
+            for f in oracle_hom_values_of_kind(m, n, "surj"):
                 h, lead = oracle_compose_values(g, 0, f, 0, m, n, p)
                 rhs = rep.gen[(m, p)][h]
                 for _ in range(lead):
@@ -395,15 +397,13 @@ def oracle_related(sizes: tuple[int, ...], gaps, i: int, j: int) -> bool:
 
 
 def class_oracle_mismatches(bases) -> list:
-    """Where ``class_of_slot``, ``class_position``, ``leq`` and ``equivalent``
-    of each preorder disagree with ``oracle_class_position``, on absolute
-    indices spanning three periods from minus one period."""
+    """Where ``class_position``, ``leq`` and ``equivalent`` of each preorder
+    disagree with ``oracle_class_position``, on absolute indices spanning
+    three periods from minus one period."""
     out = []
     for base in bases:
         window = range(-base.period, 2 * base.period)
         oracle = {x: oracle_class_position(base.sizes, x) for x in window}
-        out += [(base.sizes, "class_of_slot", s) for s in range(base.period)
-                if base.class_of_slot(s) != oracle[s]]
         out += [(base.sizes, "class_position", x) for x in window
                 if base.class_position(x) != oracle[x]]
         for x, y in itertools.product(window, repeat=2):

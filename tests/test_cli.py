@@ -42,6 +42,15 @@ class TestHomCount:
         )
         assert code == 1 and data["error"]["type"] == "ResourceBound"
 
+    def test_surjections_capped_on_their_own_count(self, capsys):
+        """Par(12) -> Par(7) has 1,007,760 canonical maps, past the default
+        cap, and 10,296 surjections, under it."""
+        start = time.perf_counter()
+        code, data = run_cli_json(["hom-count", "--m", "12", "--n", "7", "--kind", "surj"],
+                                  capsys)
+        assert code == 0 and data["counts"] == {"surj": 10296}
+        assert time.perf_counter() - start < 10
+
 
 class TestConvAndPoints:
     def test_conv_seven(self, capsys):
@@ -315,6 +324,29 @@ class TestMalformedInput:
         path = tmp_path / "sheaf.json"
         path.write_text(json.dumps(sheaf.to_json()))
         code, data = run_cli_json(["sections", "--in", str(path), "--upset", "5"], capsys)
+        assert code == 1 and data["error"]["type"] == "MalformedInput"
+
+    @pytest.mark.parametrize("complex_json", [
+        {"dims": [2, 1], "d0": [[1]], "d1": [[0]]},
+        {"dims": [2, 2], "d0": [[0, 0], [0, 0, 1]], "d1": [[0, 0], [0, 0]]},
+    ], ids=["shape-of-another-complex", "ragged"])
+    def test_sdot_rotate_differential_of_the_wrong_shape(self, complex_json, tmp_path, capsys):
+        """A differential that is not a dims[1] x dims[0] (or dims[0] x
+        dims[1]) matrix, whether it is of another shape or has rows of
+        unequal lengths, is refused as it is read."""
+        path = tmp_path / "filtration.json"
+        path.write_text(json.dumps({"field": "2", "objects": [{"field": "2", **complex_json}],
+                                    "maps": []}))
+        code, data = run_cli_json(["sdot-rotate", "--in", str(path)], capsys)
+        assert code == 1 and data["error"]["type"] == "MalformedInput"
+
+    def test_sdot_rotate_filtration_with_more_maps_than_steps(self, tmp_path, capsys):
+        """One object and one map: the map has no target to read."""
+        filtration = random_filtration(random.Random(6), PrimeField(2), 2, max_dim=1).to_json()
+        filtration["objects"] = filtration["objects"][:1]
+        path = tmp_path / "filtration.json"
+        path.write_text(json.dumps(filtration))
+        code, data = run_cli_json(["sdot-rotate", "--in", str(path)], capsys)
         assert code == 1 and data["error"]["type"] == "MalformedInput"
 
     @pytest.mark.parametrize("args", [

@@ -31,7 +31,7 @@ from paracyclic.equivalence import (
     validate_system,
 )
 from paracyclic.errors import BaseMismatch, IncompleteSystem, TruncationExceeded
-from paracyclic.paracat import Parasimplex, compose, enumerate_hom, shift_action
+from paracyclic.paracat import ParaMap, Parasimplex, compose, enumerate_hom, shift_action
 from paracyclic.preord import (
     ConvexRelation,
     ParaPreorder,
@@ -276,6 +276,34 @@ class TestSystemAndRoundTrip:
             broken.comparison(r, least)
         with pytest.raises(IncompleteSystem):
             recover_rep(broken, 2)
+
+    def test_map_without_a_matrix_is_incomplete(self):
+        """``evaluate`` on a map that is no surjection, and the realization
+        of a rep with one generator deleted, raise IncompleteSystem naming
+        the hom-set and the values."""
+        rep = random_rep(random.Random(0), F101, 2)
+        with pytest.raises(IncompleteSystem, match=r"0->1 with values \(0,\)"):
+            rep.evaluate(ParaMap(Parasimplex(0), Parasimplex(1), (0,)))
+        gen = {key: table for key, table in rep.gen.items() if key != (0, 0)}
+        with pytest.raises(IncompleteSystem, match=r"0->0 with values \(0,\)"):
+            realize_system(dataclasses.replace(rep, gen=gen))
+
+    def test_criterion_7_reports_a_trial_that_raises(self, monkeypatch):
+        """Reps drawn without their Par(0) -> Par(0) generator: each trial
+        raises IncompleteSystem, reported as the failure (kind, trial,
+        message)."""
+        draw = selftest.random_rep
+
+        def mutant(rng, field, N, cyclic=False):
+            rep = draw(rng, field, N, cyclic=cyclic)
+            return dataclasses.replace(
+                rep, gen={key: table for key, table in rep.gen.items() if key != (0, 0)})
+
+        monkeypatch.setattr(selftest, "random_rep", mutant)
+        report = selftest.criterion_7(0)
+        assert not report["passed"]
+        assert report["details"]["failures"][:2] == [
+            ("para", trial, "no matrix for the map 0->0 with values (0,)") for trial in (0, 1)]
 
     def test_comparisons_are_read_only(self):
         """At N = 2 the comparisons share matrices with one another and with

@@ -62,6 +62,7 @@ from oracles import (
     oracle_upsets_by_mask,
 )
 import test_consheaf
+import test_paracat
 import test_preord
 from test_consheaf import mask_mismatches, nonzero_sheaf, section_mismatches, strata_mismatches
 from test_paracat import code_collisions
@@ -306,6 +307,55 @@ def test_maps_left_in_class_map_order_are_caught(monkeypatch):
                                      "return tuple(maps)"))
     with pytest.raises(AssertionError):
         test_preord.TestValidationByKind().test_enumeration_matches_the_search_in_order()
+
+
+# The memos built on enumerate_hom, emptied around a mutant of it.
+HOM_MEMOS = (paracat.composition_table, equivalence.realization_plan,
+             equivalence.build_conv_tilde, preord.enumerate_preord_maps)
+
+
+@pytest.fixture
+def hom_mutant(monkeypatch):
+    """``paracat.enumerate_hom`` rebuilt by ``source_mutant`` with the given
+    edits and bound wherever it is imported, with a memo of its own.  The
+    memos built on it are emptied before, so that they are built under the
+    mutant, and after, so that none of them is left behind."""
+    def patch(*edits):
+        for memo in HOM_MEMOS:
+            memo.cache_clear()
+        namespace = source_mutant(monkeypatch, paracat, "enumerate_hom", *edits)
+        for module in (equivalence, preord, selftest, test_paracat):
+            monkeypatch.setattr(module, "enumerate_hom", namespace["enumerate_hom"])
+
+    yield patch
+    monkeypatch.undo()
+    for memo in HOM_MEMOS:
+        memo.cache_clear()
+
+
+def test_surjections_left_in_descending_order_are_caught(hom_mutant):
+    """``enumerate_hom`` without the reversal of its choices of unit steps
+    lists the surjections of each lead in descending order.  No criterion
+    reads this order: under this mutant all nine verdicts of ``selftest``
+    stayed as they were.  The ordered comparison with the oracle goes red."""
+    hom_mutant(("reversed(list(itertools.combinations(range(m + 1), n + 1)))",
+                "itertools.combinations(range(m + 1), n + 1)"))
+    with pytest.raises(AssertionError):
+        test_paracat.TestEnumerateHom().test_every_kind_in_the_oracle_order(2, 1)
+
+
+def test_surjections_without_a_unit_wrap_step_are_caught(hom_mutant):
+    """``enumerate_hom`` choosing the unit steps of a surjection among the
+    first m only: every surjection it lists ends on its lead plus the
+    period, so the identities are missing.  Criterion 6 finds them
+    unmarked, and criterion 7's realizations ask for matrices that the
+    drawn reps do not have."""
+    hom_mutant(("combinations(range(m + 1), n + 1)", "combinations(range(m), n + 1)"))
+    details = selftest.criterion_6(0)["details"]
+    assert "identity-not-marked" in {f[0] for report in details.values() for f in report["failures"]}
+    report = selftest.criterion_7(0)
+    assert not report["passed"]
+    assert all("no matrix for the map" in f[2] for f in report["details"]["failures"])
 
 
 def test_torn_classes_are_caught(monkeypatch):

@@ -24,7 +24,13 @@ from paracyclic.paracat import (
     shift_action,
 )
 
-from oracles import is_injective, oracle_compose_values, oracle_hom_count, oracle_hom_values
+from oracles import (
+    is_injective,
+    oracle_compose_values,
+    oracle_hom_count,
+    oracle_hom_values,
+    oracle_hom_values_of_kind,
+)
 
 
 def all_maps(m, n, kind="all"):
@@ -178,6 +184,26 @@ class TestEnumerateHom:
         assert hom_count(m, n, "inj") == oracle_hom_count(m, n, "inj")
         assert hom_count(m, n, "surj") == oracle_hom_count(m, n, "surj")
         assert hom_count(m, n, "all") == oracle_hom_count(m, n, "all")
+
+    @pytest.mark.parametrize("m", range(5))
+    @pytest.mark.parametrize("n", range(5))
+    def test_every_kind_in_the_oracle_order(self, m, n):
+        """Each kind lists exactly the raw-filtered value tuples of its
+        definition, in their ascending order."""
+        for kind in ("all", "inj", "surj"):
+            found = [c.values for c in enumerate_hom(m, n, kind)]
+            assert found == oracle_hom_values_of_kind(m, n, kind), kind
+
+    def test_cap_is_on_the_count_of_the_kind(self, monkeypatch):
+        """Par(5) -> Par(2) has 168 canonical maps and 60 surjections: the
+        surjections are listed under a cap of 60, and refused under 59
+        before any ``CycMap`` is built."""
+        assert len(enumerate_hom(5, 2, "surj", cap=60)) == 60
+        built = []
+        monkeypatch.setattr(paracat, "CycMap", lambda *args: built.append(args))
+        with pytest.raises(ResourceBound, match="has 60 surj"):
+            enumerate_hom(5, 2, "surj", cap=59)
+        assert built == []
 
     @pytest.mark.parametrize("m,n", [(1, 2), (2, 3), (0, 3), (3, 3)])
     def test_inj_surj_duality_of_counts(self, m, n):

@@ -76,7 +76,6 @@ class TestParaPreorder:
     def test_class_structure(self):
         base = ParaPreorder((2, 1))
         assert base.period == 3 and base.k == 1
-        assert [base.class_of_slot(s) for s in range(3)] == [0, 0, 1]
         assert base.leq(0, 1) and base.leq(1, 0)
         assert base.leq(1, 2) and not base.leq(2, 1)
         assert base.leq(2, 3) and not base.leq(3, 2)
@@ -94,11 +93,6 @@ class TestParaPreorder:
         bases = preorders_up_to(6)
         assert len(bases) == 63
         assert class_oracle_mismatches(bases) == []
-
-    @pytest.mark.parametrize("slot", [-1, 3, 7])
-    def test_class_of_slot_rejects_out_of_range(self, slot):
-        with pytest.raises(ValueError):
-            ParaPreorder((2, 1)).class_of_slot(slot)
 
 
 class TestQuotientBySim:
@@ -311,6 +305,18 @@ class TestValidationByKind:
         elapsed = time.perf_counter() - start
         assert total == 302865
         assert elapsed < 30, f"period <= 5 took {elapsed:.1f}s"
+
+    @pytest.mark.parametrize("m, n, count", [(12, 7, 10296), (10, 10, 11)])
+    def test_surjections_beyond_the_hom_cap_within_their_bound(self, m, n, count):
+        """Par(12) -> Par(7) and Par(10) -> Par(10) have 1,007,760 and
+        3,879,876 canonical maps, past ``paracat.DEFAULT_HOM_CAP``, but
+        only ``count`` surjections, which are read in under 10 s (0.3 s
+        and 0.001 s on a 2-vCPU VM)."""
+        start = time.perf_counter()
+        maps = enumerate_preord_maps.__wrapped__(Parasimplex(m), Parasimplex(n))
+        elapsed = time.perf_counter() - start
+        assert len(maps) == count
+        assert elapsed < 10, f"Par({m}) -> Par({n}) took {elapsed:.1f}s"
 
     def test_cap_is_checked_before_any_map_is_built(self, monkeypatch):
         """(2, 2) -> (3,) has 162 morphisms; under a cap of 100 the
