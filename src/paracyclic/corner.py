@@ -154,7 +154,8 @@ class FiberPoint:
     Coordinates are +inf strictly left of the window, finite rationals on
     the window [lo, hi], and -inf strictly right of it.  An empty window
     (lo = hi + 1) is a fixed point of the translation action, sitting at
-    the cut after element hi.  Both infinities are always attained.
+    the cut after element hi.  Both infinities are always attained.  A
+    window that breaks these rules raises MalformedInput.
     """
 
     base: CornerPoint
@@ -165,23 +166,21 @@ class FiberPoint:
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
         if self.hi - self.lo + 1 != len(self.coords):
-            raise ValueError("window size disagrees with coordinate count")
+            raise MalformedInput("window size disagrees with coordinate count")
         point = self.base
         if self.is_fixed:
-            if self.hi != self.lo - 1:
-                raise ValueError("fixed points have window lo = hi + 1")
             if not point.gap(self.hi).is_pos_inf:
-                raise ValueError("fixed point must sit at an infinite gap")
+                raise MalformedInput("fixed point must sit at an infinite gap")
             return
         # windows are maximal finite segments between infinite gaps
         if not point.gap(self.lo - 1).is_pos_inf or not point.gap(self.hi).is_pos_inf:
-            raise ValueError("window must be bounded by infinite gaps")
+            raise MalformedInput("window must be bounded by infinite gaps")
         for t in range(self.lo, self.hi):
             step = point.gap(t)
             if step.is_pos_inf:
-                raise ValueError("window crosses an infinite gap")
+                raise MalformedInput("window crosses an infinite gap")
             if self.coords[t - self.lo] - self.coords[t - self.lo + 1] != step.finite:
-                raise ValueError("coordinates must decrease by the gaps")
+                raise MalformedInput("coordinates must decrease by the gaps")
 
     @property
     def is_fixed(self) -> bool:

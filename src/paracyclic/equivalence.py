@@ -18,13 +18,13 @@ once per truncation on first use (``realization_plan``).
 collapsing the marked (Cartesian) edges of the stratum-pair category is
 the surjection subcategory, through the adjunction with fully faithful
 right adjoint.
-The conv-tilde numbers its objects and edges once, as int arrays
-(``ConvTilde.numbering``): each edge has an integer code and a Cartesian
-flag.  Closure of the marked edges under composition is one chunked
-``paracat.compose_rows`` gather over all composable pairs and one membership
-test among the codes, and full faithfulness an equality of code sets.  The
-cyclic verdict is the paracyclic one without its shift clause
-(``cyclic_report``).
+The build records each conv-tilde edge once, as an int row (the positions
+of its ends among the objects, then its values), with its map and its
+Cartesian flag.  Each row codes as one integer (``_edge_codes``).  Closure of
+the marked edges under composition is one chunked ``paracat.compose_rows``
+gather over all composable pairs and one membership test among the codes,
+and full faithfulness an equality of code sets.  The cyclic verdict is the
+paracyclic one without its shift clause (``cyclic_report``).
 """
 
 from __future__ import annotations
@@ -93,12 +93,17 @@ class ParaRep:
                    for t in self.shifts)
 
     def shift_power(self, n: int, k: int) -> np.ndarray:
+        """t_n^k by repeated squaring: about 2 log2 |k| products."""
         t = self.shifts[n]
         if k < 0:
             t, k = self.field.inverse(t), -k
         out = self.field.identity(self.dims[n])
-        for _ in range(k):
-            out = self.field.matmul(t, out)
+        while k:
+            if k & 1:
+                out = self.field.matmul(t, out)
+            k >>= 1
+            if k:
+                t = self.field.matmul(t, t)
         return out
 
     def evaluate(self, f: ParaMap) -> np.ndarray:
@@ -437,82 +442,33 @@ def rep_mismatches(rep: ParaRep, recovered: ParaRep) -> list:
 # the marked category of stratum pairs and its localization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConvTildeEdge:
-    src: ConvexRelation
-    tgt: ConvexRelation
-    map: ParaMap
-    cartesian: bool
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeNumbering:
-    """The edges of a ``ConvTilde`` as int arrays; object i is
-    ``objects[i]``, of period ``period[i]``.  ``codes`` (``_edge_codes``) and
-    ``cartesian`` run over every edge, in edge order; the rest over the
-    Cartesian edges, numbered in edge order: their ends, their values
-    padded with zeros to the largest period, and the run of those leaving
-    object i, ``out[run_start[i]:run_start[i] + run_len[i]]``.
-    """
-
-    object_id: Mapping[ConvexRelation, int]
-    period: np.ndarray
-    codes: np.ndarray
-    cartesian: np.ndarray
-    src: np.ndarray
-    tgt: np.ndarray
-    values: np.ndarray
-    out: np.ndarray
-    run_start: np.ndarray
-    run_len: np.ndarray
-
-
-def _edge_codes(objects: int, src, tgt, values: np.ndarray) -> np.ndarray:
-    """The ``paracat.row_codes`` of the rows (src, tgt, values), values padded
-    with zeros to the largest period w, in the radix (objects, objects,
-    2w, ..., 2w): code // (2w) ** w is src * objects + tgt."""
-    width = values.shape[1]
-    rows = np.empty((len(values), 2 + width), dtype=np.int64)
-    rows[:, 0], rows[:, 1], rows[:, 2:] = src, tgt, values
+def _edge_codes(objects: int, rows: np.ndarray) -> np.ndarray:
+    """The ``paracat.row_codes`` of edge rows (src, tgt, values), values padded
+    with zeros to w, in the radix (objects, objects, 2w, ..., 2w):
+    code // (2w) ** w is src * objects + tgt."""
+    width = rows.shape[1] - 2
     return row_codes(rows, (objects, objects) + (2 * width,) * width)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvTilde:
     """Objects (preorder, relation), held as relations over their preorders,
     and morphisms compatible with relations, listed by canonical
     representative: in the paracyclic variant the full hom-sets are
     representatives times the shift action, in the cyclic variant the
     representatives are the orbits themselves.  Both variants share the
-    edges.  An edge is marked Cartesian exactly when the induced map of
-    quotient parasimplices is an isomorphism; ``numbering`` holds every
-    edge's integer code and Cartesian flag.
+    edges.  Edge i runs from ``objects[edges[i, 0]]`` to
+    ``objects[edges[i, 1]]`` by ``maps[i]``, whose values are
+    ``edges[i, 2:]`` less their zero padding to N.  It is marked Cartesian,
+    ``cartesian[i]``, exactly when the induced map of quotient
+    parasimplices is an isomorphism.  Both arrays are read-only.
     """
 
     N: int
     objects: Tuple[ConvexRelation, ...]
-    edges: Tuple[ConvTildeEdge, ...]
-
-    @functools.cached_property
-    def numbering(self) -> EdgeNumbering:
-        """The edges as int arrays; built on first use, once per instance
-        (so once per memoized ``build_conv_tilde(N)``)."""
-        object_id = {rel: i for i, rel in enumerate(self.objects)}
-        period = np.array([rel.base.period for rel in self.objects], dtype=np.int64)
-        width = int(period.max(initial=0))
-        ends = np.array([(object_id[e.src], object_id[e.tgt]) for e in self.edges],
-                        dtype=np.int64).reshape(len(self.edges), 2)
-        values = np.array([e.map.values + (0,) * (width - len(e.map.values)) for e in self.edges],
-                          dtype=np.int64).reshape(len(self.edges), width)
-        cartesian = np.array([e.cartesian for e in self.edges], dtype=bool)
-        src, tgt = ends[cartesian].T
-        out = np.argsort(src, kind="stable")
-        run_len = np.bincount(src, minlength=len(self.objects))
-        arrays = (period, _edge_codes(len(self.objects), *ends.T, values), cartesian, src, tgt,
-                  values[cartesian], out, np.cumsum(run_len) - run_len, run_len)
-        for array in arrays:
-            array.setflags(write=False)
-        return EdgeNumbering(object_id, *arrays)
+    edges: np.ndarray
+    maps: Tuple[ParaMap, ...]
+    cartesian: np.ndarray
 
 
 # Pairs of Cartesian edges composed per gather by _missing_marked_composites.
@@ -546,51 +502,67 @@ def _named(rel: ConvexRelation) -> Tuple[Tuple[int, ...], GapKey]:
 
 @functools.cache
 def build_conv_tilde(N: int) -> ConvTilde:
-    """All objects with period <= N, with relation-respecting morphisms; memoized."""
+    """All objects with period <= N, with relation-respecting morphisms, each
+    edge recorded as it is found; memoized."""
     rels = tuple(rel for base in preorders_up_to(N) for rel in enumerate_conv(base))
-    edges = []
-    for rel_src, rel_tgt in itertools.product(rels, repeat=2):
+    rows, maps, cartesian = [], [], []
+    for (i, rel_src), (j, rel_tgt) in itertools.product(enumerate(rels), repeat=2):
         # the induced quotient map is onto, so it is invertible exactly
         # when the two quotients have the same size
-        cartesian = len(rel_src.gaps) == len(rel_tgt.gaps)
+        marked = len(rel_src.gaps) == len(rel_tgt.gaps)
+        padding = (0,) * (N - rel_src.base.period)
         for r in enumerate_preord_maps(rel_src.base, rel_tgt.base):
             if respects_relations(r, rel_src, rel_tgt):
-                edges.append(ConvTildeEdge(rel_src, rel_tgt, r, cartesian))
-                if len(edges) > CONV_TILDE_EDGE_CAP:
+                rows.append((i, j) + r.values + padding)
+                maps.append(r)
+                cartesian.append(marked)
+                if len(maps) > CONV_TILDE_EDGE_CAP:
                     raise ResourceBound(f"edge enumeration exceeded cap {CONV_TILDE_EDGE_CAP}")
-    return ConvTilde(N, rels, tuple(edges))
+    edges = np.array(rows, dtype=np.int64).reshape(len(rows), 2 + N)
+    flags = np.array(cartesian, dtype=bool)
+    for array in (edges, flags):
+        array.setflags(write=False)
+    return ConvTilde(N, rels, edges, tuple(maps), flags)
 
 
 def _missing_marked_composites(tilde: ConvTilde) -> list:
     """A ``marked-composite-missing`` failure for every composable pair of
     Cartesian edges, e then e2, whose composite is not a Cartesian edge;
     e runs in edge order, and e2 through the run of edges leaving e's
-    target.  No ``ParaMap`` is built: per chunk of about
-    ``COMPOSITE_CHUNK`` pairs, one ``paracat.compose_rows`` gather, and the
-    composites' ``_edge_codes`` looked up among the Cartesian edges' codes
-    with ``np.isin``, on every call.
+    target.  The runs come from the rows on every call, by one stable
+    argsort and one bincount of the Cartesian edges' sources.  No
+    ``ParaMap`` is built: per chunk of about ``COMPOSITE_CHUNK`` pairs, one
+    ``paracat.compose_rows`` gather, and the composites' ``_edge_codes``
+    looked up among the Cartesian edges' codes with ``np.isin``.
     """
-    num, objects = tilde.numbering, tilde.objects
-    marked = num.codes[num.cartesian]
+    objects = len(tilde.objects)
+    marked = tilde.edges[tilde.cartesian]
+    src, tgt, values = marked[:, 0], marked[:, 1], marked[:, 2:]
+    codes = _edge_codes(objects, marked)
+    period = np.array([rel.base.period for rel in tilde.objects], dtype=np.int64)
+    # the Cartesian edges leaving object i: out[run_start[i]:][:run_len[i]]
+    out = np.argsort(src, kind="stable")
+    run_len = np.bincount(src, minlength=objects)
+    run_start = np.cumsum(run_len) - run_len
     # the partners of e: the run of edges leaving its target
-    counts, starts = num.run_len[num.tgt], num.run_start[num.tgt]
+    counts, starts = run_len[tgt], run_start[tgt]
     ends = np.cumsum(counts)
     before = ends - counts
-    columns = np.arange(num.values.shape[1])
+    columns = np.arange(tilde.N)
     failures = []
     lo = 0
     while lo < len(counts):
         hi = max(lo + 1, int(np.searchsorted(ends, before[lo] + COMPOSITE_CHUNK, "right")))
         e = np.repeat(np.arange(lo, hi), counts[lo:hi])
         within = np.arange(len(e)) - np.repeat(before[lo:hi] - before[lo], counts[lo:hi])
-        e2 = num.out[np.repeat(starts[lo:hi], counts[lo:hi]) + within]
-        values, _ = compose_rows(num.values[e2], num.values[e], num.period[num.tgt[e], None],
-                                 num.period[num.tgt[e2], None])
-        values[columns >= num.period[num.src[e], None]] = 0
-        codes = _edge_codes(len(objects), num.src[e], num.tgt[e2], values)
-        missing = np.isin(codes, marked, invert=True)
-        failures += [("marked-composite-missing", _named(objects[a]), _named(objects[b]))
-                     for a, b in zip(num.src[e[missing]], num.tgt[e2[missing]])]
+        e2 = out[np.repeat(starts[lo:hi], counts[lo:hi]) + within]
+        composite, _ = compose_rows(values[e2], values[e], period[tgt[e], None],
+                                    period[tgt[e2], None])
+        composite[columns >= period[src[e], None]] = 0
+        rows = np.column_stack((src[e], tgt[e2], composite))
+        missing = np.isin(_edge_codes(objects, rows), codes, invert=True)
+        failures += [("marked-composite-missing", _named(tilde.objects[a]),
+                      _named(tilde.objects[b])) for a, b in rows[missing, :2].tolist()]
         lo = hi
     return failures
 
@@ -648,32 +620,34 @@ def check_localization_adjunction(N: int, variant: str = "para") -> dict:
 
     # (b) full faithfulness of J -> (J, least): the codes of the edges
     # between the images (read off their leading digits) are the surjections'
-    num, objects = tilde.numbering, len(tilde.objects)
-    width = num.values.shape[1]
-    pairs = num.codes // (2 * width) ** width
+    objects = len(tilde.objects)
+    codes = _edge_codes(objects, tilde.edges)
+    pairs = codes // (2 * N) ** N
     parasimplices = [b for b in preorders_up_to(N) if b.is_parasimplex]
     for j_obj, j_prime in itertools.product(parasimplices, repeat=2):
-        s, t = num.object_id[least_relation(j_obj)], num.object_id[least_relation(j_prime)]
-        surj = [c.values + (0,) * (width - j_obj.period)
+        s, t = (tilde.objects.index(least_relation(b)) for b in (j_obj, j_prime))
+        surj = [(s, t) + c.values + (0,) * (N - j_obj.period)
                 for c in enumerate_hom(j_obj.k, j_prime.k, "surj")]
-        expected = _edge_codes(objects, s, t, np.array(surj, dtype=np.int64).reshape(-1, width))
-        if not np.array_equal(np.sort(num.codes[pairs == s * objects + t]), np.sort(expected)):
+        expected = _edge_codes(objects, np.array(surj, dtype=np.int64).reshape(-1, 2 + N))
+        if not np.array_equal(np.sort(codes[pairs == s * objects + t]), np.sort(expected)):
             failures.append(("not-fully-faithful", j_obj.sizes, j_prime.sizes))
 
     # (c) Cartesian edges: marked iff inverted by L; closed under composition
-    for e in tilde.edges:
-        bar = induced_on_quotients(e.map, e.src, e.tgt)
-        if (classify(bar) == "both") != e.cartesian:
-            failures.append(("marking-mismatch", _named(e.src), _named(e.tgt), e.map.values))
+    for (i, j), r, marked in zip(tilde.edges[:, :2].tolist(), tilde.maps,
+                                 tilde.cartesian.tolist()):
+        rel_src, rel_tgt = tilde.objects[i], tilde.objects[j]
+        bar = induced_on_quotients(r, rel_src, rel_tgt)
+        if (classify(bar) == "both") != marked:
+            failures.append(("marking-mismatch", _named(rel_src), _named(rel_tgt), r.values))
         # the quotient functor commutes with the shift action on hom-sets
-        bar_shifted = induced_on_quotients(shift_action(e.map, 1), e.src, e.tgt)
+        bar_shifted = induced_on_quotients(shift_action(r, 1), rel_src, rel_tgt)
         if bar_shifted != shift_action(bar, 1):
-            failures.append(("shift-equivariance", _named(e.src), _named(e.tgt),
-                             e.map.values))
-    ids, columns = np.arange(objects), np.arange(width)
-    identities = _edge_codes(objects, ids, ids, np.where(columns < num.period[:, None], columns, 0))
+            failures.append(("shift-equivariance", _named(rel_src), _named(rel_tgt), r.values))
+    identities = np.array([(i, i) + tuple(range(rel.base.period)) + (0,) * (N - rel.base.period)
+                           for i, rel in enumerate(tilde.objects)], dtype=np.int64)
     # distinct edges have distinct codes
-    unmarked = np.isin(identities, num.codes[num.cartesian], assume_unique=True, invert=True)
+    unmarked = np.isin(_edge_codes(objects, identities), codes[tilde.cartesian],
+                       assume_unique=True, invert=True)
     failures += [("identity-not-marked", _named(tilde.objects[i]))
                  for i in np.flatnonzero(unmarked)]
     failures += _missing_marked_composites(tilde)

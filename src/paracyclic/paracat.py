@@ -30,7 +30,7 @@ its 2(n + 1)-th power is the identity on the endomorphisms of Par(n).
 ``compose_rows`` (one broadcast gather composing value rows and splitting
 off the wrap) and ``row_codes`` (the integer code of a value row) own the
 format of a canonical map as an integer row, for the tables here and the
-conv-tilde numbering of ``equivalence``.  ``composition_table(a, b, c, kind)``
+conv-tilde edge rows of ``equivalence``.  ``composition_table(a, b, c, kind)``
 is composition of canonical representatives as integer arrays over
 ``enumerate_hom`` order: one gather and one code lookup per triple, built on
 first use and memoized.  Shift offsets enter composition additively,
@@ -316,16 +316,12 @@ def hom_count(m: int, n: int, kind: Kind = "all") -> int:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-@functools.cache
 def enumerate_hom(m: int, n: int, kind: Kind = "all",
                   cap: int = DEFAULT_HOM_CAP) -> Tuple[CycMap, ...]:
     """The canonical representatives of Hom(Par(m), Par(n)) / shift of one
-    kind, ascending by value tuple; memoized; refused before any is built
-    when their count ``hom_count(m, n, kind)`` passes ``cap``.
-
-    A map is its lead v_0 in [0, n] and its m + 1 steps v_1 - v_0, ...,
-    v_0 + n + 1 - v_m, summing to n + 1: any steps for all maps, steps >= 1
-    for injections, steps in {0, 1} for surjections.
+    kind, ascending by value tuple; refused before any is built, and
+    before the memo is read, when their count ``hom_count(m, n, kind)``
+    passes ``cap``.  Memoized once per (m, n, kind) by ``_hom_set``.
     """
     if m < 0 or n < 0:
         raise ValueError("objects need m, n >= 0")
@@ -334,6 +330,17 @@ def enumerate_hom(m: int, n: int, kind: Kind = "all",
     bound = hom_count(m, n, kind)
     if bound > cap:
         raise ResourceBound(f"hom-set has {bound} {kind} representatives, cap is {cap}")
+    return _hom_set(m, n, kind)
+
+
+@functools.cache
+def _hom_set(m: int, n: int, kind: Kind) -> Tuple[CycMap, ...]:
+    """The hom-set of ``enumerate_hom``, listed once per (m, n, kind).
+
+    A map is its lead v_0 in [0, n] and its m + 1 steps v_1 - v_0, ...,
+    v_0 + n + 1 - v_m, summing to n + 1: any steps for all maps, steps >= 1
+    for injections, steps in {0, 1} for surjections.
+    """
     if kind == "surj":
         # v_1 - v_0, ..., v_m - v_0 per choice of unit steps; reversed, they ascend
         rises = [tuple(itertools.accumulate(k in ones for k in range(m)))

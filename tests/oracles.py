@@ -414,10 +414,19 @@ def class_oracle_mismatches(bases) -> list:
     return out
 
 
+def conv_tilde_edges(tilde) -> list:
+    """The edges of a ``ConvTilde`` as (src, tgt, map, cartesian), in edge
+    order: the ends read from the rows' positions, the maps and flags as
+    built."""
+    return [(tilde.objects[i], tilde.objects[j], r, bool(marked))
+            for (i, j), r, marked in zip(tilde.edges[:, :2].tolist(), tilde.maps, tilde.cartesian)]
+
+
 def marked_keys(tilde) -> frozenset:
     """The (src, tgt, map values) key of every Cartesian edge of a
     ``ConvTilde``."""
-    return frozenset((e.src, e.tgt, e.map.values) for e in tilde.edges if e.cartesian)
+    return frozenset((src, tgt, r.values) for src, tgt, r, marked in conv_tilde_edges(tilde)
+                     if marked)
 
 
 def oracle_missing_marked_composites(tilde) -> list:
@@ -434,18 +443,19 @@ def oracle_missing_marked_composites(tilde) -> list:
     def named(rel):
         return rel.base.sizes, gap_key(rel)
 
+    edges = conv_tilde_edges(tilde)
     by_src = {}
-    for e in tilde.edges:
-        by_src.setdefault(e.src, []).append(e)
+    for e in edges:
+        by_src.setdefault(e[0], []).append(e)
     marked = marked_keys(tilde)
     failures = []
-    for e in tilde.edges:
-        if not e.cartesian:
+    for src, tgt, r, cartesian in edges:
+        if not cartesian:
             continue
-        for e2 in by_src.get(e.tgt, []):
-            if not e2.cartesian:
+        for _, tgt2, r2, cartesian2 in by_src.get(tgt, []):
+            if not cartesian2:
                 continue
-            composite = compose(e2.map, e.map).values
-            if (e.src, e2.tgt, composite) not in marked:
-                failures.append(("marked-composite-missing", named(e.src), named(e2.tgt)))
+            composite = compose(r2, r).values
+            if (src, tgt2, composite) not in marked:
+                failures.append(("marked-composite-missing", named(src), named(tgt2)))
     return failures

@@ -301,6 +301,26 @@ class TestFiberPoints:
         data = section_point(point, (0, 1)).to_json()
         assert data == {"window": [0, 1], "coords": ["3/1", "0/1"]}
 
+    @pytest.mark.parametrize("lo, hi, coords, message", [
+        (0, 1, ("0",), "window size"),
+        (0, 2, ("1/2", "0", "5"), "crosses an infinite gap"),
+        (0, 1, ("0", "0"), "decrease by the gaps"),
+    ])
+    def test_malformed_windows_are_refused(self, lo, hi, coords, message):
+        """Gaps 1/2, inf, inf: the window [0, 1] is bounded by infinite
+        gaps, and [0, 2] crosses one."""
+        point = pt((2, 1), ["1/2", "inf", "inf"])
+        with pytest.raises(MalformedInput, match=message):
+            FiberPoint(point, lo, hi, tuple(Fraction(c) for c in coords))
+        with pytest.raises(MalformedInput, match=message):
+            FiberPoint.from_json(point, {"window": [lo, hi], "coords": list(coords)})
+
+    def test_distance_across_corner_points_is_refused(self):
+        b = section_point(pt((1, 1), ["3/1", "inf"]), (0, 0))
+        c = section_point(pt((1, 1), ["2/1", "inf"]), (0, 0))
+        with pytest.raises(BaseMismatch):
+            distance(b, c)
+
     def test_json_round_trip(self):
         point = pt((2, 1), ["1/2", "inf", "inf"])
         for beta in [section_point(point, (0, 0)), fixed_point(point, 2)]:

@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from paracyclic import equivalence, selftest
@@ -161,6 +163,34 @@ class TestValidateRep:
             assert [v for v in violations if v[0] == "composition"] == expected
             corrupted += bool(expected)
         assert corrupted >= 4
+
+
+class TestShiftPower:
+    @pytest.mark.parametrize("k", [10**5, -10**5])
+    def test_large_powers_by_repeated_squaring(self, monkeypatch, k):
+        """cell_rep's shift is 3 I, so t^k is 3^k I: at most 40 products
+        for |k| = 10^5, where one product per step made 10^5."""
+        rep = cell_rep(1, 3, F101, 2)
+        matmul, calls = PrimeField.matmul, []
+
+        def counted(self, a, b):
+            calls.append(1)
+            return matmul(self, a, b)
+
+        monkeypatch.setattr(PrimeField, "matmul", counted)
+        power = rep.shift_power(2, k)
+        assert F101.equal(power, F101.scalar_matrix(F101.scalar_power(3, k), rep.dims[2]))
+        assert len(calls) <= 40
+
+    def test_small_powers_are_repeated_products(self):
+        rep = random_rep(random.Random(4), F101, 2)
+        for n in range(3):
+            t, t_inv = rep.shifts[n], F101.inverse(rep.shifts[n])
+            up = down = F101.identity(rep.dims[n])
+            for k in range(6):
+                assert F101.equal(rep.shift_power(n, k), up)
+                assert F101.equal(rep.shift_power(n, -k), down)
+                up, down = F101.matmul(t, up), F101.matmul(t_inv, down)
 
 
 class TestRealizeSheaf:
@@ -464,19 +494,19 @@ class TestConvTilde:
             base = ParaPreorder((1, 1))
             rel = ConvexRelation(base, frozenset(gaps))
             _, proj = quotient_by_relation(base, rel)
-            units = [
-                e for e in tilde.edges
-                if e.src == rel and e.tgt == point and e.map == proj
-            ]
-            assert len(units) == 1 and units[0].cartesian
+            ends = (tilde.objects.index(rel), tilde.objects.index(point))
+            units = [i for i, (row, r) in enumerate(zip(tilde.edges.tolist(), tilde.maps))
+                     if tuple(row[:2]) == ends and r == proj]
+            assert len(units) == 1 and tilde.cartesian[units[0]]
 
     def test_edge_count_against_raw_oracle(self):
         # independent path: raw value tuples filtered by direct definitions
         tilde = build_conv_tilde(2)
         counted = {}
-        for e in tilde.edges:
-            counted[(e.src, e.tgt)] = counted.get((e.src, e.tgt), 0) + 1
-        for (rel_s, rel_t), count in counted.items():
+        for i, j in tilde.edges[:, :2].tolist():
+            counted[(i, j)] = counted.get((i, j), 0) + 1
+        for (i, j), count in counted.items():
+            rel_s, rel_t = tilde.objects[i], tilde.objects[j]
             src, tgt = rel_s.base, rel_t.base
             oracle = 0
             for values in itertools.product(range(2 * tgt.period), repeat=src.period):
@@ -506,6 +536,31 @@ class TestConvTilde:
                     oracle += 1
             assert count == oracle, (rel_s, rel_t)
 
+    @pytest.mark.parametrize("N, marked, digest", [
+        (1, 1, "1a8feee66d71fe3447cfe8b0256b4540"),
+        (2, 24, "7ae1b8e0180943217a6849214962ee1a"),
+        (3, 597, "2e39f39e9ab687e63b4b218feaa2e119"),
+    ])
+    def test_rows_are_the_edges_in_their_order(self, N, marked, digest):
+        """The rows and flags hash as the edges did when each was an object
+        (src, tgt, map, cartesian): md5 of the repr of the pair (rows
+        [position of src, position of tgt, *values padded with zeros to
+        N], flags).  Each map is the enumeration's own object, its values
+        the row's, and the rows and flags are read-only; at N = 0 there
+        are no rows, of width 2."""
+        tilde = build_conv_tilde(N)
+        text = repr((tilde.edges.tolist(), tilde.cartesian.tolist()))
+        assert hashlib.md5(text.encode()).hexdigest() == digest
+        assert tilde.edges.shape == (len(tilde.maps), 2 + N)
+        assert int(tilde.cartesian.sum()) == marked
+        for row, r in zip(tilde.edges.tolist(), tilde.maps):
+            src, tgt = tilde.objects[row[0]].base, tilde.objects[row[1]].base
+            assert any(r is f for f in enumerate_preord_maps(src, tgt))
+            assert tuple(row[2:]) == r.values + (0,) * (N - src.period)
+        for array in (tilde.edges, tilde.cartesian):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert build_conv_tilde(0).edges.shape == (0, 2)
 
     @pytest.mark.parametrize("N, objects, edges", [(1, 1, 1), (2, 5, 38), (3, 19, 1499)])
     def test_pinned_sizes(self, N, objects, edges):
@@ -597,26 +652,28 @@ class TestAdjunction:
 
 def unmarked(tilde, count):
     """A copy of ``tilde`` with ``count`` seeded Cartesian edges unmarked."""
-    cartesian = [i for i, e in enumerate(tilde.edges) if e.cartesian]
-    chosen = set(random.Random(count).sample(cartesian, count))
-    return dataclasses.replace(tilde, edges=tuple(
-        dataclasses.replace(e, cartesian=False) if i in chosen else e
-        for i, e in enumerate(tilde.edges)))
+    chosen = random.Random(count).sample(np.flatnonzero(tilde.cartesian).tolist(), count)
+    cartesian = tilde.cartesian.copy()
+    cartesian[chosen] = False
+    return dataclasses.replace(tilde, cartesian=cartesian)
 
 
 class TestEdgeNumbering:
     def test_codes_are_distinct_and_flag_every_edge(self):
+        """One code per row, and one flag per edge: marked exactly when
+        its ends have quotients of one size."""
         tilde = build_conv_tilde(3)
-        num = tilde.numbering
-        assert len(set(num.codes.tolist())) == len(tilde.edges) == 1499
-        assert num.codes.min() >= 0
-        assert num.cartesian.tolist() == [e.cartesian for e in tilde.edges]
+        codes = equivalence._edge_codes(19, tilde.edges)
+        assert len(set(codes.tolist())) == len(tilde.edges) == 1499
+        assert codes.min() >= 0
+        sizes = [len(rel.gaps) for rel in tilde.objects]
+        assert tilde.cartesian.tolist() == [sizes[i] == sizes[j]
+                                            for i, j in tilde.edges[:, :2].tolist()]
 
     def test_codes_lead_with_the_ends(self):
         tilde = build_conv_tilde(3)
-        num = tilde.numbering
-        ends = [num.object_id[e.src] * 19 + num.object_id[e.tgt] for e in tilde.edges]
-        assert (num.codes // 6**3).tolist() == ends
+        ends = [i * 19 + j for i, j in tilde.edges[:, :2].tolist()]
+        assert (equivalence._edge_codes(19, tilde.edges) // 6**3).tolist() == ends
 
 
 class TestMarkedComposites:
@@ -635,12 +692,6 @@ class TestMarkedComposites:
         expected = oracle_missing_marked_composites(copy)
         monkeypatch.setattr(equivalence, "COMPOSITE_CHUNK", chunk)
         assert equivalence._missing_marked_composites(copy) == expected
-
-    def test_numbering_is_built_once_per_memoized_tilde(self):
-        tilde = build_conv_tilde(3)
-        assert tilde.numbering is build_conv_tilde(3).numbering
-        assert len(tilde.numbering.src) == sum(e.cartesian for e in tilde.edges)
-        assert build_conv_tilde(0).numbering.values.shape == (0, 0)
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_cyclic_report_of_unmarked_copies(self, monkeypatch, N):

@@ -27,7 +27,6 @@ from paracyclic._linalg import (
 )
 from paracyclic.consheaf import UpSet, gap_key
 from paracyclic.equivalence import (
-    ConvTilde,
     cell_rep,
     check_localization_adjunction,
     random_rep,
@@ -75,18 +74,11 @@ def failure_kinds(report):
 
 
 def test_dropped_marked_key_is_caught(monkeypatch):
-    """The conv-tilde numbering with the Cartesian flag of its last
-    Cartesian edge cleared and its runs left alone: that edge's code drops
-    out of the marked codes, so its composite with an identity is missing."""
-    numbering = ConvTilde.numbering.func
-
-    def mutant(self):
-        num = numbering(self)
-        cartesian = num.cartesian.copy()
-        cartesian[np.flatnonzero(cartesian)[-1]] = False
-        return dataclasses.replace(num, cartesian=cartesian)
-
-    monkeypatch.setattr(ConvTilde, "numbering", property(mutant))
+    """The closure of the marked edges with the code of the last Cartesian
+    edge dropped from the marked codes and its runs left alone: its
+    composite with an identity is missing."""
+    source_mutant(monkeypatch, equivalence, "_missing_marked_composites",
+                  ("codes = _edge_codes(objects, marked)", "codes = _edge_codes(objects, marked)[:-1]"))
     report = check_localization_adjunction(3, "para")
     assert "marked-composite-missing" in failure_kinds(report)
 
@@ -103,8 +95,7 @@ def test_composites_without_their_lead_normalization_are_caught(monkeypatch, pat
 
 def test_second_edges_from_the_run_of_the_source_are_caught(monkeypatch):
     source_mutant(monkeypatch, equivalence, "_missing_marked_composites",
-                  ("num.run_len[num.tgt], num.run_start[num.tgt]",
-                   "num.run_len[num.src], num.run_start[num.src]"))
+                  ("run_len[tgt], run_start[tgt]", "run_len[src], run_start[src]"))
     report = check_localization_adjunction(3, "para")
     assert "marked-composite-missing" in failure_kinds(report)
 
@@ -117,6 +108,21 @@ def test_full_faithfulness_read_with_its_ends_swapped_is_caught(monkeypatch):
                   ("pairs == s * objects + t", "pairs == t * objects + s"))
     report = equivalence.check_localization_adjunction(2, "para")
     assert failure_kinds(report) == {"not-fully-faithful"}
+
+
+def test_unit_followed_by_the_successor_is_caught(monkeypatch):
+    """``quotient_by_relation`` returning the projection followed by the
+    quotient's successor automorphism: the unit is still a morphism, but
+    the quotient of the unit is not the identity (triangle-L), nor is the
+    unit at a parasimplex with its least relation (triangle-R)."""
+    namespace = source_mutant(
+        monkeypatch, preord, "quotient_by_relation",
+        ("return quotient, ParaMap.from_values(base, quotient, values)",
+         "return quotient, compose(quotient.successor_map(),\n"
+         "                         ParaMap.from_values(base, quotient, values))"))
+    monkeypatch.setattr(equivalence, "quotient_by_relation", namespace["quotient_by_relation"])
+    report = check_localization_adjunction(3, "para")
+    assert failure_kinds(report) == {"triangle-L", "triangle-R"}
 
 
 def test_shifted_class_table_is_caught(monkeypatch):
@@ -316,16 +322,15 @@ HOM_MEMOS = (paracat.composition_table, equivalence.realization_plan,
 
 @pytest.fixture
 def hom_mutant(monkeypatch):
-    """``paracat.enumerate_hom`` rebuilt by ``source_mutant`` with the given
-    edits and bound wherever it is imported, with a memo of its own.  The
-    memos built on it are emptied before, so that they are built under the
-    mutant, and after, so that none of them is left behind."""
+    """``paracat._hom_set``, the memo behind ``enumerate_hom``, rebuilt by
+    ``source_mutant`` with the given edits, with a memo of its own.  The
+    memos built on ``enumerate_hom`` are emptied before, so that they are
+    built under the mutant, and after, so that none of them is left
+    behind."""
     def patch(*edits):
         for memo in HOM_MEMOS:
             memo.cache_clear()
-        namespace = source_mutant(monkeypatch, paracat, "enumerate_hom", *edits)
-        for module in (equivalence, preord, selftest, test_paracat):
-            monkeypatch.setattr(module, "enumerate_hom", namespace["enumerate_hom"])
+        source_mutant(monkeypatch, paracat, "_hom_set", *edits)
 
     yield patch
     monkeypatch.undo()
@@ -553,6 +558,17 @@ def test_composites_compared_only_with_each_other_are_caught(monkeypatch):
     source_mutant(monkeypatch, consheaf, "_glue_row", DOUBLED_GATHER,
                   ("(via_left == r_ut) & (via_right == r_ut)", "via_left == via_right"))
     assert not rows_flag_restrictions_alone()
+
+
+def test_doubled_gathers_fail_criterion_8_pair_by_pair(monkeypatch):
+    """Under doubled gathers criterion 8 reports each failing pair as
+    (n, trial, left up-set, right up-set, report), its first three kept,
+    and each report has restrictions that disagree."""
+    source_mutant(monkeypatch, consheaf, "_glue_row", DOUBLED_GATHER)
+    report = selftest.criterion_8(0)
+    failures = report["details"]["failures"]
+    assert not report["passed"] and len(failures) == 3
+    assert all(len(f) == 5 and f[4]["restrictions_agree"] is False for f in failures)
 
 
 def test_constraint_rows_with_one_end_inside_are_caught(monkeypatch):

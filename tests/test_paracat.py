@@ -213,12 +213,25 @@ class TestEnumerateHom:
         with pytest.raises(ResourceBound):
             enumerate_hom(3, 3, cap=10)
 
+    def test_one_memo_entry_per_hom_set(self):
+        """However the arguments are spelled, Par(6) -> Par(5) is one memo
+        entry, and the cap is read before the memo: its 5,544 maps, once
+        listed, are still refused under a cap of 5,543."""
+        before = paracat._hom_set.cache_info().currsize
+        listed = enumerate_hom(6, 5)
+        for again in (enumerate_hom(6, 5, "all"), enumerate_hom(6, 5, cap=10**4),
+                      enumerate_hom(m=6, n=5, kind="all", cap=5544)):
+            assert again is listed
+        assert paracat._hom_set.cache_info().currsize <= before + 1
+        with pytest.raises(ResourceBound, match="has 5544 all"):
+            enumerate_hom(6, 5, cap=5543)
+
     def test_unknown_kind_is_refused_before_the_cap_and_the_memo(self):
-        before = enumerate_hom.cache_info().currsize
+        before = paracat._hom_set.cache_info().currsize
         for cap in (10**5, 1):
             with pytest.raises(ValueError, match="unknown kind"):
                 enumerate_hom(1, 1, "bogus", cap=cap)
-        assert enumerate_hom.cache_info().currsize == before
+        assert paracat._hom_set.cache_info().currsize == before
 
 
 # Offsets (kg, kf) put on the pairs of a table in turn: each pair is checked
@@ -259,14 +272,14 @@ class TestCompositionTable:
         assert idx.shape == wrap.shape == (len(enumerate_hom(2, 0, "surj")), 0)
 
     def test_unknown_kind_is_refused_before_the_memo(self):
-        before = composition_table.cache_info().currsize, enumerate_hom.cache_info().currsize
+        before = composition_table.cache_info().currsize, paracat._hom_set.cache_info().currsize
         with pytest.raises(ValueError, match="unknown kind"):
             composition_table(1, 1, 1, "bogus")
-        after = composition_table.cache_info().currsize, enumerate_hom.cache_info().currsize
+        after = composition_table.cache_info().currsize, paracat._hom_set.cache_info().currsize
         assert after == before
 
     def test_cell_cap_is_checked_before_any_enumeration(self, monkeypatch):
-        before = enumerate_hom.cache_info().currsize
+        before = paracat._hom_set.cache_info().currsize
         # |H(7, 7)|**2 * 8 = 1,171,200,800 cells
         with pytest.raises(ResourceBound, match="cells"):
             composition_table(7, 7, 7)
@@ -284,7 +297,7 @@ class TestCompositionTable:
         monkeypatch.setattr(paracat, "DEFAULT_TABLE_CELL_CAP", 71)
         with pytest.raises(ResourceBound):
             composition_table(1, 1, 1)
-        assert enumerate_hom.cache_info().currsize == before
+        assert paracat._hom_set.cache_info().currsize == before
         monkeypatch.setattr(paracat, "DEFAULT_TABLE_CELL_CAP", 72)
         assert composition_table(1, 1, 1)[0].shape == (6, 6)
 
@@ -337,7 +350,7 @@ def code_collisions() -> list:
 
 class TestSharedRows:
     """``compose_rows`` and ``row_codes``, the row format of canonical maps
-    that the composition tables and the conv-tilde numbering share."""
+    that the composition tables and the conv-tilde edge codes share."""
 
     def test_gather_is_scalar_compose_on_every_pair_to_par3(self):
         checked = 0

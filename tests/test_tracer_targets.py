@@ -15,7 +15,7 @@ sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
 
 import paracyclic.cli  # noqa: E402,F401  loads every module the tracer patches, as run.py does
 import tracing  # noqa: E402
-from paracyclic import consheaf, preord  # noqa: E402
+from paracyclic import consheaf, equivalence, preord  # noqa: E402
 from paracyclic._linalg import QQ, Field, PrimeField, Rationals  # noqa: E402
 from paracyclic.paracat import ParaPreorder, Parasimplex  # noqa: E402
 
@@ -98,6 +98,24 @@ def test_preord_maps_count_their_maps_and_reach_the_traced_hom_sets():
     finally:
         tracer.uninstall()
         preord.enumerate_preord_maps.cache_clear()
+    after = bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+
+
+def test_conv_tilde_counts_its_edge_rows():
+    """One ``build_conv_tilde(3)`` on an emptied memo counts one call and
+    its 1,499 edge rows in ``equivalence.build_conv_tilde.edges``."""
+    before = bindings()
+    equivalence.build_conv_tilde.cache_clear()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        equivalence.build_conv_tilde(3)
+        assert tracer.stats["equivalence.build_conv_tilde"][0] == 1
+        assert tracer.counts["equivalence.build_conv_tilde.edges"] == 1499
+    finally:
+        tracer.uninstall()
     after = bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
