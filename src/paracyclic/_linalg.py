@@ -8,10 +8,13 @@ reduced with unit pivots, which makes every returned basis deterministic.
 A backend supplies only its scalars and storage; every matrix routine is
 written once in ``Field``, over the backend's ``reduce`` (``% p``, or
 nothing over Q).  ``Field.rref`` is the one entry point for elimination.
-Over a prime field it picks the loop by row count: row by row below
-``VECTOR_MIN_ROWS`` rows, otherwise one broadcast update per pivot,
-restricted to the rows with a nonzero entry in the pivot column and the
-columns with a nonzero entry in the pivot row.
+Over a prime field it picks the loop by row count.  Below
+``VECTOR_MIN_ROWS`` rows it runs Gauss-Jordan on the rows as lists of
+Python ints, entry by entry over the pivot row's nonzero entries, with no
+numpy call per pivot.  From there on it makes one broadcast update per
+pivot, restricted to the rows with a nonzero entry in the pivot column and
+the columns with a nonzero entry in the pivot row.  Both loops stop at the
+first pivotless column below which every row is zero.
 
 ``PrimeField.matmul`` picks one of three exact regimes per product, from
 the inner dimension k and a bound B on the operands' absolute entries:
@@ -84,16 +87,18 @@ BLAS_MIN_MULTS = 32768
 Q_INT_MIN_MULTS = 12
 
 # Matrices with at least this many rows are reduced by one broadcast update
-# per pivot.  On the rref inputs of a selftest run (F_2) and of the rotation
-# workload (F_101), the update took 1.5x the loop's time on the 18 x 18
-# kernel systems of `random_chain_map`, about the same at 17-32 rows,
-# 0.45-0.7x at 33-64 rows and 0.3-0.5x from 65 rows; on 20 cone matrices of
-# 500-750 rows it took 0.54 s against 3.5 s.  The rationals eliminate by a
-# loop of their own (see the module docstring).
-# `selftest --seed 0` makes 2,463 rref calls, all over prime fields, 56 of
-# them with 32 or more rows; on the other 2,407 the update took 0.10-0.12 s
-# against the loop's 0.06-0.08 s.
-VECTOR_MIN_ROWS = 32
+# per pivot, smaller ones by the Python-int row loop.  Timed per row count,
+# best of 7-9 passes in one process, on the rref inputs recorded from one
+# pass of the selftest (F_2 and F_101) and rotation (F_101) benchmark
+# workloads and from rotation checks of F_101 filtrations with steps of
+# other dims (44-72 rows): the row loop took 0.7-0.95x the update's time at
+# 30-43 rows over F_2 and about the same (0.93-1.06x) on the 33-45-row
+# rotation cones, while from 44 rows the update took 0.6-0.9x the loop's
+# time over F_101 (1.18x at one size) and 0.8-1.0x over F_2, 0.6-0.7x at
+# 67-93 rows and 0.4-0.45x at 141-183 (2-vCPU Xeon VM).  Below 30 rows the
+# loop is 1.2-4x ahead.  The rationals eliminate by a loop of their own (see
+# the module docstring).
+VECTOR_MIN_ROWS = 44
 
 _FLOAT64_EXACT = 2 ** 53
 _INT64_EXACT = 2 ** 63
@@ -162,60 +167,87 @@ class Field:
         return self._eliminate(a)
 
     def _eliminate(self, a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-        """rref's loop on a copy of a, picked by row count."""
+        """rref's loop, picked by row count; a is left unchanged."""
         if a.shape[0] < VECTOR_MIN_ROWS:
-            return self._rref_by_rows(a.copy())
+            return self._rref_by_rows(a)
         return self._rref_by_broadcast(a.copy())
 
-    def _rref_by_rows(self, mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-        """Row-by-row elimination of mat in place."""
-        rows, cols = mat.shape
+    # Both loops below visit the columns in order and stop at the first
+    # pivotless column below which every row is zero, since no later column
+    # can then hold a pivot.  The rows past the rank are zero left of the
+    # current column, and so is the pivot row.
+
+    def _rref_by_rows(self, a: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+        """Gauss-Jordan elimination on the rows of a as lists of Python ints.
+        The pivot row is scaled through ``scalar``, so every row update
+        multiplies by canonical residues; each other row meets it through
+        ``reduce``, entry by entry over the pivot row's nonzero entries."""
+        rows, cols = a.shape
+        if not a.size:
+            return a.copy(), []
+        mat = a.tolist()
+        reduce, scalar = self.reduce, self.scalar
         pivots: List[int] = []
         rank = 0
         for col in range(cols):
-            # the column read once as Python scalars: on matrices of a few
-            # rows, reading mat[r, col] entry by entry cost more than the
-            # row updates
-            column = mat[:, col].tolist()
-            pivot = next((r for r in range(rank, rows) if column[r]), None)
-            if pivot is None:
+            for r in range(rank, rows):
+                if mat[r][col]:
+                    break
+            else:
+                if not any(map(any, mat[rank:])):
+                    break
                 continue
-            if pivot != rank:
-                mat[[rank, pivot]] = mat[[pivot, rank]]
-                column[rank], column[pivot] = column[pivot], column[rank]
-            mat[rank] = self.reduce(mat[rank] * self._inv_scalar(column[rank]))
-            for r in range(rows):
-                if r != rank and column[r]:
-                    mat[r] = self.reduce(mat[r] - column[r] * mat[rank])
+            mat[rank], mat[r] = mat[r], mat[rank]
+            row = mat[rank]
+            inv = self._inv_scalar(row[col])
+            support = [(j, scalar(x * inv)) for j, x in enumerate(row[col:], col) if x]
+            for j, y in support:
+                row[j] = y
+            for target in mat:
+                x = target[col]
+                if x and target is not row:
+                    for j, y in support:
+                        target[j] = reduce(target[j] - x * y)
             pivots.append(col)
             rank += 1
             if rank == rows:
                 break
-        return mat, pivots
+        # the entries are Python ints below p, which numpy stores as int64
+        return np.array(mat), pivots
 
     def _rref_by_broadcast(self, mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-        """Elimination of mat in place, one broadcast update per pivot."""
+        """Elimination of mat in place, one broadcast update per pivot over
+        the rows with a nonzero entry in the pivot column and the columns
+        with one in the pivot row."""
         rows, cols = mat.shape
         pivots: List[int] = []
         rank = 0
         for col in range(cols):
-            nonzero = np.flatnonzero(mat[:, col])
-            i = int(np.searchsorted(nonzero, rank))
-            if i == nonzero.size:
+            below = mat[rank:, col].nonzero()[0]
+            if not below.size:
+                if not mat[rank:, col:].any():
+                    break
                 continue
-            pivot = int(nonzero[i])
+            pivot = rank + int(below[0])
             if pivot != rank:
-                mat[[rank, pivot]] = mat[[pivot, rank]]
-            # after the swap the other nonzero rows of the column are unchanged
-            targets = np.concatenate((nonzero[:i], nonzero[i + 1:]))
-            support = col + np.flatnonzero(mat[rank, col:])
+                swapped = mat[rank].copy()
+                mat[rank] = mat[pivot]
+                mat[pivot] = swapped
+            support = mat[rank].nonzero()[0]
             row = mat[rank, support]
-            if row[0] != 1:
-                row = self.reduce(row * self._inv_scalar(row[0]))
-                mat[rank, support] = row
-            if targets.size:
+            lead = row[0]
+            if lead != 1:
+                row = self.reduce(row * self._inv_scalar(lead))
+            column = mat[:, col]
+            targets = column.nonzero()[0]
+            if targets.size > 1:
+                # the pivot row is one of the targets: it comes out zero and
+                # is written back scaled
                 block = targets[:, None], support
-                mat[block] = self.reduce(mat[block] - mat[targets, col, None] * row)
+                mat[block] = self.reduce(mat[block] - column[targets, None] * row)
+                mat[rank, support] = row
+            elif lead != 1:
+                mat[rank, support] = row
             pivots.append(col)
             rank += 1
             if rank == rows:

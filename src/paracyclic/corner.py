@@ -220,9 +220,15 @@ class FiberPoint:
 
     @classmethod
     def from_json(cls, base: CornerPoint, data: dict) -> "FiberPoint":
-        lo, hi = data["window"]
+        """The point ``to_json`` writes; a window that is not a list of two
+        ints (bools excluded) raises MalformedInput."""
+        window = data.get("window")
+        if (not isinstance(window, list) or len(window) != 2
+                or any(isinstance(x, bool) or not isinstance(x, int) for x in window)):
+            raise MalformedInput(f"a window is a list of two ints, got {window!r}")
+        lo, hi = window
         coords = tuple(as_ext(c).finite for c in data["coords"])
-        return cls(base, int(lo), int(hi), coords)
+        return cls(base, lo, hi, coords)
 
 
 def section_point(point: CornerPoint, i0) -> FiberPoint:

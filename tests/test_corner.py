@@ -315,6 +315,17 @@ class TestFiberPoints:
         with pytest.raises(MalformedInput, match=message):
             FiberPoint.from_json(point, {"window": [lo, hi], "coords": list(coords)})
 
+    @pytest.mark.parametrize("window", [5, [0, 1, 2], None, [0.5, 1], [False, 1]],
+                             ids=["int", "three-entries", "missing", "float-bound", "bool-bound"])
+    def test_malformed_window_entries_are_refused(self, window):
+        """The JSON of ``test_json_shape``'s point with its window [0, 1]
+        replaced, or removed for None."""
+        data = {"coords": ["3/1", "0/1"]}
+        if window is not None:
+            data["window"] = window
+        with pytest.raises(MalformedInput, match="window"):
+            FiberPoint.from_json(pt((1, 1), ["3/1", "inf"]), data)
+
     def test_distance_across_corner_points_is_refused(self):
         b = section_point(pt((1, 1), ["3/1", "inf"]), (0, 0))
         c = section_point(pt((1, 1), ["2/1", "inf"]), (0, 0))

@@ -4,7 +4,9 @@ Fractions over Q.
 Every kernel is checked on both sides of the size crossovers in
 ``_linalg`` (the float64 BLAS product and the broadcast row reduction),
 on zero-size shapes and on sparse block matrices shaped like mapping
-cones, for a small, a medium and the largest common word-size prime.  Over
+cones, for a small, a medium and the largest common word-size prime;
+elimination also on inputs with pivotless columns before the last one,
+there at the largest accepted prime as well.  Over
 Q the product is checked on both sides of its integer crossover, and the
 elimination routines on sparse inputs of up to 40 rows and on a dense one
 with large denominators; both product regimes and the elimination also on
@@ -29,6 +31,7 @@ from oracles import (
 )
 
 PRIMES = [2, 101, 2**31 - 1]
+LARGEST_PRIME = 3037000493    # the largest prime with (p - 1)^2 < 2^63; the next is 3037000507
 
 
 def random_mod(rng, p, rows, cols, density=1.0):
@@ -133,10 +136,48 @@ def test_rref_zero_size(p, shape):
 @pytest.mark.parametrize("p", PRIMES)
 def test_rref_leaves_input_unchanged(p):
     rng = np.random.default_rng(3)
-    for a in rref_inputs(rng, p):
+    for a in rref_inputs(rng, p) + pivotless_inputs(rng, p, VECTOR_MIN_ROWS - 1):
         before = a.copy()
         PrimeField(p).rref(a)
         assert np.array_equal(a, before)
+
+
+def pivotless_inputs(rng, p, rows):
+    """Matrices on which the pivot search fails before the last column:
+    one whose column 2 is zero and whose column 5, 3 * column 0 + column 1,
+    has no pivot once the first four are eliminated, with pivots after
+    both; and one of rank at most rows // 2, a product through that inner
+    dimension, whose rows below the rank go to zero with most columns
+    still to come."""
+    full = random_mod(rng, p, rows, rows + 4)
+    full[:, 2] = 0
+    full[:, 5] = (3 * full[:, 0] + full[:, 1]) % p
+    half = rows // 2
+    low_rank = expected_product(random_mod(rng, p, rows, half),
+                                random_mod(rng, p, half, rows + 4, 0.3), p)
+    return [full, low_rank]
+
+
+def pivotless_mismatches(p, rows):
+    """The shapes of the ``pivotless_inputs`` of ``rows`` rows whose rref
+    disagrees with the oracle."""
+    rng = np.random.default_rng(rows + p % 997)
+    field = PrimeField(p)
+    mismatches = []
+    for a in pivotless_inputs(rng, p, rows):
+        reduced, pivots = field.rref(a)
+        expected, expected_pivots = expected_rref(a, p)
+        if pivots != expected_pivots or not np.array_equal(reduced, expected):
+            mismatches.append(a.shape)
+    return mismatches
+
+
+@pytest.mark.parametrize("p", PRIMES + [LARGEST_PRIME])
+@pytest.mark.parametrize("rows", [VECTOR_MIN_ROWS - 1, VECTOR_MIN_ROWS, VECTOR_MIN_ROWS + 1])
+def test_rref_past_pivotless_columns_matches_oracle(p, rows):
+    """Both loops stop at a pivotless column only once every row below the
+    rank is zero."""
+    assert pivotless_mismatches(p, rows) == []
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -157,7 +198,7 @@ def test_right_kernel_is_the_canonical_basis(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-@pytest.mark.parametrize("n", [3, VECTOR_MIN_ROWS - 1, VECTOR_MIN_ROWS, 2 * VECTOR_MIN_ROWS])
+@pytest.mark.parametrize("n", [3, 31, 32, VECTOR_MIN_ROWS - 1, VECTOR_MIN_ROWS, 64])
 def test_inverse_matches_oracle(p, n):
     rng = np.random.default_rng(n + p % 997)
     field = PrimeField(p)
@@ -172,9 +213,10 @@ def test_inverse_matches_oracle(p, n):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-@pytest.mark.parametrize("count", [2, VECTOR_MIN_ROWS - 2, VECTOR_MIN_ROWS + 4])
+@pytest.mark.parametrize("count", [2, 30, 36, VECTOR_MIN_ROWS - 2, VECTOR_MIN_ROWS + 4])
 def test_solve_in_span_matches_oracle(p, count):
-    """count + 1 rows in the system: both sides of the row crossover."""
+    """count + 1 rows in the system: a few, a few dozen, and both sides of
+    the row crossover."""
     rng = np.random.default_rng(count + p % 997)
     field = PrimeField(p)
     width = count + 3
@@ -227,7 +269,7 @@ def test_primes_beyond_the_int64_bound_are_rejected(p):
 
 
 def test_largest_accepted_prime_is_exact():
-    p = 3037000493            # the largest prime with (p - 1)^2 < 2^63; the next is 3037000507
+    p = LARGEST_PRIME
     assert (p - 1) ** 2 < 2**63
     field = PrimeField(p)
     full = np.full((2, 2), p - 1, dtype=np.int64)
@@ -249,8 +291,9 @@ def random_q(rng, rows, cols, density, top=9, max_den=4):
 
 def q_rref_inputs(rng):
     """Sparse Q matrices of 31 to 40 rows, and a dense one whose large
-    denominators make the integer rows long."""
-    small, large = VECTOR_MIN_ROWS - 1, VECTOR_MIN_ROWS
+    denominators make the integer rows long.  Q has no row crossover, so
+    the sizes are fixed."""
+    small, large = 31, 32
     return [
         random_q(rng, small, small + 3, 0.1),
         random_q(rng, large, large + 3, 0.08),
@@ -301,7 +344,7 @@ def test_rationals_right_kernel_is_the_canonical_basis():
         assert not QQ.matmul(a, kernel.T).any()
 
 
-@pytest.mark.parametrize("n", [3, VECTOR_MIN_ROWS - 1, VECTOR_MIN_ROWS])
+@pytest.mark.parametrize("n", [3, 31, 32])
 def test_rationals_inverse_matches_oracle(n):
     rng = np.random.default_rng(29 + n)
     while True:
@@ -316,9 +359,9 @@ def test_rationals_inverse_matches_oracle(n):
         QQ.inverse(np.vstack([a[:-1], a[:1] + a[1:2]]))
 
 
-@pytest.mark.parametrize("count", [2, VECTOR_MIN_ROWS - 2, VECTOR_MIN_ROWS + 4])
+@pytest.mark.parametrize("count", [2, 30, 36])
 def test_rationals_solve_in_span_matches_oracle(count):
-    """count + 1 rows in the system: both sides of the row crossover."""
+    """count + 1 rows in the system."""
     rng = np.random.default_rng(31 + count)
     width = count + 3
     basis = random_q(rng, count, width, 0.25)

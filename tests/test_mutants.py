@@ -61,6 +61,7 @@ from oracles import (
     oracle_upsets_by_mask,
 )
 import test_consheaf
+import test_linalg
 import test_paracat
 import test_preord
 from test_consheaf import mask_mismatches, nonzero_sheaf, section_mismatches, strata_mismatches
@@ -694,6 +695,16 @@ def test_row_loop_without_reduce_is_caught(monkeypatch):
     a = rng.integers(0, 101, size=(VECTOR_MIN_ROWS - 1, VECTOR_MIN_ROWS + 2), dtype=np.int64)
     reduced, pivots = PrimeField(101).rref(a)
     assert (reduced.tolist(), pivots) != oracle_rref_mod(a.tolist(), 101)
+
+
+@pytest.mark.parametrize("loop, rows", [("_rref_by_rows", VECTOR_MIN_ROWS - 1),
+                                        ("_rref_by_broadcast", VECTOR_MIN_ROWS)])
+def test_loop_stopping_at_the_first_pivotless_column_is_caught(monkeypatch, loop, rows):
+    """Each elimination loop stopping at its first pivotless column, as if
+    every row below the rank were zero there: the pivots after the zero
+    column of ``test_linalg.pivotless_inputs`` are lost."""
+    source_mutant(monkeypatch, _linalg.Field, loop, ("continue", "break"))
+    assert test_linalg.pivotless_mismatches(101, rows)
 
 
 matmul_q = Rationals.matmul

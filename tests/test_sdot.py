@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from paracyclic import sdot
-from paracyclic._linalg import VECTOR_MIN_ROWS, Field, PrimeField, QQ
+from paracyclic._linalg import Field, PrimeField, QQ
 from paracyclic.errors import IndexOutOfRange, NotAComplex, ResourceBound
 from paracyclic.sdot import (
     ComplexMap,
@@ -461,18 +461,32 @@ class TestFingerprint:
 
     @pytest.mark.parametrize("field, length", [(F2, 3), (F2, 4), (F101, 3), (F101, 4), (QQ, 3)],
                              ids=["F2-3", "F2-4", "F101-3", "F101-4", "Q-3"])
-    def test_rotated_steps_of_dims_three_match_the_cone_oracle(self, field, length):
+    def test_rotated_steps_of_dims_three_match_the_cone_oracle(self, field, length, monkeypatch):
         """Fully rotated filtrations with (3, 3) steps, drawn as the rotation
         benchmark draws them, and again with a first step of zero
-        differentials.  Their steps reach 39 rows at length 3 and 87 at
-        length 4, past ``VECTOR_MIN_ROWS``, so over a prime field the
-        differentials go through the broadcast elimination, which the
-        seeded filtrations above never reach.  The length-4 oracle takes
-        about 0.4 s, the length-3 one over Q about 1.1 s."""
+        differentials.  Their steps reach 39 rows at length 3, below
+        ``VECTOR_MIN_ROWS``, and 87 at length 4, past it: over a prime field
+        the length-3 differentials go through the row loop alone and the
+        length-4 ones reach the broadcast elimination, which the seeded
+        filtrations above never reach.  Q eliminates by a loop of its own.
+        The length-4 oracle takes about 0.4 s, the length-3 one over Q
+        about 1.1 s."""
+        ran = set()
+        for loop in ("rows", "broadcast"):
+            method = getattr(Field, f"_rref_by_{loop}")
+            monkeypatch.setattr(Field, f"_rref_by_{loop}",
+                                lambda self, a, loop=loop, method=method:
+                                ran.add(loop) or method(self, a))
         for zero_first in (False, True):
             turned = fully_rotated(steps_of_dims_three(field, length, 45, zero_first))
-            assert max(max(x.dims) for x in turned.objects) >= VECTOR_MIN_ROWS
+            ran.clear()
             assert fingerprint(turned) == oracle_fingerprint(turned), zero_first
+            if field is QQ:
+                assert not ran
+            elif length == 3:
+                assert ran == {"rows"}, zero_first
+            else:
+                assert "broadcast" in ran, zero_first
 
     def test_steps_are_the_homology_dims(self):
         rng = random.Random(43)
